@@ -5,10 +5,12 @@
 //
 //   1. Correctness under concurrency: >= 4 connections, every sampled
 //      distance matches a local Dijkstra oracle exactly.
-//   2. Overload shedding: a deliberately undersized request queue
-//      produces explicit OVERLOADED responses, not silent queueing.
-//   3. Deadline enforcement: requests with a tiny deadline budget are
-//      shed with DEADLINE_EXCEEDED at dispatch.
+//   2. Overload shedding: a client that pipelines and never reads pushes
+//      its connection past the write-queue hard cap, and the server
+//      answers explicit OVERLOADED instead of buffering without bound.
+//   3. Deadline enforcement: in a pipelined burst sent with one write,
+//      frames that waited past a tiny budget behind earlier frames of
+//      the same read are shed with DEADLINE_EXCEEDED.
 //   4. Graceful drain: a SHUTDOWN frame mid-traffic answers every
 //      in-flight request before the server stops.
 //
@@ -17,6 +19,7 @@
 // ROADNET_BENCH_FAST=1 shrinks the traffic volumes.
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,6 +33,7 @@
 #include "obs/histogram.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/socket.h"
 #include "server/wire.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -58,6 +62,17 @@ struct DriveResult {
   uint64_t mismatches = 0;
   Histogram latency;
 };
+
+void Tally(wire::Status status, DriveResult* r) {
+  switch (status) {
+    case wire::Status::kOk: ++r->ok; break;
+    case wire::Status::kUnreachable: ++r->unreachable; break;
+    case wire::Status::kOverloaded: ++r->overloaded; break;
+    case wire::Status::kDeadlineExceeded: ++r->deadline_exceeded; break;
+    case wire::Status::kShuttingDown: ++r->draining; break;
+    case wire::Status::kBadRequest: break;
+  }
+}
 
 // Drives `per_conn` closed-loop queries on each of `connections`
 // threads. verify_every > 0 checks distances against a per-thread
@@ -91,14 +106,7 @@ DriveResult Drive(const Graph& g, uint16_t port, size_t connections,
           return;
         }
         r.latency.Record(timer.ElapsedNanos());
-        switch (resp.status) {
-          case wire::Status::kOk: ++r.ok; break;
-          case wire::Status::kUnreachable: ++r.unreachable; break;
-          case wire::Status::kOverloaded: ++r.overloaded; break;
-          case wire::Status::kDeadlineExceeded: ++r.deadline_exceeded; break;
-          case wire::Status::kShuttingDown: ++r.draining; break;
-          case wire::Status::kBadRequest: break;
-        }
+        Tally(resp.status, &r);
         const bool answered = resp.status == wire::Status::kOk ||
                               resp.status == wire::Status::kUnreachable;
         if (oracle != nullptr && answered && i % verify_every == 0) {
@@ -128,6 +136,56 @@ DriveResult Drive(const Graph& g, uint16_t port, size_t connections,
   return total;
 }
 
+// Pipelines `waves` bursts of `per_wave` QUERY2 frames on one raw
+// connection, each burst in one write, pausing `gap` between bursts;
+// then reads every reply. Replies are tallied by status.
+DriveResult Pipeline(const Graph& g, uint16_t port, wire::QueryKind kind,
+                     uint64_t deadline_us, int rcvbuf_bytes, size_t waves,
+                     size_t per_wave, std::chrono::milliseconds gap,
+                     uint64_t seed) {
+  DriveResult r;
+  std::string error;
+  ScopedFd conn = ConnectTcp("127.0.0.1", port, &error, rcvbuf_bytes);
+  if (!conn.valid()) {
+    ++r.transport_errors;
+    return r;
+  }
+  Rng rng(seed);
+  uint64_t id = 0;
+  std::vector<std::string> burst;
+  for (size_t w = 0; w < waves; ++w) {
+    burst.clear();
+    for (size_t i = 0; i < per_wave; ++i) {
+      wire::QueryRequest req;
+      req.request_id = id++;
+      req.kind = kind;
+      req.source = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
+      req.target = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
+      req.deadline_micros = deadline_us;
+      burst.push_back(wire::EncodeQueryRequestV2(req));
+    }
+    if (!WriteFrames(conn.get(), burst)) {
+      ++r.transport_errors;
+      return r;
+    }
+    std::this_thread::sleep_for(gap);
+  }
+  for (uint64_t i = 0; i < id; ++i) {
+    std::string body;
+    if (!ReadFrame(conn.get(), &body, wire::kMaxFrameBytes)) {
+      ++r.transport_errors;
+      return r;
+    }
+    const auto resp = wire::DecodeQueryResponseV2(body);
+    if (!resp.has_value()) {
+      ++r.transport_errors;
+      return r;
+    }
+    Tally(resp->status, &r);
+  }
+  return r;
+}
+
 }  // namespace
 
 int main() {
@@ -144,10 +202,7 @@ int main() {
 
   // --- 1. Correctness under concurrency (>= 4 connections) ---
   {
-    ServerOptions options;
-    options.engine_threads = 4;
-    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
-                       options);
+    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), {});
     std::string error;
     Check(server.Start(&error), "server start (correctness phase)");
     Timer wall;
@@ -173,44 +228,50 @@ int main() {
     server.Shutdown();
   }
 
-  // --- 2. Overload shedding on an undersized queue ---
+  // --- 2. Overload shedding at the write-queue hard cap ---
   {
     ServerOptions options;
-    options.queue_capacity = 1;  // deliberately undersized
-    options.engine_threads = 1;
-    options.max_dispatch_batch = 1;
+    options.write_queue_soft_cap = 0;  // no read pause: force the hard cap
+    options.write_queue_hard_cap = 8192;
+    options.sndbuf_bytes = 4096;       // the kernel cannot hide the queue
     QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
                        options);
     std::string error;
     Check(server.Start(&error), "server start (overload phase)");
+    // Path replies pile up unread on the connection between waves.
+    const size_t waves = fast ? 40 : 60, per_wave = 10;
     const DriveResult r =
-        Drive(g, server.Port(), /*connections=*/8, per_conn,
-              /*deadline_us=*/0, /*verify_every=*/0, /*seed=*/11);
-    std::printf("overload: queue cap 1, 8 conns -> %llu OVERLOADED of %llu\n",
+        Pipeline(g, server.Port(), wire::QueryKind::kPath,
+                 /*deadline_us=*/0, /*rcvbuf_bytes=*/4096, waves, per_wave,
+                 std::chrono::milliseconds(2), /*seed=*/11);
+    std::printf("overload: 8 KiB hard cap, unread pipeline -> %llu"
+                " OVERLOADED of %zu\n",
                 static_cast<unsigned long long>(r.overloaded),
-                static_cast<unsigned long long>(8 * per_conn));
+                waves * per_wave);
+    Check(r.transport_errors == 0, "every pipelined request answered");
     Check(r.overloaded > 0,
-          "undersized queue sheds with explicit OVERLOADED");
-    Check(r.ok > 0, "some queries still served under overload");
+          "write queue past the hard cap sheds with explicit OVERLOADED");
+    Check(r.ok + r.unreachable > 0, "some queries still served under overload");
     server.Shutdown();
   }
 
   // --- 3. Deadline enforcement ---
   {
-    ServerOptions options;
-    options.engine_threads = 1;
-    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
-                       options);
+    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), {});
     std::string error;
     Check(server.Start(&error), "server start (deadline phase)");
-    // A 1 us budget is below any realistic queue wait, so dispatch-time
-    // deadline checks shed nearly everything.
+    // Each burst arrives in one read; with a 1 us budget every frame
+    // that waits behind an earlier one of its burst is shed.
+    const size_t waves = fast ? 20 : 50, per_wave = 32;
     const DriveResult r =
-        Drive(g, server.Port(), /*connections=*/8, per_conn,
-              /*deadline_us=*/1, /*verify_every=*/0, /*seed=*/13);
-    std::printf("deadline: 1 us budget -> %llu DEADLINE_EXCEEDED of %llu\n",
-                static_cast<unsigned long long>(r.deadline_exceeded),
-                static_cast<unsigned long long>(8 * per_conn));
+        Pipeline(g, server.Port(), wire::QueryKind::kDistance,
+                 /*deadline_us=*/1, /*rcvbuf_bytes=*/0, waves, per_wave,
+                 std::chrono::milliseconds(0), /*seed=*/13);
+    std::printf("deadline: 1 us budget, bursts of %zu -> %llu"
+                " DEADLINE_EXCEEDED of %zu\n",
+                per_wave, static_cast<unsigned long long>(r.deadline_exceeded),
+                waves * per_wave);
+    Check(r.transport_errors == 0, "every burst request answered");
     Check(r.deadline_exceeded > 0,
           "expired deadline sheds with DEADLINE_EXCEEDED");
     server.Shutdown();
@@ -218,10 +279,7 @@ int main() {
 
   // --- 4. Graceful drain answers in-flight requests ---
   {
-    ServerOptions options;
-    options.engine_threads = 2;
-    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(),
-                       options);
+    QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), {});
     std::string error;
     Check(server.Start(&error), "server start (drain phase)");
     const uint16_t port = server.Port();

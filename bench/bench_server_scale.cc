@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
 
   ServerOptions options;
   options.num_loops = 2;
-  options.engine_threads = 2;
-  options.queue_capacity = 8192;
   options.max_connections = conns + 64;
   QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), options);
   std::string error;
@@ -287,11 +285,14 @@ int main(int argc, char** argv) {
     const uint64_t mismatches = VerifySamples(g, res);
     const double p50_ns = res.latency.ValueAtQuantile(0.50);
     const double p99_ns = res.latency.ValueAtQuantile(0.99);
+    const double lag_p50_ns = res.send_lag.ValueAtQuantile(0.50);
+    const double lag_p99_ns = res.send_lag.ValueAtQuantile(0.99);
     std::printf("curve %4.1f%%: offered %.0f/s achieved %.0f/s,"
-                " p50 %.1f us p99 %.1f us, %zu verified %llu mismatches\n",
+                " p50 %.1f us p99 %.1f us (send lag p50 %.1f us p99 %.1f us),"
+                " %zu verified %llu mismatches\n",
                 frac * 100, res.offered_qps, res.achieved_qps, p50_ns * 1e-3,
-                p99_ns * 1e-3, res.samples.size(),
-                static_cast<unsigned long long>(mismatches));
+                p99_ns * 1e-3, lag_p50_ns * 1e-3, lag_p99_ns * 1e-3,
+                res.samples.size(), static_cast<unsigned long long>(mismatches));
     const std::string tag = std::to_string(frac * 100);
     Check(res.ok, "curve point " + tag + "% completed: " + res.error);
     Check(res.connection_errors == 0,
@@ -304,6 +305,8 @@ int main(int argc, char** argv) {
     metrics.Add("server_scale_achieved_qps", res.achieved_qps, labels);
     metrics.Add("server_scale_p50_us", p50_ns * 1e-3, labels);
     metrics.Add("server_scale_p99_us", p99_ns * 1e-3, labels);
+    metrics.Add("server_scale_send_lag_p50_us", lag_p50_ns * 1e-3, labels);
+    metrics.Add("server_scale_send_lag_p99_us", lag_p99_ns * 1e-3, labels);
     if (frac == 0.50) p99_at_half_ns = p99_ns;
   }
 

@@ -66,23 +66,16 @@ void QueryEngine::RunChunk(size_t worker_id, Batch* batch, size_t begin,
               .count());
     }
     Timer timer;
-    if (batch->task != nullptr) {
-      QueryCounters task_counters;
-      (*batch->task)(worker_id, i, &task_counters);
-      if (counted) worker.counters += task_counters;
-      if (traced) (*batch->query_counters)[i] = task_counters;
-    } else {
-      const auto [s, t] = batch->queries[i];
-      (*batch->distances)[i] = index_.DistanceQuery(ctx, s, t);
+    const auto [s, t] = batch->queries[i];
+    (*batch->distances)[i] = index_.DistanceQuery(ctx, s, t);
+    if (counted) worker.counters += ctx->counters;
+    if (traced) (*batch->query_counters)[i] = ctx->counters;
+    if (batch->paths != nullptr) {
+      // A path batch answers both query types (Section 2's two queries);
+      // the reported latency covers the pair.
+      (*batch->paths)[i] = index_.PathQuery(ctx, s, t);
       if (counted) worker.counters += ctx->counters;
-      if (traced) (*batch->query_counters)[i] = ctx->counters;
-      if (batch->paths != nullptr) {
-        // A path batch answers both query types (Section 2's two
-        // queries); the reported latency covers the pair.
-        (*batch->paths)[i] = index_.PathQuery(ctx, s, t);
-        if (counted) worker.counters += ctx->counters;
-        if (traced) (*batch->query_counters)[i] += ctx->counters;
-      }
+      if (traced) (*batch->query_counters)[i] += ctx->counters;
     }
     if (timed) worker.histogram.Record(timer.ElapsedNanos());
     if (traced) {
@@ -117,17 +110,6 @@ void QueryEngine::DrainBatch(size_t worker_id, Batch* batch) {
 BatchResult QueryEngine::Run(
     std::span<const std::pair<VertexId, VertexId>> queries,
     const BatchOptions& options) {
-  return RunInternal(queries, queries.size(), nullptr, options);
-}
-
-BatchResult QueryEngine::RunTasks(size_t count, const QueryTask& task,
-                                  const BatchOptions& options) {
-  return RunInternal({}, count, &task, options);
-}
-
-BatchResult QueryEngine::RunInternal(
-    std::span<const std::pair<VertexId, VertexId>> queries, size_t count,
-    const QueryTask* task, const BatchOptions& options) {
   // Loud failure on the classic misuse: Run() from two threads at once
   // would hand the same worker contexts to overlapping batches.
   const bool already_running = run_active_.exchange(true);
@@ -135,11 +117,10 @@ BatchResult QueryEngine::RunInternal(
          "QueryEngine::Run() entered concurrently from two threads");
   (void)already_running;
 
+  const size_t count = queries.size();
   BatchResult result;
-  if (task == nullptr) {
-    result.distances.assign(count, kInfDistance);
-    if (options.collect_paths) result.paths.resize(count);
-  }
+  result.distances.assign(count, kInfDistance);
+  if (options.collect_paths) result.paths.resize(count);
   if (options.record_per_query) {
     result.query_start_ns.assign(count, 0);
     result.query_end_ns.assign(count, 0);
@@ -154,11 +135,9 @@ BatchResult QueryEngine::RunInternal(
 
   Batch batch;
   batch.queries = queries;
-  batch.task = task;
   batch.options = options;
   batch.distances = &result.distances;
-  batch.paths =
-      (task == nullptr && options.collect_paths) ? &result.paths : nullptr;
+  batch.paths = options.collect_paths ? &result.paths : nullptr;
   if (options.record_per_query) {
     batch.query_start_ns = &result.query_start_ns;
     batch.query_end_ns = &result.query_end_ns;

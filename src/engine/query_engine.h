@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <thread>
@@ -65,20 +64,11 @@ struct BatchOptions {
   size_t chunk_size = 0;
   // Per-query tracing (obs/trace.h execute spans): stamp every query's
   // start/end as steady_clock nanoseconds relative to `trace_epoch` and
-  // snapshot its counters into the per-query BatchResult vectors. The
-  // server enables this only when its Tracer is live; workers write
-  // disjoint indices, so no synchronization beyond the batch join.
+  // snapshot its counters into the per-query BatchResult vectors. Workers
+  // write disjoint indices, so no synchronization beyond the batch join.
   bool record_per_query = false;
   std::chrono::steady_clock::time_point trace_epoch{};
 };
-
-// Type-erased per-item task for query families that are not
-// (source, target) pairs — kNN, one-to-many. Invoked once for every
-// index in [0, count) on some worker thread; `worker_id` selects the
-// caller's per-worker scratch (contexts indexed [0, NumThreads())), and
-// the task reports its operation counts through *counters (pre-reset).
-using QueryTask =
-    std::function<void(size_t worker_id, size_t index, QueryCounters*)>;
 
 struct BatchResult {
   // distances[i] answers queries[i] (kInfDistance if unreachable).
@@ -129,15 +119,6 @@ class QueryEngine {
   BatchResult Run(std::span<const std::pair<VertexId, VertexId>> queries,
                   const BatchOptions& options = {});
 
-  // Executes `count` generic tasks on the worker pool with the same
-  // chunking, stealing, latency/counter recording, and per-query trace
-  // stamping as Run(). BatchResult::distances/paths stay empty — the
-  // task writes its own outputs (workers touch disjoint indices, so no
-  // synchronization is needed beyond the join). collect_paths is
-  // ignored. Same no-concurrent-entry contract as Run().
-  BatchResult RunTasks(size_t count, const QueryTask& task,
-                       const BatchOptions& options = {});
-
   size_t NumThreads() const { return workers_.size(); }
 
  private:
@@ -152,9 +133,6 @@ class QueryEngine {
   // The batch being executed, shared by all workers.
   struct Batch {
     std::span<const std::pair<VertexId, VertexId>> queries;
-    // Non-null for RunTasks() batches; `queries` is empty then and the
-    // item count lives in the segment table.
-    const QueryTask* task = nullptr;
     BatchOptions options;
     size_t chunk_size = 1;
     std::vector<Segment> segments;
@@ -187,12 +165,6 @@ class QueryEngine {
 
   // Runs queries [begin, end) of the batch on this worker's context.
   void RunChunk(size_t worker_id, Batch* batch, size_t begin, size_t end);
-
-  // Shared implementation of Run() and RunTasks(): `count` items, pair
-  // queries when `task` is null.
-  BatchResult RunInternal(
-      std::span<const std::pair<VertexId, VertexId>> queries, size_t count,
-      const QueryTask* task, const BatchOptions& options);
 
   const PathIndex& index_;
   std::vector<Worker> workers_;

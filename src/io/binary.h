@@ -38,14 +38,30 @@ void WriteVector(std::ostream& out, const std::vector<T>& v) {
   }
 }
 
-// Reads a length-prefixed vector; rejects sizes above `max_elements`
-// (corruption guard so a bad length cannot trigger a giant allocation).
+// Bytes between the read position and the end of `in`; UINT64_MAX when
+// the stream cannot tell (not seekable, or already failed).
+inline uint64_t BytesLeft(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return UINT64_MAX;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return UINT64_MAX;
+  return static_cast<uint64_t>(end - here);
+}
+
+// Reads a length-prefixed vector; rejects sizes above `max_elements` or
+// beyond the bytes left in the stream, so a corrupt length fails as
+// truncation instead of allocating what it claims.
 template <typename T>
 bool ReadVector(std::istream& in, std::vector<T>* v,
                 uint64_t max_elements = uint64_t{1} << 32) {
   static_assert(std::is_trivially_copyable_v<T>);
   uint64_t size = 0;
-  if (!ReadScalar(in, &size) || size > max_elements) return false;
+  if (!ReadScalar(in, &size) || size > max_elements ||
+      size > BytesLeft(in) / sizeof(T)) {
+    return false;
+  }
   v->resize(size);
   if (size > 0) {
     in.read(reinterpret_cast<char*>(v->data()),

@@ -63,8 +63,9 @@ inline void WriteChecksummedPayload(std::ostream& out,
 
 // Reads a checksummed payload block into *payload. On failure returns
 // false and describes the problem ("truncated", "checksum mismatch") in
-// *error with `what` as a prefix. `max_bytes` guards against a corrupt
-// length triggering a giant allocation.
+// *error with `what` as a prefix. `max_bytes` and the bytes left in the
+// stream bound the length before anything is allocated, so a corrupt
+// length cannot trigger a giant allocation.
 inline bool ReadChecksummedPayload(std::istream& in, std::string* payload,
                                    const std::string& what,
                                    std::string* error,
@@ -76,6 +77,7 @@ inline bool ReadChecksummedPayload(std::istream& in, std::string* payload,
   uint64_t size = 0;
   if (!ReadScalar(in, &size)) return fail("truncated header");
   if (size > max_bytes) return fail("implausible payload length (corrupt?)");
+  if (size > BytesLeft(in)) return fail("truncated payload");
   payload->resize(size);
   in.read(payload->data(), static_cast<std::streamsize>(size));
   if (!in) return fail("truncated payload");

@@ -22,15 +22,13 @@ namespace roadnet {
 
 // Per-request lifecycle tracing (DESIGN.md "Request tracing").
 //
-// A request that flows through the query server crosses four threads:
-// the accept loop, its connection handler, the dispatcher, and an engine
-// worker. Endpoint percentiles (PR 2/3) say *that* a request was slow;
-// this subsystem says *where* — every request carries a RequestTrace
-// whose stages (accept -> frame_read -> enqueue -> queue_wait ->
-// batch_assembly -> execute -> reply_write) are stamped with
-// steady_clock nanoseconds relative to one Tracer epoch, so stage
-// windows recorded on different threads line up on a single monotonic
-// axis and never overlap.
+// A request through the query server runs start to finish on its
+// connection's event loop. Endpoint percentiles say *that* a request
+// was slow; this subsystem says *where* — every request carries
+// a RequestTrace whose stages (accept -> frame_read -> enqueue ->
+// execute -> reply_write) are stamped with steady_clock nanoseconds
+// relative to one Tracer epoch, so stage windows recorded by any thread
+// line up on a single monotonic axis and never overlap.
 //
 // Capture policy is head + tail sampling: 1-in-N requests are chosen up
 // front (deterministic in the request sequence number, ids seeded), and
@@ -55,17 +53,21 @@ inline constexpr bool kTracingCompiledIn = true;
 #endif
 
 // Lifecycle stages in pipeline order. Stage windows of one request are
-// non-overlapping and monotonically ordered; gaps (scheduling delay
-// between dispatcher hand-off and worker pickup) are allowed and are
-// themselves diagnostic.
+// non-overlapping and monotonically ordered; gaps are allowed and are
+// themselves diagnostic. The served path records accept, frame_read,
+// enqueue, execute and reply_write. Nothing records queue_wait or
+// batch_assembly; their ids and names stay so stage tables and trace
+// files from older servers keep their meaning.
 enum class TraceStage : uint8_t {
-  kAccept = 0,         // accept(2) return -> handler thread first read
+  kAccept = 0,         // accept(2) return -> loop's first read
   kFrameRead = 1,      // waiting for + reading the request frame
-  kEnqueue = 2,        // decode, validate, admission TryPush
-  kQueueWait = 3,      // admitted -> dispatcher pops the batch
-  kBatchAssembly = 4,  // batch pop -> engine Run() entry
-  kExecute = 5,        // per-query execution inside an engine worker
-  kReplyWrite = 6,     // handler wake -> response frame written
+  kEnqueue = 2,        // frame buffered -> admitted or shed: the wait
+                       // behind earlier frames of its read, decode,
+                       // validate, admission checks
+  kQueueWait = 3,      // not recorded (see above)
+  kBatchAssembly = 4,  // not recorded (see above)
+  kExecute = 5,        // the index call (per query in engine batches)
+  kReplyWrite = 6,     // request counted, reply encoded and queued
 };
 inline constexpr size_t kNumTraceStages = 7;
 
@@ -85,10 +87,8 @@ struct TraceStageRecord {
 };
 
 // One request's trace, embedded in the server's per-request state. Plain
-// value type: the owning handler thread writes it (the dispatcher and
-// engine write stage windows while the handler is blocked on the
-// response, so writes never overlap), and Finish() copies it into the
-// shard ring.
+// value type: the owning loop thread writes it, and Finish() copies it
+// into the shard ring.
 struct RequestTrace {
   uint64_t trace_id = 0;
   uint64_t seq = 0;           // tracer-wide request sequence number

@@ -395,16 +395,18 @@ void EventLoopPool::ProcessInput(Loop* loop, uint32_t slot) {
 void EventLoopPool::CloseConn(Loop* loop, uint32_t slot) {
   Conn& c = loop->conns[slot];
   if (!c.in_use) return;
+  // Gauges move before the close: a peer that sees EOF and then reads
+  // STATS (or reconnects at the cap) must find the connection gone.
   loop->write_queue_bytes.fetch_sub(c.out.size() - c.out_head,
                                     std::memory_order_relaxed);
+  loop->open_conns.fetch_sub(1, std::memory_order_relaxed);
+  total_conns_.fetch_sub(1, std::memory_order_relaxed);
   c.fd.Close();  // the kernel drops the epoll registration with the fd
   c.in_use = false;
   c.gen++;  // stale ConnRefs and wheel entries now fail their check
   c.out.clear();
   c.out_head = 0;
   loop->freed_pending.push_back(slot);
-  loop->open_conns.fetch_sub(1, std::memory_order_relaxed);
-  total_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void EventLoopPool::HandleAccept(Loop* loop) {
@@ -420,11 +422,13 @@ void EventLoopPool::HandleAccept(Loop* loop) {
       }
       break;
     }
+    // Each rejection is counted before the close: the client sees EOF
+    // at the close and may read STATS at once.
     if (total_conns_.fetch_add(1, std::memory_order_relaxed) >=
         options_.max_connections) {
       total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      ::close(fd);
       loop->rejected.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
       continue;
     }
     const int one = 1;
@@ -454,12 +458,12 @@ void EventLoopPool::HandleAccept(Loop* loop) {
     ev.data.u64 = slot;
     if (::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_ADD, c.fd.get(), &ev) !=
         0) {
+      total_conns_.fetch_sub(1, std::memory_order_relaxed);
+      loop->rejected.fetch_add(1, std::memory_order_relaxed);
       c.fd.Close();
       c.in_use = false;
       c.gen++;
       loop->free_slots.push_back(slot);
-      total_conns_.fetch_sub(1, std::memory_order_relaxed);
-      loop->rejected.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     c.read_start_ns = NowNs();
@@ -568,8 +572,8 @@ void EventLoopPool::LoopMain(Loop* loop) {
     AdvanceWheel(loop, NowNs());
   }
   // Drain anything still posted, then drop every connection this loop
-  // owns. Pendings in flight resolve later through Post, which runs
-  // their closures inline once the pool is stopped.
+  // owns. Closures posted after this run inline once the pool is
+  // stopped.
   RunPosted(loop);
   for (uint32_t slot = 0; slot < loop->conns.size(); ++slot) {
     if (loop->conns[slot].in_use) {

@@ -26,10 +26,10 @@ namespace roadnet {
 //     that loop's thread reads it, writes it, or closes it.
 //   - Complete request frames are handed to FrameHandler::OnFrame on the
 //     loop thread. The handler replies either inline (Send from inside
-//     OnFrame) or later from another thread by Post()ing a closure to
-//     the owning loop — the closure runs on the loop thread and may then
-//     Send. Post is the only cross-thread entry point; it wakes the
-//     loop via an eventfd.
+//     OnFrame; QueryServer always does) or later from another thread by
+//     Post()ing a closure to the owning loop — the closure runs on the
+//     loop thread and may then Send. Post is the only cross-thread entry
+//     point; it wakes the loop via an eventfd.
 //   - A ConnRef {loop, slot, generation} names a connection across
 //     threads. Slots are recycled; the generation check makes a ref to
 //     a closed connection fail Send harmlessly instead of writing into
@@ -88,7 +88,10 @@ struct FrameMeta {
   bool first_frame = false;   // first frame of this connection
   uint64_t accept_ns = 0;     // when accept(2) returned this socket
   uint64_t read_start_ns = 0; // when the loop began waiting for this frame
-  uint64_t frame_end_ns = 0;  // when the frame was completely buffered
+  // When the frame was completely buffered. Frames that arrive in one
+  // read share it, so a later frame's OnFrame sees it age while earlier
+  // frames of that read are handled.
+  uint64_t frame_end_ns = 0;
   size_t write_queue_bytes = 0;  // this connection's unflushed reply bytes
 };
 
@@ -141,7 +144,8 @@ class EventLoopPool {
 
   // Deregisters and closes the listening socket in every loop; no new
   // connections are accepted once this returns. Established connections
-  // keep running.
+  // keep running. It waits for a closure to run on every loop, so the
+  // frame each loop was handling when it was called has been handled.
   void StopAccepting();
 
   // Blocks until every connection's write queue is empty or the timeout

@@ -5,6 +5,8 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -19,6 +21,20 @@
 namespace roadnet {
 
 namespace {
+
+// epoll tag of the arrival timer; connection indexes are the other tags.
+constexpr uint64_t kTimerTag = ~uint64_t{0};
+
+// Wake this long before an arrival and busy-poll the rest: the timerfd
+// wake-up itself is late by tens of microseconds on a loaded VM.
+constexpr uint64_t kSpinNs = 200'000;
+
+uint64_t MonotonicNs() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
 
 // One pre-generated request: its scheduled arrival (ns since run start)
 // and endpoints. Latency is measured from sched_ns, never from the send.
@@ -50,11 +66,22 @@ class OpenLoopDriver {
   OpenLoopResult Run();
 
  private:
-  uint64_t NowNs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
+  // Nanoseconds since the schedule's start, on CLOCK_MONOTONIC (the
+  // timerfd's clock).
+  uint64_t NowNs() const { return MonotonicNs() - epoch_ns_; }
+
+  // Arms the arrival timer at `at_ns` on the schedule's axis (absolute,
+  // so a late arm cannot push the wake-up later). A repeat arm for the
+  // same time is skipped: that timer has not fired yet, because once it
+  // fires its request is due within the spin window and is polled for.
+  void ArmTimer(uint64_t at_ns) {
+    if (at_ns == armed_ns_) return;
+    armed_ns_ = at_ns;
+    const uint64_t abs_ns = epoch_ns_ + at_ns;
+    itimerspec its{};
+    its.it_value.tv_sec = static_cast<time_t>(abs_ns / 1'000'000'000);
+    its.it_value.tv_nsec = static_cast<long>(abs_ns % 1'000'000'000);
+    ::timerfd_settime(timer_fd_.get(), TFD_TIMER_ABSTIME, &its, nullptr);
   }
 
   bool Fail(const std::string& why) {
@@ -76,8 +103,10 @@ class OpenLoopDriver {
   void KillConn(size_t ci, const char* why);
 
   const OpenLoopOptions options_;
-  std::chrono::steady_clock::time_point epoch_;
+  uint64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at the schedule's start
   int epoll_fd_ = -1;
+  ScopedFd timer_fd_;
+  uint64_t armed_ns_ = 0;  // schedule time the timer is armed for
   std::vector<ClientConn> conns_;
   std::vector<ReqRecord> reqs_;
   uint64_t next_idx_ = 0;   // next request not yet handed to a connection
@@ -90,6 +119,15 @@ class OpenLoopDriver {
 bool OpenLoopDriver::ConnectAll() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return Fail("epoll_create1 failed");
+  timer_fd_ = ScopedFd(
+      ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC));
+  epoll_event tev{};
+  tev.events = EPOLLIN;
+  tev.data.u64 = kTimerTag;
+  if (!timer_fd_.valid() ||
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_.get(), &tev) != 0) {
+    return Fail("timerfd setup failed");
+  }
   conns_.resize(options_.connections);
   for (size_t i = 0; i < options_.connections; ++i) {
     std::string err;
@@ -185,6 +223,8 @@ void OpenLoopDriver::SetWantOut(size_t ci, bool want) {
 void OpenLoopDriver::Pump(size_t ci) {
   ClientConn& c = conns_[ci];
   if (c.dead) return;
+  // Everything appended here goes to the kernel in the FlushOut below.
+  const uint64_t now = NowNs();
   while (c.outstanding < options_.pipeline && !c.deferred.empty()) {
     const uint64_t idx = c.deferred.front();
     c.deferred.pop_front();
@@ -203,6 +243,8 @@ void OpenLoopDriver::Pump(size_t ci) {
     c.out.append(body);
     c.outstanding++;
     result_.sent++;
+    const uint64_t sched = reqs_[idx].sched_ns;
+    result_.send_lag.Record(now > sched ? now - sched : 0);
   }
   FlushOut(ci);
 }
@@ -312,7 +354,7 @@ OpenLoopResult OpenLoopDriver::Run() {
   if (!ConnectAll()) return std::move(result_);
   if (!PrimeAll()) return std::move(result_);
   BuildSchedule();
-  epoch_ = std::chrono::steady_clock::now();
+  epoch_ns_ = MonotonicNs();
 
   epoll_event events[256];
   uint64_t last_progress_ns = 0;
@@ -338,16 +380,17 @@ OpenLoopResult OpenLoopDriver::Run() {
       Pump(ci);
     }
 
-    int timeout_ms;
+    // Sleep until just before the next arrival (the timerfd wakes the
+    // wait), then poll without blocking until it is due. The 100 ms cap
+    // keeps the stall check below running.
+    int timeout_ms = 100;
     if (next_idx_ < options_.total_requests) {
-      const uint64_t gap = reqs_[next_idx_].sched_ns > now
-                               ? reqs_[next_idx_].sched_ns - now
-                               : 0;
-      // Round up so we never wake before the arrival is actually due.
-      timeout_ms = static_cast<int>((gap + 999999) / 1000000);
-      if (timeout_ms > 100) timeout_ms = 100;
-    } else {
-      timeout_ms = 100;
+      const uint64_t due = reqs_[next_idx_].sched_ns;
+      if (due > now + kSpinNs) {
+        ArmTimer(due - kSpinNs);
+      } else {
+        timeout_ms = 0;
+      }
     }
     const int n = ::epoll_wait(epoll_fd_, events, 256, timeout_ms);
     if (n < 0) {
@@ -356,6 +399,12 @@ OpenLoopResult OpenLoopDriver::Run() {
       break;
     }
     for (int i = 0; i < n; ++i) {
+      if (events[i].data.u64 == kTimerTag) {
+        uint64_t expirations = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(timer_fd_.get(), &expirations, sizeof(expirations));
+        continue;
+      }
       const size_t ci = static_cast<size_t>(events[i].data.u64);
       if (conns_[ci].dead) continue;
       if ((events[i].events & EPOLLOUT) != 0) FlushOut(ci);

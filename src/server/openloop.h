@@ -24,7 +24,10 @@ namespace roadnet {
 // One thread drives every connection through epoll: requests are
 // assigned round-robin, at most `pipeline` outstanding per connection
 // (later arrivals on a full connection stay queued client-side but keep
-// their original schedule stamp).
+// their original schedule stamp). Between arrivals it sleeps on a timerfd
+// armed at an absolute CLOCK_MONOTONIC deadline shortly before the next
+// one and busy-polls the rest, so sends leave within microseconds of
+// their schedule; the send lag it still has is measured per request.
 struct OpenLoopOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -51,6 +54,9 @@ struct OpenLoopResult {
   uint64_t connection_errors = 0;
   std::array<uint64_t, 256> status_counts{};  // indexed by wire::Status
   Histogram latency;           // ns, scheduled arrival -> reply received
+  // ns, scheduled arrival -> request handed to the kernel: the harness's
+  // own error, included in `latency`.
+  Histogram send_lag;
   double offered_qps = 0.0;
   double achieved_qps = 0.0;   // received / wall time
   uint64_t elapsed_ns = 0;

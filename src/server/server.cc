@@ -6,13 +6,6 @@ namespace roadnet {
 
 namespace {
 
-uint64_t ElapsedNanos(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
-
 // Status names for the trace JSONL export, as a plain function pointer so
 // the obs layer stays independent of server/wire.
 const char* TraceStatusName(uint8_t status) {
@@ -22,13 +15,17 @@ const char* TraceStatusName(uint8_t status) {
 // Requests are tiny fixed-size frames; cap far below response sizes.
 constexpr uint32_t kMaxRequestBytes = 1024;
 
+size_t NumLoops(const ServerOptions& options) {
+  return options.num_loops == 0 ? 1 : options.num_loops;
+}
+
 TracerOptions MakeTracerOptions(const ServerOptions& options) {
   TracerOptions t;
   t.sample_every = options.trace_sample_every;
   t.slow_micros = options.trace_slow_us;
   // One shard per event loop: the loop thread is the only producer into
   // its shard's ring (requests start and finish on their owning loop).
-  t.shards = options.num_loops == 0 ? 1 : options.num_loops;
+  t.shards = NumLoops(options);
   t.ring_capacity = options.trace_ring_capacity;
   t.id_seed = options.trace_seed;
   t.status_name = &TraceStatusName;
@@ -45,22 +42,13 @@ QueryServer::QueryServer(const PathIndex& index, uint8_t technique_id,
       num_vertices_(num_vertices),
       options_(options),
       knn_(knn),
-      engine_(index, options.engine_threads),
-      queue_(options.queue_capacity),
-      tracer_(MakeTracerOptions(options)) {
-  // One kNN context and scratch vector per engine worker: the task path
-  // hands each worker its own slot.
-  if (knn_.Enabled()) {
-    knn_scratch_.resize(engine_.NumThreads());
-    bucket_ctxs_.reserve(engine_.NumThreads());
-    for (size_t i = 0; i < engine_.NumThreads(); ++i) {
-      bucket_ctxs_.push_back(knn_.bucket->NewContext());
-    }
-    if (knn_.ier != nullptr) {
-      ier_ctxs_.reserve(engine_.NumThreads());
-      for (size_t i = 0; i < engine_.NumThreads(); ++i) {
-        ier_ctxs_.push_back(knn_.ier->NewContext());
-      }
+      tracer_(MakeTracerOptions(options)),
+      scratch_(NumLoops(options)) {
+  for (LoopScratch& s : scratch_) {
+    s.ctx = index_.NewContext();
+    if (knn_.Enabled()) {
+      s.bucket = knn_.bucket->NewContext();
+      if (knn_.ier != nullptr) s.ier = knn_.ier->NewContext();
     }
   }
 }
@@ -79,7 +67,7 @@ bool QueryServer::Start(std::string* error) {
   }
 
   EventLoopOptions lo;
-  lo.num_loops = options_.num_loops == 0 ? 1 : options_.num_loops;
+  lo.num_loops = NumLoops(options_);
   lo.max_connections = options_.max_connections;
   lo.max_frame_bytes = kMaxRequestBytes;
   lo.write_soft_cap = options_.write_queue_soft_cap;
@@ -93,10 +81,7 @@ bool QueryServer::Start(std::string* error) {
   for (size_t i = 0; i < lo.num_loops; ++i) {
     loop_shards_.push_back(tracer_.AcquireShard());
   }
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
   if (!pool_->Start(std::move(listen), error)) {
-    queue_.Close();
-    dispatch_thread_.join();
     for (int shard : loop_shards_) tracer_.ReleaseShard(shard);
     loop_shards_.clear();
     pool_.reset();
@@ -137,28 +122,13 @@ void QueryServer::Shutdown() {
   draining_.store(true);
 
   if (started_) {
-    // 1. Stop accepting. Established connections keep running; their
-    // loops reject new requests with SHUTTING_DOWN (draining_ is set).
+    // 1. Stop accepting. This runs a closure on every loop and waits for
+    // all of them, so each loop has finished the request it was running
+    // when draining_ was set; every later frame is answered
+    // SHUTTING_DOWN. Every admitted request now has its reply queued.
     pool_->StopAccepting();
 
-    // 2. Close the queue: the dispatcher drains everything already
-    // admitted and exits. Every drained Pending is Complete()d, which
-    // posts its reply to the owning loop.
-    queue_.Close();
-    dispatch_thread_.join();
-
-    // 3. Wait for the completion closures: once in_flight_ hits zero,
-    // every admitted request has its reply on a connection write queue.
-    {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      MutexLock lock(drain_mu_);
-      while (in_flight_.load(std::memory_order_acquire) != 0 &&
-             drain_cv_.WaitUntil(lock, deadline) != std::cv_status::timeout) {
-      }
-    }
-
-    // 4. Flush replies to peers that are reading (bounded: a peer that
+    // 2. Flush replies to peers that are reading (bounded: a peer that
     // stopped reading cannot stall the drain forever), then stop.
     pool_->FlushAndWait(std::chrono::seconds(2));
     pool_->Stop();
@@ -170,59 +140,127 @@ void QueryServer::Shutdown() {
   tracer_.StopExporter();
 }
 
-std::string QueryServer::EncodeReply(Pending* p) {
-  switch (p->family) {
-    case Pending::Family::kKnn:
-      p->knn_resp.status = p->resp.status;
-      p->knn_resp.server_latency_ns = p->resp.server_latency_ns;
-      return wire::EncodeKnnResponse(wire::kKnnReply, p->knn_resp);
-    case Pending::Family::kOneToMany:
-      p->knn_resp.status = p->resp.status;
-      p->knn_resp.server_latency_ns = p->resp.server_latency_ns;
-      return wire::EncodeKnnResponse(wire::kOneToManyReply, p->knn_resp);
-    case Pending::Family::kPoint:
+std::string QueryServer::EncodeReply(Request* r) {
+  switch (r->family) {
+    case Request::Family::kKnn:
+      r->knn_resp.status = r->resp.status;
+      r->knn_resp.server_latency_ns = r->resp.server_latency_ns;
+      return wire::EncodeKnnResponse(wire::kKnnReply, r->knn_resp);
+    case Request::Family::kOneToMany:
+      r->knn_resp.status = r->resp.status;
+      r->knn_resp.server_latency_ns = r->resp.server_latency_ns;
+      return wire::EncodeKnnResponse(wire::kOneToManyReply, r->knn_resp);
+    case Request::Family::kPoint:
       break;
   }
-  return p->pipelined ? wire::EncodeQueryResponseV2(p->resp)
-                      : wire::EncodeQueryResponse(p->resp);
+  return r->pipelined ? wire::EncodeQueryResponseV2(r->resp)
+                      : wire::EncodeQueryResponse(r->resp);
 }
 
-void QueryServer::ReplyNow(Pending* p, wire::Status status) {
-  p->resp.status = status;
-  p->resp.server_latency_ns = ElapsedNanos(p->received);
-  p->trace.status = static_cast<uint8_t>(status);
-  {
-    TraceSpan reply_span(&p->trace, TraceStage::kReplyWrite);
-    pool_->Send(p->conn, EncodeReply(p));
+bool QueryServer::Decode(wire::MessageType type, const std::string& body,
+                         Request* r) const {
+  // A short answer (empty category, k > |POIs|) is NOT a bad request —
+  // only malformed frames, ids out of range, and techniques/methods the
+  // server does not host are.
+  RequestTrace& trace = r->trace;
+  if (type == wire::kQuery || type == wire::kQueryV2) {
+    const auto req = type == wire::kQueryV2 ? wire::DecodeQueryRequestV2(body)
+                                            : wire::DecodeQueryRequest(body);
+    if (!req.has_value()) return false;
+    r->pipelined = type == wire::kQueryV2;
+    r->resp.request_id = req->request_id;
+    r->req = *req;
+    trace.kind = static_cast<uint8_t>(req->kind);
+    trace.source = req->source;
+    trace.target = req->target;
+    return req->source < num_vertices_ && req->target < num_vertices_ &&
+           (req->technique == wire::kAnyTechnique ||
+            req->technique == technique_id_);
   }
-  const int shard = loop_shards_[p->conn.loop];
-  if (shard >= 0) tracer_.Finish(shard, &p->trace);
+  if (type == wire::kKnnQuery) {
+    r->family = Request::Family::kKnn;
+    const auto req = wire::DecodeKnnRequest(body);
+    if (!req.has_value()) return false;
+    r->knn_req = *req;
+    r->req.deadline_micros = req->deadline_micros;
+    trace.kind = 2;
+    trace.source = req->source;
+    trace.target = req->category;  // category stands in for target
+    return knn_.Enabled() && req->source < num_vertices_ &&
+           req->category < knn_.pois->NumCategories() &&
+           (req->method != wire::KnnMethod::kIer || knn_.ier != nullptr);
+  }
+  r->family = Request::Family::kOneToMany;
+  const auto req = wire::DecodeOneToManyRequest(body);
+  if (!req.has_value()) return false;
+  r->otm_req = *req;
+  r->req.deadline_micros = req->deadline_micros;
+  trace.kind = 3;
+  trace.source = req->source;
+  trace.target = req->category;
+  return knn_.Enabled() && req->source < num_vertices_ &&
+         req->category < knn_.pois->NumCategories();
 }
 
-void QueryServer::Complete(Pending* p, wire::Status status) {
-  p->resp.status = status;
-  p->resp.server_latency_ns = ElapsedNanos(p->received);
-  p->trace.status = static_cast<uint8_t>(status);
-  // Encode on the dispatcher (cheap for the loops, and path replies can
-  // be large); the owning loop only appends bytes and finishes the
-  // trace. The Post hop orders these writes before the loop's reads.
-  std::string frame = EncodeReply(p);
-  pool_->Post(p->conn.loop, [this, p, frame = std::move(frame)] {
-    RequestTrace& trace = p->trace;
-    const uint64_t reply_start = trace.NowNs();
-    pool_->Send(p->conn, frame);  // false if the connection died: drop
-    trace.RecordStage(TraceStage::kReplyWrite, reply_start, trace.NowNs());
-    const int shard = loop_shards_[p->conn.loop];
-    if (shard >= 0) tracer_.Finish(shard, &trace);
-    delete p;
-    if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Lock-then-notify: taking drain_mu_ orders this notify after the
-      // drain waiter is actually asleep (it held drain_mu_ from its
-      // predicate check into the wait), so the wakeup cannot be lost.
-      MutexLock lock(drain_mu_);
-      drain_cv_.NotifyAll();
+wire::Status QueryServer::Execute(Request* r, LoopScratch* scratch) {
+  QueryCounters& counters = r->trace.counters;
+  if (r->family == Request::Family::kPoint) {
+    QueryContext* ctx = scratch->ctx.get();
+    const wire::QueryRequest& q = r->req;
+    r->resp.distance = index_.DistanceQuery(ctx, q.source, q.target);
+    counters = ctx->counters;
+    if (q.kind == wire::QueryKind::kPath) {
+      r->resp.path = index_.PathQuery(ctx, q.source, q.target);
+      counters += ctx->counters;
     }
-  });
+  } else {
+    std::vector<KnnResult>& out = scratch->knn_out;
+    if (r->family == Request::Family::kOneToMany) {
+      knn_.bucket->OneToManyQuery(&scratch->bucket, r->otm_req.category,
+                                  r->otm_req.source, &out);
+      counters = scratch->bucket.counters;
+    } else if (r->knn_req.method == wire::KnnMethod::kIer) {
+      knn_.ier->KnnQuery(&scratch->ier, r->knn_req.category,
+                         r->knn_req.source, r->knn_req.k, &out);
+      counters = scratch->ier.counters;
+    } else {
+      knn_.bucket->KnnQuery(&scratch->bucket, r->knn_req.category,
+                            r->knn_req.source, r->knn_req.k, &out);
+      counters = scratch->bucket.counters;
+    }
+    r->knn_resp.entries.reserve(out.size());
+    for (const KnnResult& k : out) {
+      r->knn_resp.entries.emplace_back(k.poi, k.dist);
+    }
+  }
+  // A short (even empty) kNN list is a complete OK answer: unreachable or
+  // absent POIs are simply not in it.
+  return r->family == Request::Family::kPoint &&
+                 r->resp.distance == kInfDistance
+             ? wire::Status::kUnreachable
+             : wire::Status::kOk;
+}
+
+void QueryServer::RecordServed(const Request& r) {
+  const uint64_t latency_ns = r.resp.server_latency_ns;
+  {
+    MutexLock lock(stats_mu_);
+    switch (r.family) {
+      case Request::Family::kPoint:
+        (r.req.kind == wire::QueryKind::kPath ? path_latency_
+                                              : distance_latency_)
+            .Record(latency_ns);
+        break;
+      case Request::Family::kKnn:
+        knn_latency_.Record(latency_ns);
+        break;
+      case Request::Family::kOneToMany:
+        one_to_many_latency_.Record(latency_ns);
+        break;
+    }
+    counters_ += r.trace.counters;
+  }
+  served_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
@@ -255,10 +293,8 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     return false;
   }
 
-  auto owned = std::make_unique<Pending>();
-  Pending* p = owned.get();
-  p->conn = conn;
-  RequestTrace& trace = p->trace;
+  Request r;
+  RequestTrace& trace = r.trace;
   const int shard = loop_shards_[conn.loop];
   if (shard >= 0) tracer_.StartRequest(&trace);
   if (meta.first_frame) {
@@ -271,267 +307,52 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
   // frame (timestamps come from the loop's read path).
   trace.RecordStage(TraceStage::kFrameRead, meta.read_start_ns,
                     meta.frame_end_ns);
-  p->received = std::chrono::steady_clock::now();
 
-  // Decode + validate per family. A short answer (empty category,
-  // k > |POIs|) is NOT a bad request — only malformed frames, ids out
-  // of range, and techniques/methods the server does not host are.
-  bool valid = false;
-  if (*type == wire::kQuery || *type == wire::kQueryV2) {
-    const auto req = *type == wire::kQueryV2
-                         ? wire::DecodeQueryRequestV2(body)
-                         : wire::DecodeQueryRequest(body);
-    if (req.has_value()) {
-      p->pipelined = *type == wire::kQueryV2;
-      p->resp.request_id = req->request_id;
-      trace.kind = static_cast<uint8_t>(req->kind);
-      trace.source = req->source;
-      trace.target = req->target;
-      valid = req->source < num_vertices_ && req->target < num_vertices_ &&
-              (req->technique == wire::kAnyTechnique ||
-               req->technique == technique_id_);
-      p->req = *req;
-    }
-  } else if (*type == wire::kKnnQuery) {
-    // Family follows the frame type even when decode fails, so a
-    // malformed KNN_QUERY still gets a KNN_REPLY bad-request frame.
-    p->family = Pending::Family::kKnn;
-    const auto req = wire::DecodeKnnRequest(body);
-    if (req.has_value()) {
-      trace.kind = 2;
-      trace.source = req->source;
-      trace.target = req->category;  // category stands in for target
-      valid = knn_.Enabled() && req->source < num_vertices_ &&
-              req->category < knn_.pois->NumCategories() &&
-              (req->method != wire::KnnMethod::kIer || knn_.ier != nullptr);
-      p->knn_req = *req;
-      p->req.deadline_micros = req->deadline_micros;
-    }
-  } else {
-    p->family = Pending::Family::kOneToMany;
-    const auto req = wire::DecodeOneToManyRequest(body);
-    if (req.has_value()) {
-      trace.kind = 3;
-      trace.source = req->source;
-      trace.target = req->category;
-      valid = knn_.Enabled() && req->source < num_vertices_ &&
-              req->category < knn_.pois->NumCategories();
-      p->otm_req = *req;
-      p->req.deadline_micros = req->deadline_micros;
-    }
-  }
-  if (!valid) {
+  // The request is received when its frame is buffered, so its latency
+  // and deadline both count the wait behind earlier frames of the same
+  // read. Every counter moves before the reply is queued: a client that
+  // reads STATS as soon as its reply lands sees it counted.
+  wire::Status status = wire::Status::kOk;
+  if (!Decode(*type, body, &r)) {
+    status = wire::Status::kBadRequest;
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    ReplyNow(p, wire::Status::kBadRequest);
-    return true;
-  }
-
-  // The enqueue span must close BEFORE TryPush: once the request is in
-  // the queue the dispatcher may pop it immediately and derive the
-  // queue_wait start from this stage's end stamp.
-  TraceSpan enqueue_span(&trace, TraceStage::kEnqueue);
-  wire::Status shed = wire::Status::kOk;
-  if (draining_.load(std::memory_order_relaxed)) {
-    enqueue_span.Close();
-    shed = wire::Status::kShuttingDown;
+  } else if (draining_.load(std::memory_order_relaxed)) {
+    status = wire::Status::kShuttingDown;
     shed_draining_.fetch_add(1, std::memory_order_relaxed);
   } else if (options_.write_queue_hard_cap > 0 &&
              meta.write_queue_bytes > options_.write_queue_hard_cap) {
     // The peer is not draining its replies; shedding here keeps a
-    // non-reading client from pinning engine output in memory.
-    enqueue_span.Close();
-    shed = wire::Status::kOverloaded;
+    // non-reading client from pinning reply bytes in memory.
+    status = wire::Status::kOverloaded;
     shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    enqueue_span.Close();
-    if (!queue_.TryPush(p)) {
-      shed = wire::Status::kOverloaded;
-      shed_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    }
+  } else if (r.req.deadline_micros > 0 &&
+             (tracer_.NowNs() - meta.frame_end_ns) / 1000 >
+                 r.req.deadline_micros) {
+    status = wire::Status::kDeadlineExceeded;
+    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (shed != wire::Status::kOk) {
-    ReplyNow(p, shed);
-    return true;
+  // Consecutive stages share their boundary stamps, so they tile the
+  // request from frame_end on: a preemption lands inside a stage, never
+  // between two.
+  const uint64_t admitted_ns = trace.NowNs();
+  trace.RecordStage(TraceStage::kEnqueue, meta.frame_end_ns, admitted_ns);
+  const bool admitted = status == wire::Status::kOk;
+  uint64_t reply_start_ns = admitted_ns;
+  if (admitted) {
+    status = Execute(&r, &scratch_[conn.loop]);
+    reply_start_ns = trace.NowNs();
+    trace.RecordStage(TraceStage::kExecute, admitted_ns, reply_start_ns);
   }
-  // Admitted: the dispatcher owns the Pending now (no touching *p past
-  // the TryPush). The completion closure runs on this loop thread, so
-  // it cannot race this increment.
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  owned.release();
+
+  // reply_write: count the answered request, encode and queue the reply.
+  r.resp.status = status;
+  r.resp.server_latency_ns = tracer_.NowNs() - meta.frame_end_ns;
+  if (admitted) RecordServed(r);
+  trace.status = static_cast<uint8_t>(status);
+  pool_->Send(conn, EncodeReply(&r));  // false if the connection died
+  trace.RecordStage(TraceStage::kReplyWrite, reply_start_ns, trace.NowNs());
+  if (shard >= 0) tracer_.Finish(shard, &trace);
   return true;
-}
-
-void QueryServer::RunSubBatch(std::vector<Pending*>& reqs, bool paths) {
-  if (reqs.empty()) return;
-  std::vector<std::pair<VertexId, VertexId>> queries;
-  queries.reserve(reqs.size());
-  for (const Pending* p : reqs) {
-    queries.emplace_back(p->req.source, p->req.target);
-  }
-  BatchOptions options;
-  options.collect_paths = paths;
-  // The engine's per-query histogram would only cover index time; the
-  // server reports receipt-to-completion latency instead (recorded
-  // below), so skip the double measurement.
-  options.record_latencies = false;
-  const bool traced = tracer_.RuntimeEnabled();
-  uint64_t assembly_end = 0;
-  if (traced) {
-    // Per-query execute windows come back from the engine workers on the
-    // tracer's time axis; counters are snapshotted per query.
-    options.record_per_query = true;
-    options.trace_epoch = tracer_.Epoch();
-    assembly_end = tracer_.NowNs();
-  }
-  in_flight_batches_.fetch_add(1, std::memory_order_relaxed);
-  BatchResult result = engine_.Run(queries, options);
-  in_flight_batches_.fetch_sub(1, std::memory_order_relaxed);
-  if (traced && result.query_start_ns.size() == reqs.size()) {
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      RequestTrace& trace = reqs[i]->trace;
-      // batch_assembly: dispatcher pop (queue_wait end) to engine entry.
-      trace.RecordStage(
-          TraceStage::kBatchAssembly,
-          trace.stages[static_cast<size_t>(TraceStage::kQueueWait)].end_ns,
-          assembly_end);
-      trace.RecordStage(TraceStage::kExecute, result.query_start_ns[i],
-                        result.query_end_ns[i]);
-      trace.counters = result.query_counters[i];
-    }
-  }
-
-  {
-    MutexLock lock(stats_mu_);
-    Histogram& latency = paths ? path_latency_ : distance_latency_;
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      Pending* p = reqs[i];
-      p->resp.distance = result.distances[i];
-      if (paths) p->resp.path = std::move(result.paths[i]);
-      latency.Record(ElapsedNanos(p->received));
-    }
-    counters_ += result.stats.counters;
-  }
-  served_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    Complete(reqs[i], result.distances[i] == kInfDistance
-                          ? wire::Status::kUnreachable
-                          : wire::Status::kOk);
-  }
-}
-
-void QueryServer::RunKnnSubBatch(std::vector<Pending*>& reqs) {
-  if (reqs.empty()) return;
-  BatchOptions options;
-  options.record_latencies = false;  // server latency is recorded below
-  const bool traced = tracer_.RuntimeEnabled();
-  uint64_t assembly_end = 0;
-  if (traced) {
-    options.record_per_query = true;
-    options.trace_epoch = tracer_.Epoch();
-    assembly_end = tracer_.NowNs();
-  }
-  // The engine's task path: each request runs on one worker's own kNN
-  // contexts and writes its own Pending, so workers never share state.
-  QueryTask task = [this, &reqs](size_t worker, size_t i,
-                                 QueryCounters* counters) {
-    Pending* p = reqs[i];
-    std::vector<KnnResult>& out = knn_scratch_[worker];
-    if (p->family == Pending::Family::kOneToMany) {
-      knn_.bucket->OneToManyQuery(&bucket_ctxs_[worker],
-                                  p->otm_req.category, p->otm_req.source,
-                                  &out);
-      *counters = bucket_ctxs_[worker].counters;
-    } else if (p->knn_req.method == wire::KnnMethod::kIer) {
-      knn_.ier->KnnQuery(&ier_ctxs_[worker], p->knn_req.category,
-                         p->knn_req.source, p->knn_req.k, &out);
-      *counters = ier_ctxs_[worker].counters;
-    } else {
-      knn_.bucket->KnnQuery(&bucket_ctxs_[worker], p->knn_req.category,
-                            p->knn_req.source, p->knn_req.k, &out);
-      *counters = bucket_ctxs_[worker].counters;
-    }
-    p->knn_resp.entries.clear();
-    p->knn_resp.entries.reserve(out.size());
-    for (const KnnResult& r : out) {
-      p->knn_resp.entries.emplace_back(r.poi, r.dist);
-    }
-  };
-  in_flight_batches_.fetch_add(1, std::memory_order_relaxed);
-  BatchResult result = engine_.RunTasks(reqs.size(), task, options);
-  in_flight_batches_.fetch_sub(1, std::memory_order_relaxed);
-  if (traced && result.query_start_ns.size() == reqs.size()) {
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      RequestTrace& trace = reqs[i]->trace;
-      trace.RecordStage(
-          TraceStage::kBatchAssembly,
-          trace.stages[static_cast<size_t>(TraceStage::kQueueWait)].end_ns,
-          assembly_end);
-      trace.RecordStage(TraceStage::kExecute, result.query_start_ns[i],
-                        result.query_end_ns[i]);
-      trace.counters = result.query_counters[i];
-    }
-  }
-
-  {
-    MutexLock lock(stats_mu_);
-    for (const Pending* p : reqs) {
-      Histogram& latency = p->family == Pending::Family::kOneToMany
-                               ? one_to_many_latency_
-                               : knn_latency_;
-      latency.Record(ElapsedNanos(p->received));
-    }
-    counters_ += result.stats.counters;
-  }
-  served_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  // A short (even empty) list is a complete OK answer: unreachable or
-  // absent POIs are simply not in it.
-  for (Pending* p : reqs) Complete(p, wire::Status::kOk);
-}
-
-void QueryServer::DispatchLoop() {
-  std::vector<Pending*> batch;
-  std::vector<Pending*> distance_reqs;
-  std::vector<Pending*> path_reqs;
-  std::vector<Pending*> knn_reqs;
-  while (queue_.PopBatch(&batch, options_.max_dispatch_batch)) {
-    distance_reqs.clear();
-    path_reqs.clear();
-    knn_reqs.clear();
-    const auto now = std::chrono::steady_clock::now();
-    // One pop stamp for the whole batch: each request's queue_wait runs
-    // from its own enqueue end to this pop.
-    const uint64_t pop_ns = tracer_.ToNs(now);
-    for (Pending* p : batch) {
-      p->trace.RecordStage(
-          TraceStage::kQueueWait,
-          p->trace.stages[static_cast<size_t>(TraceStage::kEnqueue)].end_ns,
-          pop_ns);
-    }
-    for (Pending* p : batch) {
-      // Deadline enforcement happens at dispatch: a request that already
-      // waited past its budget is shed without occupying a worker.
-      if (p->req.deadline_micros > 0) {
-        const auto waited =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - p->received)
-                .count();
-        if (waited > static_cast<int64_t>(p->req.deadline_micros)) {
-          shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-          Complete(p, wire::Status::kDeadlineExceeded);
-          continue;
-        }
-      }
-      if (p->family != Pending::Family::kPoint) {
-        knn_reqs.push_back(p);
-      } else {
-        (p->req.kind == wire::QueryKind::kPath ? path_reqs : distance_reqs)
-            .push_back(p);
-      }
-    }
-    RunSubBatch(distance_reqs, /*paths=*/false);
-    RunSubBatch(path_reqs, /*paths=*/true);
-    RunKnnSubBatch(knn_reqs);
-  }
 }
 
 wire::StatsResponse QueryServer::Stats() const {
@@ -558,10 +379,10 @@ wire::StatsResponse QueryServer::Stats() const {
 
 wire::StatsResponse QueryServer::StatsV2() const {
   wire::StatsResponse s = Stats();
-  // Live gauges: instantaneous, so a mid-run STATS shows where requests
-  // are right now (waiting, executing, connected).
-  s.queue_depth = queue_.Size();
-  s.in_flight_batches = in_flight_batches_.load(std::memory_order_relaxed);
+  // Live gauges: instantaneous, so a mid-run STATS shows who is
+  // connected and how many reply bytes wait on them. queue_depth and
+  // in_flight_batches keep their wire slots and read 0: no request waits
+  // between threads any more.
   if (pool_ != nullptr) {
     const EventLoopPool::PoolStats ps = pool_->Stats();
     s.open_connections = ps.open_connections;

@@ -6,18 +6,16 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "engine/query_engine.h"
 #include "knn/ier.h"
 #include "knn/knn_index.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "obs/query_counters.h"
 #include "obs/trace.h"
 #include "poi/poi_set.h"
 #include "routing/path_index.h"
-#include "server/bounded_queue.h"
 #include "server/event_loop.h"
 #include "server/socket.h"
 #include "server/wire.h"
@@ -41,11 +39,10 @@ struct KnnServing {
 struct ServerOptions {
   uint16_t port = 0;             // 0 = ephemeral (read back via Port())
   size_t max_connections = 64;   // accept cap; excess conns closed at once
-  size_t queue_capacity = 256;   // admission queue; full => OVERLOADED
-  size_t engine_threads = 4;     // QueryEngine worker pool size
-  size_t max_dispatch_batch = 64;  // requests per engine batch
   // --- Event-loop front-end (src/server/event_loop.h) ---
-  size_t num_loops = 2;          // epoll event loops sharing the accepts
+  // Epoll event loops sharing the accepts. Each runs its requests to
+  // completion, so this is also the server's only thread count.
+  size_t num_loops = 2;
   // Per-connection write-queue caps: above soft the loop stops reading
   // the connection; requests decoded while the queue is above hard are
   // shed with OVERLOADED.
@@ -65,21 +62,18 @@ struct ServerOptions {
 
 // Long-running TCP front-end over one immutable PathIndex.
 //
-// Threading model (see DESIGN.md "Async server core"):
+// Threading model (see DESIGN.md "Serving"): run to completion.
 //   - a small pool of epoll event loops (EventLoopPool) owns every
 //     connection: nonblocking accepts sharded across loops, incremental
 //     frame reassembly from edge-triggered reads, pipelined requests
 //     (QUERY2 carries a request_id echoed in its reply, so many may be
-//     outstanding per connection and complete out of order);
-//   - OnFrame (on the loop thread) validates, stamps a receipt time, and
-//     TryPushes a heap-allocated Pending into the bounded queue — a full
-//     queue, a draining server, or a write queue over the hard cap is
-//     answered inline (OVERLOADED / SHUTTING_DOWN, explicit shedding);
-//   - one dispatcher thread drains the queue in batches, sheds requests
-//     whose deadline already passed (DEADLINE_EXCEEDED), and feeds the
-//     rest to the QueryEngine worker pool; each completed reply is
-//     posted back to the owning loop (wakeup fd), which writes it on
-//     the connection's bounded write queue and finishes the trace.
+//     outstanding per connection);
+//   - OnFrame answers each request before it returns, on the loop
+//     thread: decode, validate, shed (SHUTTING_DOWN while draining,
+//     OVERLOADED past the write-queue hard cap, DEADLINE_EXCEEDED when
+//     the frame already waited past its budget behind earlier frames of
+//     its read), execute on the loop's own query contexts, count, and
+//     queue the reply on the connection. No request changes threads.
 //
 // Shutdown (SIGINT via RequestShutdown(), or a client SHUTDOWN frame)
 // drains: no new connections or requests are admitted (late requests get
@@ -99,8 +93,8 @@ class QueryServer : private FrameHandler {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Binds and spawns the accept + dispatcher threads. False + *error on
-  // failure (e.g. port in use).
+  // Binds and spawns the event-loop threads. False + *error on failure
+  // (e.g. port in use).
   bool Start(std::string* error);
 
   // Port actually bound (resolves port 0). Valid after Start().
@@ -124,9 +118,10 @@ class QueryServer : private FrameHandler {
   // percentiles. Thread-safe.
   wire::StatsResponse Stats() const;
 
-  // Stats() plus the v2 live gauges (queue depth, in-flight batches,
-  // open connections) and the tracer's per-stage breakdown — the STATS
-  // frame's actual payload. Thread-safe; callable mid-run.
+  // Stats() plus the live gauges (open connections, write-queue bytes;
+  // queue depth and in-flight batches stay in the layout and read 0) and
+  // the tracer's per-stage breakdown — the STATS frame's actual payload.
+  // Thread-safe; callable mid-run.
   wire::StatsResponse StatsV2() const;
 
   // The server's tracer, for runtime retuning (TRACE_CONFIG does this
@@ -138,67 +133,62 @@ class QueryServer : private FrameHandler {
   void ExportMetrics(MetricsRegistry* registry) const;
 
  private:
-  // One admitted request between the loops and the dispatcher.
-  // Heap-allocated by OnFrame; ownership flows loop -> bounded queue ->
-  // dispatcher -> (Post) back to the owning loop, which writes the reply
-  // and deletes it. No locking: each stage hands the pointer off before
-  // the next one touches it, and the Post hop orders the dispatcher's
-  // writes before the loop's reads.
-  struct Pending {
+  // One request from decode to reply: a stack local of OnFrame, which
+  // answers it before returning.
+  struct Request {
     // Which request family this is; selects the active request struct
     // and the reply frame encoded for it.
     enum class Family : uint8_t { kPoint = 0, kKnn = 1, kOneToMany = 2 };
     Family family = Family::kPoint;
     // kPoint requests decode into `req`. kKnn / kOneToMany decode into
     // their own structs, but `req.deadline_micros` is mirrored so the
-    // dispatcher's deadline shedding is family-agnostic.
+    // deadline check is family-agnostic.
     wire::QueryRequest req;
     wire::KnnRequest knn_req;
     wire::OneToManyRequest otm_req;
-    std::chrono::steady_clock::time_point received;
     wire::QueryResponse resp;
     // Entry list of a kKnn / kOneToMany reply; status and latency are
     // copied out of `resp` when the reply frame is encoded.
     wire::KnnResponse knn_resp;
-    // Lifecycle trace. The loop thread stamps accept/frame_read/enqueue,
-    // the dispatcher and engine stamp queue_wait/batch_assembly/execute
-    // while the loop is not touching the Pending, and the completion
-    // closure stamps reply_write and Finishes on the loop's shard.
     RequestTrace trace;
-    // The connection this request came in on; replies route back through
-    // it (and fail harmlessly if the connection died meanwhile).
-    ConnRef conn;
     // Arrived as a QUERY2 frame: reply with QUERY_REPLY2 (request_id is
     // mirrored in resp). Old QUERY frames get old QUERY_REPLY frames.
     bool pipelined = false;
   };
 
+  // One event loop's query scratch, indexed by ConnRef::loop. A request
+  // runs on its connection's loop thread, the only thread that ever
+  // touches that loop's slot, so no locking.
+  struct LoopScratch {
+    std::unique_ptr<QueryContext> ctx;
+    KnnBucketIndex::Context bucket;  // empty unless the kNN family is on
+    IerKnnIndex::Context ier;        // empty unless method=ier is hosted
+    std::vector<KnnResult> knn_out;
+  };
+
   // FrameHandler: one complete frame from an event loop, on that loop's
-  // thread.
+  // thread. Query frames are answered before it returns.
   bool OnFrame(const ConnRef& conn, std::string&& body,
                const FrameMeta& meta) override;
 
-  void DispatchLoop();
+  // Decodes a query frame of `type` into *r and checks it against what
+  // this server hosts. The family follows the frame type even when
+  // decoding fails, so a malformed KNN_QUERY still gets a KNN_REPLY.
+  // False means BAD_REQUEST.
+  bool Decode(wire::MessageType type, const std::string& body,
+              Request* r) const;
 
-  // Runs one homogeneous sub-batch (all-distance or all-path) through
-  // the engine and fills the responses.
-  void RunSubBatch(std::vector<Pending*>& reqs, bool paths);
+  // Runs an admitted request on `scratch`, fills its answer and its
+  // counters (r->trace.counters), and returns its reply status.
+  wire::Status Execute(Request* r, LoopScratch* scratch);
 
-  // Runs a mixed kNN / one-to-many sub-batch through the engine's task
-  // path on the per-worker kNN contexts.
-  void RunKnnSubBatch(std::vector<Pending*>& reqs);
+  // Counts an executed request: served_, its endpoint's latency
+  // histogram (r.resp.server_latency_ns) and the summed counters.
+  void RecordServed(const Request& r);
 
-  // Encodes the reply frame of whatever family/version `p` is (copies
+  // Encodes the reply frame of whatever family/version `r` is (copies
   // status/latency into the kNN reply struct first, hence non-const).
-  static std::string EncodeReply(Pending* p);
-
-  // Inline rejection on the loop thread (bad request, shedding): fills
-  // status/latency, writes the reply, finishes the trace.
-  void ReplyNow(Pending* p, wire::Status status);
-
-  // Dispatcher-side completion: fills status/latency, encodes the reply,
-  // and posts it to the owning loop for the actual write + trace finish.
-  void Complete(Pending* p, wire::Status status);
+  static std::string EncodeReply(Request* r);
 
   const PathIndex& index_;
   const uint8_t technique_id_;
@@ -206,35 +196,15 @@ class QueryServer : private FrameHandler {
   const ServerOptions options_;
   const KnnServing knn_;
 
-  QueryEngine engine_;
-  BoundedQueue<Pending*> queue_;
   Tracer tracer_;
-  // Per-engine-worker kNN scratch, indexed by worker id (empty when the
-  // matching backend is absent). Only the engine's task path touches
-  // them, one worker per slot, so no locking.
-  std::vector<KnnBucketIndex::Context> bucket_ctxs_;
-  std::vector<IerKnnIndex::Context> ier_ctxs_;
-  std::vector<std::vector<KnnResult>> knn_scratch_;
+  std::vector<LoopScratch> scratch_;
 
   uint16_t port_ = 0;
   std::unique_ptr<EventLoopPool> pool_;
   // Tracer shard of each event loop (the loop thread is its shard's only
   // producer); acquired in Start, released in Shutdown.
   std::vector<int> loop_shards_;
-  std::thread dispatch_thread_;
   bool started_ = false;
-
-  // Admitted requests not yet replied (Pending objects alive past
-  // OnFrame). Shutdown waits for this to hit zero before stopping the
-  // loops so every admitted request is answered. drain_mu_ guards no
-  // field — the wait predicate is the atomic itself; the mutex only
-  // serializes the sleep/notify handshake so the completion closure's
-  // notify cannot slip between the waiter's predicate check and its
-  // sleep.
-  std::atomic<uint64_t> in_flight_{0};
-  // roadnet-lint: allow(R10 drain_mu_ intentionally guards no field: the predicate is the atomic in_flight_ above; the mutex exists only to order the drain wait against the completion path's notify)
-  Mutex drain_mu_;
-  CondVar drain_cv_;
 
   // Lifecycle. draining_ gates admission (connections and requests);
   // shutdown_cv_ wakes WaitForShutdownRequest().
@@ -245,21 +215,20 @@ class QueryServer : private FrameHandler {
   bool shutdown_done_ ROADNET_GUARDED_BY(shutdown_mu_) = false;
 
   // Serving counters (atomics: bumped from loop threads) and
-  // per-endpoint latency histograms (dispatcher-written, mutex-guarded
-  // for STATS snapshots).
+  // per-endpoint latency histograms (loop-written, mutex-guarded for
+  // STATS snapshots). Every one moves before the reply it counts is
+  // queued.
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> shed_overloaded_{0};
   std::atomic<uint64_t> shed_deadline_{0};
   std::atomic<uint64_t> shed_draining_{0};
   std::atomic<uint64_t> bad_requests_{0};
-  // Live gauge for STATS v2 (instantaneous, not lifetime).
-  std::atomic<uint64_t> in_flight_batches_{0};
   mutable Mutex stats_mu_;
   Histogram distance_latency_ ROADNET_GUARDED_BY(stats_mu_);
   Histogram path_latency_ ROADNET_GUARDED_BY(stats_mu_);
   Histogram knn_latency_ ROADNET_GUARDED_BY(stats_mu_);
   Histogram one_to_many_latency_ ROADNET_GUARDED_BY(stats_mu_);
-  // Summed over every served batch.
+  // Summed over every served request.
   QueryCounters counters_ ROADNET_GUARDED_BY(stats_mu_);
 };
 

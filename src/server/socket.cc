@@ -66,11 +66,15 @@ ScopedFd ListenTcp(uint16_t port, uint16_t* actual_port, std::string* error) {
 }
 
 ScopedFd ConnectTcp(const std::string& host, uint16_t port,
-                    std::string* error) {
+                    std::string* error, int rcvbuf_bytes) {
   ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) {
     SetError(error, "socket");
     return {};
+  }
+  if (rcvbuf_bytes > 0) {
+    ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes,
+                 sizeof(rcvbuf_bytes));
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -132,6 +136,16 @@ bool WriteFrame(int fd, const std::string& body) {
   std::memcpy(header, &len, sizeof(len));
   return WriteFull(fd, header, sizeof(header)) &&
          WriteFull(fd, body.data(), body.size());
+}
+
+bool WriteFrames(int fd, const std::vector<std::string>& bodies) {
+  std::string out;
+  for (const std::string& body : bodies) {
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    out.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.append(body);
+  }
+  return WriteFull(fd, out.data(), out.size());
 }
 
 bool ReadFrame(int fd, std::string* body, uint32_t max_body,

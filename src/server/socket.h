@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace roadnet {
 
@@ -43,8 +44,10 @@ class ScopedFd {
 ScopedFd ListenTcp(uint16_t port, uint16_t* actual_port, std::string* error);
 
 // Blocking connect to host:port. Invalid ScopedFd + *error on failure.
+// rcvbuf_bytes > 0 pins SO_RCVBUF before the handshake, keeping the
+// advertised window small so the kernel cannot absorb unread replies.
 ScopedFd ConnectTcp(const std::string& host, uint16_t port,
-                    std::string* error);
+                    std::string* error, int rcvbuf_bytes = 0);
 
 // Blocking exact-count read/write (retries on EINTR and partial
 // transfers; writes suppress SIGPIPE). ReadFull returns false on EOF or
@@ -60,6 +63,10 @@ bool ReadFullOrEof(int fd, void* data, size_t size, bool* clean_eof);
 bool WriteFrame(int fd, const std::string& body);
 bool ReadFrame(int fd, std::string* body, uint32_t max_body,
                bool* clean_eof = nullptr);
+
+// Writes every frame with one write, so a loopback peer reads them as one
+// pipelined burst.
+bool WriteFrames(int fd, const std::vector<std::string>& bodies);
 
 }  // namespace roadnet
 

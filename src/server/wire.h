@@ -189,8 +189,11 @@ struct StatsResponse {
   uint64_t path_p50_ns = 0;
   uint64_t path_p99_ns = 0;
   // --- v2 live gauges (instantaneous) ---
-  uint64_t queue_depth = 0;        // requests waiting in the bounded queue
-  uint64_t in_flight_batches = 0;  // engine batches currently executing
+  // queue_depth and in_flight_batches keep their slots but the server
+  // reports 0: requests run to completion on their loop and never queue
+  // between threads.
+  uint64_t queue_depth = 0;
+  uint64_t in_flight_batches = 0;
   uint64_t open_connections = 0;   // sockets with a live handler
   // --- v2 tracer counters (lifetime) ---
   uint64_t traces_finished = 0;

@@ -63,7 +63,7 @@ class BigReplyHandler : public FrameHandler {
 };
 
 // Banks frames instead of replying; the test thread later Posts the
-// replies — the deferred-completion path a dispatcher thread uses.
+// replies — the deferred-completion path for a reply made off the loop.
 class BankingHandler : public FrameHandler {
  public:
   void BindPool(EventLoopPool* pool) { pool_ = pool; }

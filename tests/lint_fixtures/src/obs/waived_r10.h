@@ -1,7 +1,6 @@
 // R10 waiver fixture: a Mutex that legitimately guards no field (it
 // only orders a sleep/notify handshake around an atomic predicate),
-// suppressed with a reasoned waiver the way src/server/server.h's
-// drain_mu_ is.
+// suppressed with a reasoned waiver.
 #ifndef ROADNET_LINT_FIXTURE_WAIVED_R10_H_
 #define ROADNET_LINT_FIXTURE_WAIVED_R10_H_
 

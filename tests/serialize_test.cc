@@ -5,6 +5,8 @@
 
 #include "ch/ch_index.h"
 #include "hl/hl_index.h"
+#include "io/binary.h"
+#include "io/crc32.h"
 #include "poi/poi_set.h"
 #include "tests/test_util.h"
 #include "gtest/gtest.h"
@@ -273,6 +275,27 @@ TEST(HeaderRegionSerialization, PoiRejectsEveryHeaderByteFlip) {
         std::stringstream in(bytes);
         return PoiSet::Deserialize(in, error) != nullptr;
       });
+}
+
+TEST(HeaderRegionSerialization, LyingLengthsFailBeforeAllocating) {
+  // A flipped high byte of a length field can claim gigabytes. The
+  // decoders must see that fewer bytes follow and fail as truncation
+  // before allocating the claim: several such allocations at once (one
+  // per parallel test) exhaust the machine's memory.
+  std::stringstream payload_in;
+  WriteScalar<uint64_t>(payload_in, uint64_t{1} << 30);  // 1 GiB claimed
+  payload_in.write("tiny", 4);
+  std::string payload, error;
+  EXPECT_FALSE(ReadChecksummedPayload(payload_in, &payload, "test", &error));
+  EXPECT_NE(error.find("truncated payload"), std::string::npos) << error;
+  EXPECT_LT(payload.capacity(), size_t{1} << 20);
+
+  std::stringstream vector_in;
+  WriteScalar<uint64_t>(vector_in, uint64_t{1} << 28);  // 1 GiB of u32
+  vector_in.write("tiny", 4);
+  std::vector<uint32_t> v;
+  EXPECT_FALSE(ReadVector(vector_in, &v));
+  EXPECT_LT(v.capacity(), size_t{1} << 20);
 }
 
 }  // namespace

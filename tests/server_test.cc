@@ -1,14 +1,15 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "knn/knn_index.h"
 #include "poi/poi_set.h"
 #include "routing/knn.h"
-#include "server/bounded_queue.h"
 #include "server/client.h"
 #include "server/wire.h"
 #include "tests/test_util.h"
@@ -359,38 +359,10 @@ TEST(Wire, KnnMethodNamesRoundTrip) {
   EXPECT_STREQ(wire::KnnMethodName(wire::KnnMethod::kIer), "ier");
 }
 
-// --- Bounded queue semantics ---
-
-TEST(BoundedQueue, ShedsWhenFullAndDrainsAfterClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full => immediate shed
-  std::vector<int> batch;
-  EXPECT_TRUE(q.PopBatch(&batch, 10));
-  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
-  EXPECT_TRUE(q.TryPush(4));
-  q.Close();
-  EXPECT_FALSE(q.TryPush(5));  // closed => rejected
-  EXPECT_TRUE(q.PopBatch(&batch, 10));  // admitted before Close: drained
-  EXPECT_EQ(batch, (std::vector<int>{4}));
-  EXPECT_FALSE(q.PopBatch(&batch, 10));  // closed + empty: consumer exits
-}
-
-TEST(BoundedQueue, PopBatchRespectsLimit) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.TryPush(i));
-  std::vector<int> batch;
-  EXPECT_TRUE(q.PopBatch(&batch, 3));
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_TRUE(q.PopBatch(&batch, 3));
-  EXPECT_EQ(batch.size(), 2u);
-}
-
 // --- End-to-end over loopback ---
 
 // An index whose every query takes a configurable wall time: makes
-// queue-full, deadline, and drain interleavings deterministic.
+// deadline and drain interleavings deterministic.
 class SlowIndex : public PathIndex {
  public:
   SlowIndex(const Graph& g, std::chrono::milliseconds delay)
@@ -421,6 +393,22 @@ std::unique_ptr<BlockingClient> MustConnect(uint16_t port) {
   auto client = BlockingClient::Connect("127.0.0.1", port, &error);
   EXPECT_NE(client, nullptr) << error;
   return client;
+}
+
+// Reads one stage's window out of a trace JSONL record; false if the
+// stage is absent.
+bool StageWindow(const std::string& record, const char* stage,
+                 uint64_t* start, uint64_t* end) {
+  const std::string key =
+      std::string("{\"stage\":\"") + stage + "\",\"start_ns\":";
+  const size_t at = record.find(key);
+  if (at == std::string::npos) return false;
+  char* rest = nullptr;
+  *start = std::strtoull(record.c_str() + at + key.size(), &rest, 10);
+  const char kEndKey[] = ",\"end_ns\":";
+  if (std::strncmp(rest, kEndKey, sizeof(kEndKey) - 1) != 0) return false;
+  *end = std::strtoull(rest + sizeof(kEndKey) - 1, nullptr, 10);
+  return true;
 }
 
 TEST(QueryServer, AnswersDistanceAndPathQueriesCorrectly) {
@@ -493,100 +481,51 @@ TEST(QueryServer, RejectsBadRequests) {
   server.Shutdown();
 }
 
-TEST(QueryServer, ShedsWithOverloadedWhenQueueFull) {
-  const Graph g = TestNetwork(100, 7);
-  SlowIndex slow(g, std::chrono::milliseconds(300));
-  ServerOptions options;
-  options.queue_capacity = 1;
-  options.engine_threads = 1;
-  options.max_dispatch_batch = 1;
-  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  const uint16_t port = server.Port();
-
-  // First query occupies the engine; the dispatcher pops it almost
-  // immediately, leaving the queue empty for the second.
-  std::thread first([&] {
-    auto c = MustConnect(port);
-    if (c == nullptr) return;
-    wire::QueryRequest req;
-    wire::QueryResponse resp;
-    std::string err;
-    EXPECT_TRUE(c->Query(req, &resp, &err)) << err;
-    EXPECT_EQ(resp.status, wire::Status::kOk);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // Second query sits in the queue (capacity 1) while the engine sleeps.
-  std::thread second([&] {
-    auto c = MustConnect(port);
-    if (c == nullptr) return;
-    wire::QueryRequest req;
-    wire::QueryResponse resp;
-    std::string err;
-    EXPECT_TRUE(c->Query(req, &resp, &err)) << err;
-    EXPECT_EQ(resp.status, wire::Status::kOk);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // Third arrives with the queue full: explicit OVERLOADED, immediately.
-  auto c3 = MustConnect(port);
-  ASSERT_NE(c3, nullptr);
-  wire::QueryRequest req;
-  wire::QueryResponse resp;
-  ASSERT_TRUE(c3->Query(req, &resp, &error)) << error;
-  EXPECT_EQ(resp.status, wire::Status::kOverloaded);
-
-  first.join();
-  second.join();
-  EXPECT_GE(server.Stats().shed_overloaded, 1u);
-  server.Shutdown();
+// Reads one QUERY_REPLY2 per expected reply and returns their statuses
+// keyed by request id.
+std::map<uint64_t, wire::Status> ReadReplyStatuses(int fd, size_t count) {
+  std::map<uint64_t, wire::Status> status;
+  for (size_t i = 0; i < count; ++i) {
+    std::string body;
+    EXPECT_TRUE(ReadFrame(fd, &body, wire::kMaxFrameBytes)) << "reply " << i;
+    const auto resp = wire::DecodeQueryResponseV2(body);
+    EXPECT_TRUE(resp.has_value()) << "reply " << i;
+    if (!resp.has_value()) break;
+    status[resp->request_id] = resp->status;
+  }
+  return status;
 }
 
 TEST(QueryServer, ShedsQueuedRequestsPastTheirDeadline) {
   const Graph g = TestNetwork(100, 9);
   SlowIndex slow(g, std::chrono::milliseconds(300));
-  ServerOptions options;
-  options.engine_threads = 1;
-  options.max_dispatch_batch = 1;
-  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), options);
+  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), {});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  const uint16_t port = server.Port();
 
-  // Occupy the engine for 300ms.
-  std::thread occupant([&] {
-    auto c = MustConnect(port);
-    if (c == nullptr) return;
-    wire::QueryRequest req;
-    wire::QueryResponse resp;
-    std::string err;
-    EXPECT_TRUE(c->Query(req, &resp, &err)) << err;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-
-  // This request waits ~200ms in the queue but only budgets 10ms: the
-  // dispatcher sheds it without running it.
-  auto c2 = MustConnect(port);
-  ASSERT_NE(c2, nullptr);
-  wire::QueryRequest req;
-  req.deadline_micros = 10000;
-  wire::QueryResponse resp;
-  ASSERT_TRUE(c2->Query(req, &resp, &error)) << error;
-  EXPECT_EQ(resp.status, wire::Status::kDeadlineExceeded);
-
-  occupant.join();
-  EXPECT_GE(server.Stats().shed_deadline, 1u);
+  // One write carries both frames, so the server reads them together.
+  // The second waits ~300 ms behind the first's execution but budgets
+  // only 10 ms: it is shed without running.
+  ScopedFd conn = ConnectTcp("127.0.0.1", server.Port(), &error);
+  ASSERT_TRUE(conn.valid()) << error;
+  wire::QueryRequest slow_req;
+  slow_req.request_id = 1;
+  wire::QueryRequest budgeted;
+  budgeted.request_id = 2;
+  budgeted.deadline_micros = 10000;
+  ASSERT_TRUE(WriteFrames(conn.get(), {wire::EncodeQueryRequestV2(slow_req),
+                                       wire::EncodeQueryRequestV2(budgeted)}));
+  auto status = ReadReplyStatuses(conn.get(), 2);
+  EXPECT_NE(status[1], wire::Status::kDeadlineExceeded);
+  EXPECT_EQ(status[2], wire::Status::kDeadlineExceeded);
+  EXPECT_EQ(server.Stats().shed_deadline, 1u);
   server.Shutdown();
 }
 
 TEST(QueryServer, DrainsInFlightRequestsOnShutdown) {
   const Graph g = TestNetwork(100, 11);
   SlowIndex slow(g, std::chrono::milliseconds(200));
-  ServerOptions options;
-  options.engine_threads = 1;
-  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), options);
+  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), {});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
   const uint16_t port = server.Port();
@@ -646,6 +585,64 @@ TEST(QueryServer, StatsCountServedQueries) {
   EXPECT_EQ(stats.distance_count, 20u);
   EXPECT_EQ(stats.path_count, 0u);
   EXPECT_EQ(stats.connections_accepted, 1u);
+  server.Shutdown();
+}
+
+TEST(QueryServer, CountsEachReplyBeforeSendingIt) {
+  // A client that reads STATS the moment a reply lands must already see
+  // that reply counted, whatever its status: every counter moves before
+  // the reply is queued, so this holds on every schedule.
+  const Graph g = TestNetwork(100, 15);
+  BidirectionalDijkstra index(g);
+  QueryServer server(index, wire::kAnyTechnique, g.NumVertices(), {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server.Port());
+  ASSERT_NE(client, nullptr);
+
+  wire::QueryRequest bad;
+  bad.source = g.NumVertices();  // out of range
+  wire::QueryRequest good;
+  wire::QueryResponse resp;
+  for (uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(client->Query(bad, &resp, &error)) << error;
+    ASSERT_EQ(resp.status, wire::Status::kBadRequest);
+    EXPECT_EQ(server.Stats().bad_requests, i);
+    ASSERT_TRUE(client->Query(good, &resp, &error)) << error;
+    EXPECT_EQ(server.Stats().served, i);
+  }
+
+  // Shed replies too: a budget-blown frame behind another of its read,
+  // then a request on the draining server.
+  ScopedFd conn = ConnectTcp("127.0.0.1", server.Port(), &error);
+  ASSERT_TRUE(conn.valid()) << error;
+  wire::QueryRequest first;
+  first.request_id = 1;
+  first.kind = wire::QueryKind::kPath;
+  first.target = g.NumVertices() - 1;
+  wire::QueryRequest budgeted;
+  budgeted.request_id = 2;
+  budgeted.deadline_micros = 1;
+  std::vector<std::string> burst = {wire::EncodeQueryRequestV2(first)};
+  for (int i = 0; i < 8; ++i) burst.push_back(wire::EncodeQueryRequestV2(budgeted));
+  ASSERT_TRUE(WriteFrames(conn.get(), burst));
+  uint64_t shed = 0;
+  for (size_t i = 0; i < burst.size(); ++i) {
+    std::string body;
+    ASSERT_TRUE(ReadFrame(conn.get(), &body, wire::kMaxFrameBytes));
+    const auto r = wire::DecodeQueryResponseV2(body);
+    ASSERT_TRUE(r.has_value());
+    if (r->status == wire::Status::kDeadlineExceeded) {
+      ++shed;
+      EXPECT_GE(server.Stats().shed_deadline, shed);
+    }
+  }
+  EXPECT_GE(shed, 1u);
+
+  server.RequestShutdown();
+  ASSERT_TRUE(client->Query(good, &resp, &error)) << error;
+  ASSERT_EQ(resp.status, wire::Status::kShuttingDown);
+  EXPECT_EQ(server.Stats().shed_draining, 1u);
   server.Shutdown();
 }
 
@@ -709,21 +706,22 @@ TEST(QueryServer, TracedRunWritesJsonlAndServesStageStats) {
   EXPECT_GE(stats.traces_finished, 25u);
   EXPECT_GE(stats.traces_captured, 25u);
   ASSERT_FALSE(stats.stages.empty());
-  bool saw_execute = false, saw_queue_wait = false, saw_reply = false;
+  // Requests run to completion on their loop: queue_wait and
+  // batch_assembly record nothing.
+  std::map<uint8_t, uint64_t> stage_counts;
   for (const wire::StageStatWire& st : stats.stages) {
-    if (st.stage == static_cast<uint8_t>(TraceStage::kExecute)) {
-      saw_execute = st.count >= 25;
-    }
-    if (st.stage == static_cast<uint8_t>(TraceStage::kQueueWait)) {
-      saw_queue_wait = st.count >= 25;
-    }
-    if (st.stage == static_cast<uint8_t>(TraceStage::kReplyWrite)) {
-      saw_reply = st.count >= 25;
-    }
+    stage_counts[st.stage] = st.count;
   }
-  EXPECT_TRUE(saw_execute);
-  EXPECT_TRUE(saw_queue_wait);
-  EXPECT_TRUE(saw_reply);
+  for (const TraceStage stage : {TraceStage::kEnqueue, TraceStage::kExecute,
+                                 TraceStage::kReplyWrite}) {
+    EXPECT_GE(stage_counts[static_cast<uint8_t>(stage)], 25u)
+        << TraceStageName(stage);
+  }
+  for (const TraceStage stage :
+       {TraceStage::kQueueWait, TraceStage::kBatchAssembly}) {
+    EXPECT_EQ(stage_counts.count(static_cast<uint8_t>(stage)), 0u)
+        << TraceStageName(stage);
+  }
 
   client.reset();
   server.Shutdown();  // stops the exporter: the file is complete
@@ -737,19 +735,39 @@ TEST(QueryServer, TracedRunWritesJsonlAndServesStageStats) {
   std::fclose(f);
   std::remove(options.trace_out.c_str());
 
-  size_t lines = 0;
-  for (char c : content) lines += c == '\n';
-  EXPECT_GE(lines, 25u);
   // The full lifecycle shows up: the first request carries the accept
   // stage, every request carries frame_read through reply_write.
   EXPECT_NE(content.find("\"stage\":\"accept\""), std::string::npos);
-  for (const char* stage : {"frame_read", "enqueue", "queue_wait",
-                            "batch_assembly", "execute", "reply_write"}) {
+  for (const char* stage :
+       {"frame_read", "enqueue", "execute", "reply_write"}) {
     EXPECT_NE(content.find(std::string("\"stage\":\"") + stage + "\""),
               std::string::npos)
         << stage;
   }
+  for (const char* stage : {"queue_wait", "batch_assembly"}) {
+    EXPECT_EQ(content.find(std::string("\"stage\":\"") + stage + "\""),
+              std::string::npos)
+        << stage;
+  }
   EXPECT_NE(content.find("\"status\":\"OK\""), std::string::npos);
+
+  // The server-side stages tile each request: from enqueue start to
+  // reply_write end, at least 90% of the time lies inside a named stage.
+  size_t records = 0;
+  std::istringstream lines(content);
+  for (std::string line; std::getline(lines, line);) {
+    uint64_t covered = 0, first = 0, last = 0;
+    for (const char* stage : {"enqueue", "execute", "reply_write"}) {
+      uint64_t start = 0, end = 0;
+      ASSERT_TRUE(StageWindow(line, stage, &start, &end)) << stage << line;
+      covered += end - start;
+      if (first == 0) first = start;
+      last = end;
+    }
+    EXPECT_GE(covered * 10, (last - first) * 9) << line;
+    ++records;
+  }
+  EXPECT_GE(records, 25u);
 }
 
 TEST(QueryServer, TraceConfigOverWireTakesEffect) {
@@ -937,32 +955,21 @@ TEST(QueryServer, KnnDisabledServerRejectsKnnFrames) {
   server.Shutdown();
 }
 
-// Connects with a pinned-small SO_RCVBUF (set before the handshake so
-// the advertised window stays small): keeps the kernel from absorbing
+// Connects with a pinned-small SO_RCVBUF: keeps the kernel from absorbing
 // unread replies, which would hide the server's write queue.
 ScopedFd RawConnectSmallBuffers(uint16_t port, int rcvbuf) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  if (rcvbuf > 0) {
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  return ScopedFd(fd);
+  std::string error;
+  ScopedFd fd = ConnectTcp("127.0.0.1", port, &error, rcvbuf);
+  EXPECT_TRUE(fd.valid()) << error;
+  return fd;
 }
 
-TEST(QueryServer, PipelinedRequestsCompleteOutOfOrderAndMatchById) {
+TEST(QueryServer, PipelinedRequestsMatchByIdAlongsideV1Clients) {
   const Graph g = TestNetwork(300, 41);
-  // Every query sleeps 100ms: while request 0 occupies the engine, the
-  // rest of the burst lands in the queue and is popped as one batch.
-  SlowIndex slow(g, std::chrono::milliseconds(100));
-  ServerOptions options;
-  options.engine_threads = 1;
-  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), options);
+  // Every query sleeps 20ms, so the pipelined burst is still being
+  // answered while the v1 client below connects.
+  SlowIndex slow(g, std::chrono::milliseconds(20));
+  QueryServer server(slow, wire::kAnyTechnique, g.NumVertices(), {});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -970,12 +977,9 @@ TEST(QueryServer, PipelinedRequestsCompleteOutOfOrderAndMatchById) {
   auto pipe = PipelinedClient::Connect("127.0.0.1", server.Port(), &perr);
   ASSERT_NE(pipe, nullptr) << perr;
 
-  // Send order: 0=path, then alternating path/distance. Requests 1..4
-  // share a dispatch batch, whose distance sub-batch runs before its
-  // path sub-batch — so replies 2 and 4 overtake 1 and 3.
+  // Alternating path/distance requests, all outstanding at once.
   const auto pairs = RandomPairs(g, 5, 43);
   Dijkstra oracle(g);
-  std::vector<uint64_t> send_order;
   for (uint64_t i = 0; i < pairs.size(); ++i) {
     wire::QueryRequest req;
     req.request_id = 1000 + i;
@@ -984,7 +988,6 @@ TEST(QueryServer, PipelinedRequestsCompleteOutOfOrderAndMatchById) {
     req.source = pairs[i].first;
     req.target = pairs[i].second;
     ASSERT_TRUE(pipe->Send(req, &perr)) << perr;
-    send_order.push_back(req.request_id);
   }
 
   // While the pipelined burst is in flight, an old-protocol client on a
@@ -1000,12 +1003,11 @@ TEST(QueryServer, PipelinedRequestsCompleteOutOfOrderAndMatchById) {
     EXPECT_NE(resp.status, wire::Status::kBadRequest);
   }
 
-  std::vector<uint64_t> arrival_order;
+  // The protocol lets replies arrive in any order: match them by id.
   std::map<uint64_t, wire::QueryResponse> by_id;
   for (size_t i = 0; i < pairs.size(); ++i) {
     wire::QueryResponse resp;
     ASSERT_TRUE(pipe->Recv(&resp, &perr)) << perr;
-    arrival_order.push_back(resp.request_id);
     by_id[resp.request_id] = std::move(resp);
   }
 
@@ -1027,8 +1029,6 @@ TEST(QueryServer, PipelinedRequestsCompleteOutOfOrderAndMatchById) {
       }
     }
   }
-  // The whole point of pipelining: completion order is not send order.
-  EXPECT_NE(arrival_order, send_order);
 
   server.Shutdown();
 }
@@ -1037,7 +1037,6 @@ TEST(QueryServer, WriteQueueHardCapShedsOverloaded) {
   const Graph g = TestNetwork(400, 47);
   ChIndex ch(g);
   ServerOptions options;
-  options.queue_capacity = 4096;       // admission never the bottleneck
   options.write_queue_soft_cap = 0;    // no read pause: force the hard cap
   options.write_queue_hard_cap = 8192;
   options.sndbuf_bytes = 4096;         // kernel can't hide the queue
@@ -1062,7 +1061,7 @@ TEST(QueryServer, WriteQueueHardCapShedsOverloaded) {
       req.target = t;
       ASSERT_TRUE(WriteFrame(conn.get(), wire::EncodeQueryRequestV2(req)));
     }
-    // Let the dispatcher catch up so replies actually accumulate
+    // Let the server answer each wave so replies actually accumulate
     // between waves instead of all frames decoding in one burst.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }

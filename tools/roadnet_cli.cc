@@ -17,8 +17,7 @@
 //   roadnet_cli serve      --graph graph.bin [--index index.ch]
 //                          [--poi pois.bin]
 //                          [--technique bidi|ch|alt|hl] [--port P]
-//                          [--port-file FILE] [--threads T]
-//                          [--queue-cap N] [--max-conns N]
+//                          [--port-file FILE] [--max-conns N] [--loops L]
 //                          [--metrics-out FILE] [--trace-out FILE]
 //                          [--trace-sample N] [--slow-us T] [--trace-seed S]
 //
@@ -86,14 +85,15 @@ int Usage() {
       " [--technique bidi|ch|alt|hl]\n"
       "    --poi enables the kNN / one-to-many endpoints (bucket-CH and\n"
       "    IER backends built at startup from the POI container).\n"
-      "             [--port P] [--port-file FILE] [--threads T]\n"
-      "             [--queue-cap N] [--max-conns N] [--loops L]\n"
-      "             [--idle-timeout-ms T] [--write-soft-cap B]\n"
+      "             [--port P] [--port-file FILE] [--max-conns N]\n"
+      "             [--loops L] [--idle-timeout-ms T] [--write-soft-cap B]\n"
       "             [--write-hard-cap B] [--metrics-out FILE]\n"
       "             [--trace-out FILE] [--trace-sample N] [--slow-us T]\n"
       "             [--trace-seed S]\n"
       "    Runs the TCP query service until SIGINT or a SHUTDOWN frame,\n"
-      "    then drains in-flight requests and exits.\n"
+      "    then drains in-flight requests and exits. Each of the L event\n"
+      "    loops (default 2) answers its requests itself: --loops is the\n"
+      "    server's thread count.\n"
       "    --metrics-out writes JSONL metrics (CSV if FILE ends in .csv).\n"
       "    --trace-out writes captured request traces as JSONL; capture\n"
       "    every Nth request (--trace-sample) plus everything slower than\n"
@@ -493,16 +493,12 @@ int Serve(const FlagMap& flags) {
 
   ServerOptions options;
   options.port = static_cast<uint16_t>(FlagOr(flags, "port", 0));
-  options.engine_threads = FlagOr(flags, "threads", 4);
-  options.queue_capacity = FlagOr(flags, "queue-cap", 256);
   options.max_connections = FlagOr(flags, "max-conns", 64);
   // Event-loop front end: --loops shards connections across that many
-  // epoll threads; --idle-timeout-ms reaps silent connections; the write
-  // caps bound per-connection reply queues (soft = pause reads, hard =
-  // shed with OVERLOADED).
+  // epoll threads, each answering its own requests; --idle-timeout-ms
+  // reaps silent connections; the write caps bound per-connection reply
+  // queues (soft = pause reads, hard = shed with OVERLOADED).
   options.num_loops = FlagOr(flags, "loops", options.num_loops);
-  options.max_dispatch_batch =
-      FlagOr(flags, "batch-cap", options.max_dispatch_batch);
   options.idle_timeout_ms =
       FlagOr(flags, "idle-timeout-ms", options.idle_timeout_ms);
   options.write_queue_soft_cap =
@@ -524,10 +520,8 @@ int Serve(const FlagMap& flags) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  std::printf("serving:   port %u, %zu loops, %zu workers, queue %zu,"
-              " max %zu conns\n",
-              server.Port(), options.num_loops, options.engine_threads,
-              options.queue_capacity, options.max_connections);
+  std::printf("serving:   port %u, %zu loops, max %zu conns\n",
+              server.Port(), options.num_loops, options.max_connections);
   std::fflush(stdout);
   if (auto it = flags.find("port-file"); it != flags.end()) {
     // Written after the bind succeeds: scripts poll this file to learn
@@ -611,10 +605,10 @@ const std::map<std::string, FlagSpec>& CommandSpecs() {
          "metrics-out"},
         {"paths"}}},
       {"serve",
-       {{"graph", "index", "poi", "technique", "port", "port-file", "threads",
-         "queue-cap", "max-conns", "batch-cap", "loops", "idle-timeout-ms",
-         "write-soft-cap", "write-hard-cap", "metrics-out", "trace-out",
-         "trace-sample", "slow-us", "trace-seed"},
+       {{"graph", "index", "poi", "technique", "port", "port-file",
+         "max-conns", "loops", "idle-timeout-ms", "write-soft-cap",
+         "write-hard-cap", "metrics-out", "trace-out", "trace-sample",
+         "slow-us", "trace-seed"},
         {}}},
   };
   return specs;

@@ -378,6 +378,10 @@ int main(int argc, char** argv) {
                 res.latency.ValueAtQuantile(0.50) * 1e-3,
                 res.latency.ValueAtQuantile(0.99) * 1e-3,
                 res.latency.Max() * 1e-3);
+    // The generator's own lateness, already inside the latency above.
+    std::printf("send lag:    p50 %.1f us, p99 %.1f us\n",
+                res.send_lag.ValueAtQuantile(0.50) * 1e-3,
+                res.send_lag.ValueAtQuantile(0.99) * 1e-3);
     if (!first_problem.empty()) {
       std::fprintf(stderr, "problem:     %s\n", first_problem.c_str());
     }
@@ -612,10 +616,7 @@ int main(int argc, char** argv) {
                   " path p50 %.1f us p99 %.1f us\n",
                   s.distance_p50_ns * 1e-3, s.distance_p99_ns * 1e-3,
                   s.path_p50_ns * 1e-3, s.path_p99_ns * 1e-3);
-      std::printf("server live: queue depth %llu, in-flight batches %llu,"
-                  " open connections %llu\n",
-                  static_cast<unsigned long long>(s.queue_depth),
-                  static_cast<unsigned long long>(s.in_flight_batches),
+      std::printf("server live: open connections %llu\n",
                   static_cast<unsigned long long>(s.open_connections));
       if (s.traces_finished > 0) {
         std::printf("traces:      %llu finished, %llu captured"

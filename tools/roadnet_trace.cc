@@ -48,8 +48,8 @@ struct TraceRecord {
   std::string sampled;
   uint64_t total_ns = 0;
   // duration_ns[stage] is 0 when the stage is absent (shed paths skip
-  // batch_assembly/execute; only the first request on a connection has
-  // an accept stage).
+  // execute; only the first request on a connection has an accept
+  // stage).
   uint64_t duration_ns[kNumTraceStages] = {};
   bool present[kNumTraceStages] = {};
 };
