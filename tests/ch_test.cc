@@ -7,10 +7,113 @@
 #include "dijkstra/dijkstra.h"
 #include "graph/generator.h"
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 #include "gtest/gtest.h"
 
 namespace roadnet {
 namespace {
+
+// FNV-1a over the contraction's whole output: every rank, then every
+// deduplicated edge as (u, v, weight, middle).
+uint64_t Fingerprint(const ContractionResult& result) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(result.rank.size());
+  for (uint32_t r : result.rank) mix(r);
+  mix(result.edges.size());
+  for (const TaggedEdge& e : result.edges) {
+    mix(e.u);
+    mix(e.v);
+    mix(e.weight);
+    mix(e.middle);
+  }
+  return h;
+}
+
+struct PinnedContraction {
+  const char* dataset;
+  OrderingHeuristic heuristic;
+  uint32_t witness_settle_limit;
+  size_t num_edges;
+  uint64_t fingerprint;
+};
+
+void ExpectPinned(const std::vector<PinnedContraction>& cases) {
+  for (const PinnedContraction& c : cases) {
+    const DatasetSpec* spec = nullptr;
+    for (const DatasetSpec& s : PaperDatasets()) {
+      if (s.name == c.dataset) spec = &s;
+    }
+    ASSERT_NE(spec, nullptr) << c.dataset;
+    ChConfig config;
+    config.heuristic = c.heuristic;
+    config.witness_settle_limit = c.witness_settle_limit;
+    const ContractionResult result =
+        ContractGraph(BuildDataset(*spec), config);
+    SCOPED_TRACE(::testing::Message()
+                 << c.dataset << " heuristic "
+                 << static_cast<int>(c.heuristic) << " settle limit "
+                 << c.witness_settle_limit);
+    EXPECT_EQ(result.edges.size(), c.num_edges);
+    EXPECT_EQ(Fingerprint(result), c.fingerprint);
+  }
+}
+
+// The contraction's output (order and edge set) is pinned bit for bit:
+// every hierarchy, label, bucket and query count built on it depends on
+// it, so a witness-search or scheduling change must reproduce it exactly.
+TEST(Contraction, OutputIsPinnedUnderEveryHeuristic) {
+  using H = OrderingHeuristic;
+  ExpectPinned({
+      {"DE'", H::kEdgeDifferenceDeleted, 500,
+       1679, 9352434083924109261ull},
+      {"DE'", H::kEdgeDifference, 500,
+       1774, 13909669484285261526ull},
+      {"DE'", H::kDegree, 500,
+       1926, 6089533898825939578ull},
+      {"DE'", H::kRandom, 500,
+       3108, 4652470344195228407ull},
+      {"NH'", H::kEdgeDifferenceDeleted, 500,
+       3908, 327373656007836874ull},
+      {"NH'", H::kEdgeDifference, 500,
+       4144, 14974863892190737960ull},
+      {"NH'", H::kDegree, 500,
+       4644, 13044260519879293405ull},
+      {"NH'", H::kRandom, 500,
+       7700, 1708049438821882330ull},
+      {"ME'", H::kEdgeDifferenceDeleted, 500,
+       6608, 18290367095025671675ull},
+      {"ME'", H::kEdgeDifference, 500,
+       7133, 3963124730111954989ull},
+      {"ME'", H::kDegree, 500,
+       7822, 9023797463133043935ull},
+      {"ME'", H::kRandom, 500,
+       15241, 14109328269711682639ull},
+      {"CO'", H::kEdgeDifferenceDeleted, 500,
+       15752, 10988008288117392703ull},
+      {"CO'", H::kEdgeDifference, 500,
+       16771, 13468910197529738307ull},
+      {"CO'", H::kDegree, 500,
+       19266, 12575956228317730017ull},
+  });
+}
+
+// A settle limit truncates witness searches, the one place where a search
+// that pops in a different order would decide a pair differently.
+TEST(Contraction, OutputIsPinnedUnderTruncatedWitnessSearches) {
+  using H = OrderingHeuristic;
+  ExpectPinned({
+      {"CO'", H::kEdgeDifferenceDeleted, 1,
+       51415, 17010921148058658387ull},
+      {"CO'", H::kEdgeDifferenceDeleted, 8,
+       27247, 8141144494361166087ull},
+  });
+}
 
 TEST(Contraction, PaperFigure1ProducesValidShortcuts) {
   Graph g = PaperFigure1Graph();
