@@ -417,14 +417,15 @@ stage_asan_ubsan() {
 }
 
 stage_tsan() {
-  echo "==> ThreadSanitizer build + engine/server tests (build-tsan/)"
+  echo "==> ThreadSanitizer build + engine/server/contraction tests (build-tsan/)"
   cmake -B build-tsan -S . -DROADNET_SANITIZE=thread >/dev/null
+  # ch_test covers the contraction's parallel initial-priority pass.
   cmake --build build-tsan -j"$(nproc)" --target \
     engine_equivalence_test engine_stress_test engine_edge_test \
-    ch_layout_test server_test event_loop_test wire_fuzz_test hl_test \
-    trace_test bench_server
+    ch_test ch_layout_test server_test event_loop_test wire_fuzz_test \
+    hl_test trace_test bench_server
   (cd build-tsan && \
-    ctest --output-on-failure -R 'Engine(Equivalence|Stress|Edge)|ChLayout|QueryServer|EventLoopPool|Wire|HubLabel|Trace')
+    ctest --output-on-failure -R 'Engine(Equivalence|Stress|Edge)|ChIndex|Contraction|ChLayout|QueryServer|EventLoopPool|Wire|HubLabel|Trace')
   # The serving bench under TSan covers the event-loop/client thread web
   # end to end.
   ROADNET_BENCH_FAST=1 build-tsan/bench/bench_server >/dev/null

@@ -1,7 +1,13 @@
 #include "ch/contraction.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
+#include <limits>
+#include <thread>
 
 #include "pq/indexed_heap.h"
 #include "util/rng.h"
@@ -77,32 +83,62 @@ class Overlay {
   std::vector<std::vector<OverlayArc>> adj_;
 };
 
-// Bounded local Dijkstra over the overlay that skips one vertex; used to
-// find witness paths certifying that a shortcut is unnecessary. Truncation
-// (settle limit) errs on the side of adding redundant shortcuts, never on
-// incorrectness.
+// Bounded local Dijkstra over the overlay that skips the vertex being
+// contracted; used to find witness paths certifying that a shortcut is
+// unnecessary. Truncation (settle limit) errs on the side of adding
+// redundant shortcuts, never on incorrectness.
 class WitnessSearch {
  public:
   explicit WitnessSearch(uint32_t n)
-      : heap_(n), dist_(n, 0), reached_(n, 0) {}
+      : heap_(n), dist_(n, 0), via_(n, 0), reached_(n, 0), pending_(n, 0) {}
 
-  // Runs from `source` in overlay \ {skip}, never expanding vertices whose
-  // distance exceeds `bound`, settling at most `settle_limit` vertices.
-  void Run(const Overlay& overlay, VertexId source, VertexId skip,
-           Distance bound, uint32_t settle_limit) {
+  // Searches from neighbour `i` of `v` in overlay \ {v} until it has
+  // decided every pair (i, j > i): whether some path to neighbour j is
+  // no longer than the path through v. Settles at most `settle_limit`
+  // vertices. Never pushes a vertex farther than the longest path through
+  // v from i to any other neighbour, so the pushes, pops and heap ties
+  // are those of a search that runs until that bound; stopping early
+  // only cuts that search short once nothing it could still do would
+  // change a decision.
+  void Run(const Overlay& overlay, VertexId v, size_t i,
+           uint32_t settle_limit) {
+    const std::vector<OverlayArc>& neighbors = overlay.Neighbors(v);
+    const OverlayArc& from = neighbors[i];
     ++generation_;
+    Distance bound = 0;
+    Distance target_bound = 0;
+    uint32_t undecided = 0;
+    for (size_t j = 0; j < neighbors.size(); ++j) {
+      if (j == i) continue;
+      const Distance via = Distance{from.weight} + neighbors[j].weight;
+      bound = std::max(bound, via);
+      if (j < i) continue;
+      target_bound = std::max(target_bound, via);
+      via_[neighbors[j].to] = via;
+      pending_[neighbors[j].to] = generation_;
+      ++undecided;
+    }
+
     heap_.Clear();
-    dist_[source] = 0;
-    reached_[source] = generation_;
-    heap_.Push(source, 0);
+    dist_[from.to] = 0;
+    reached_[from.to] = generation_;
+    heap_.Push(from.to, 0);
     uint32_t settled = 0;
-    while (!heap_.Empty() && settled < settle_limit) {
-      if (heap_.MinKey() > bound) break;
+    // A target is decided once it is reached within its via distance
+    // (distances only fall) or popped (its distance is final). Once the
+    // heap minimum passes every via distance, no undecided target can
+    // come within its own.
+    while (undecided > 0 && !heap_.Empty() && settled < settle_limit) {
+      if (heap_.MinKey() > target_bound) break;
       VertexId u = heap_.PopMin();
       ++settled;
+      if (pending_[u] == generation_) {
+        pending_[u] = 0;
+        --undecided;
+      }
       const Distance du = dist_[u];
       for (const OverlayArc& a : overlay.Neighbors(u)) {
-        if (a.to == skip) continue;
+        if (a.to == v) continue;
         const Distance cand = du + a.weight;
         if (cand > bound) continue;
         if (reached_[a.to] != generation_) {
@@ -112,6 +148,12 @@ class WitnessSearch {
         } else if (heap_.Contains(a.to) && cand < dist_[a.to]) {
           dist_[a.to] = cand;
           heap_.DecreaseKey(a.to, cand);
+        } else {
+          continue;
+        }
+        if (pending_[a.to] == generation_ && cand <= via_[a.to]) {
+          pending_[a.to] = 0;
+          --undecided;
         }
       }
     }
@@ -125,16 +167,42 @@ class WitnessSearch {
  private:
   IndexedHeap<Distance> heap_;
   std::vector<Distance> dist_;
+  // Path length through the contracted vertex, per target of this run.
+  std::vector<Distance> via_;
   std::vector<uint32_t> reached_;
+  // == generation_ while the vertex is a target whose pair is undecided.
+  std::vector<uint32_t> pending_;
   uint32_t generation_ = 0;
 };
 
-// A shortcut the contraction of one vertex would create.
+// A shortcut the contraction of one vertex would create. The weight is
+// the full path length; it is narrowed to a Weight only if the shortcut is
+// actually added.
 struct PlannedShortcut {
   VertexId u;
   VertexId v;
-  Weight weight;
+  Distance weight;
 };
+
+// Vertices a thread of the initial priority pass claims at a time, and
+// the fewest vertices worth one more thread.
+constexpr uint32_t kInitialPassChunk = 256;
+constexpr uint32_t kInitialPassVerticesPerThread = 1024;
+
+// Narrows a shortcut's path length to an edge weight. A longer shortcut
+// cannot be stored, and truncating it would corrupt every query through
+// it, so this fails in every build.
+Weight ShortcutWeight(const PlannedShortcut& sc) {
+  if (sc.weight > std::numeric_limits<Weight>::max()) {
+    std::fprintf(stderr,
+                 "ContractGraph: shortcut %u-%u of weight %llu exceeds the "
+                 "32-bit shortcut-weight limit (%u)\n",
+                 sc.u, sc.v, static_cast<unsigned long long>(sc.weight),
+                 std::numeric_limits<Weight>::max());
+    std::abort();
+  }
+  return static_cast<Weight>(sc.weight);
+}
 
 class Contractor {
  public:
@@ -166,26 +234,25 @@ class Contractor {
       }
     }
 
-    // Initial priorities.
-    std::vector<PlannedShortcut> scratch;
-    for (VertexId v = 0; v < n; ++v) {
-      queue_.Push(v, Priority(v, &scratch));
-    }
+    const std::vector<int64_t> initial = InitialPriorities();
+    for (VertexId v = 0; v < n; ++v) queue_.Push(v, initial[v]);
 
+    std::vector<PlannedShortcut> scratch;
     uint32_t next_rank = 0;
     while (!queue_.Empty()) {
       VertexId v = queue_.PopMin();
       // Lazy re-evaluation: contraction of other vertices may have changed
       // v's priority; contract only if v is still (weakly) minimal.
-      int64_t p = Priority(v, &scratch);
+      int64_t p = Priority(v, &witness_, &scratch);
       if (!queue_.Empty() && p > queue_.MinKey()) {
         queue_.Push(v, p);
         continue;
       }
       // Contract v: `scratch` holds the shortcuts Priority() just planned.
       for (const PlannedShortcut& sc : scratch) {
-        overlay_.AddOrImprove(sc.u, sc.v, sc.weight, v);
-        result.edges.push_back(TaggedEdge{sc.u, sc.v, sc.weight, v});
+        const Weight w = ShortcutWeight(sc);
+        overlay_.AddOrImprove(sc.u, sc.v, w, v);
+        result.edges.push_back(TaggedEdge{sc.u, sc.v, w, v});
         ++result.num_shortcuts;
       }
       // Bump the deleted-neighbour term of surviving neighbours.
@@ -201,32 +268,74 @@ class Contractor {
   }
 
  private:
+  // Every vertex's priority before the first contraction, computed on all
+  // cores. Nothing has been contracted yet, so the overlay and the
+  // deleted-neighbour counts are read-only here; each thread owns a
+  // witness search and writes only the slots of the vertices it claims,
+  // so the result does not depend on scheduling.
+  std::vector<int64_t> InitialPriorities() {
+    const uint32_t n = graph_.NumVertices();
+    std::vector<int64_t> priorities(n);
+    const size_t num_threads = std::max<size_t>(
+        1, std::min<size_t>(std::thread::hardware_concurrency(),
+                            (n + kInitialPassVerticesPerThread - 1) /
+                                kInitialPassVerticesPerThread));
+    // Allocated here, so that running out of memory surfaces on this
+    // thread; thread 0 is this one and uses witness_.
+    std::vector<WitnessSearch> searches;
+    searches.reserve(num_threads - 1);
+    for (size_t t = 1; t < num_threads; ++t) searches.emplace_back(n);
+
+    std::atomic<uint32_t> cursor{0};
+    std::vector<std::exception_ptr> failures(num_threads);
+    auto worker = [&](size_t t, WitnessSearch* witness) {
+      try {
+        std::vector<PlannedShortcut> scratch;
+        for (;;) {
+          const uint32_t begin =
+              cursor.fetch_add(kInitialPassChunk, std::memory_order_relaxed);
+          if (begin >= n) return;
+          const uint32_t end = std::min(begin + kInitialPassChunk, n);
+          for (VertexId v = begin; v < end; ++v) {
+            priorities[v] = Priority(v, witness, &scratch);
+          }
+        }
+      } catch (...) {
+        failures[t] = std::current_exception();
+      }
+    };
+    {
+      // jthreads join when the scope ends, also if starting one throws.
+      std::vector<std::jthread> threads;
+      threads.reserve(searches.size());
+      for (size_t t = 1; t < num_threads; ++t) {
+        threads.emplace_back(worker, t, &searches[t - 1]);
+      }
+      worker(0, &witness_);
+    }
+    for (const std::exception_ptr& failure : failures) {
+      if (failure) std::rethrow_exception(failure);
+    }
+    return priorities;
+  }
+
   // Computes v's current priority; fills *shortcuts with the shortcuts its
   // contraction would create right now.
-  int64_t Priority(VertexId v, std::vector<PlannedShortcut>* shortcuts) {
+  int64_t Priority(VertexId v, WitnessSearch* witness,
+                   std::vector<PlannedShortcut>* shortcuts) const {
     shortcuts->clear();
     const std::vector<OverlayArc>& neighbors = overlay_.Neighbors(v);
 
-    // For each neighbour u, one witness search decides all pairs (u, w).
-    for (size_t i = 0; i < neighbors.size(); ++i) {
+    // For each neighbour u, one witness search decides the pairs (u, w)
+    // with w after u; the last neighbour has none left to decide.
+    for (size_t i = 0; i + 1 < neighbors.size(); ++i) {
       const OverlayArc& nu = neighbors[i];
-      Distance bound = 0;
-      for (size_t j = 0; j < neighbors.size(); ++j) {
-        if (j == i) continue;
-        bound = std::max(bound, static_cast<Distance>(nu.weight) +
-                                    neighbors[j].weight);
-      }
-      if (neighbors.size() > 1) {
-        witness_.Run(overlay_, nu.to, v, bound,
-                     config_.witness_settle_limit);
-      }
+      witness->Run(overlay_, v, i, config_.witness_settle_limit);
       for (size_t j = i + 1; j < neighbors.size(); ++j) {
         const OverlayArc& nw = neighbors[j];
-        const Distance via =
-            static_cast<Distance>(nu.weight) + nw.weight;
-        if (witness_.DistanceTo(nw.to) > via) {
-          shortcuts->push_back(PlannedShortcut{
-              nu.to, nw.to, static_cast<Weight>(via)});
+        const Distance via = Distance{nu.weight} + nw.weight;
+        if (witness->DistanceTo(nw.to) > via) {
+          shortcuts->push_back(PlannedShortcut{nu.to, nw.to, via});
         }
       }
     }

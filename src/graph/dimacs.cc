@@ -2,9 +2,11 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace roadnet {
@@ -43,35 +45,16 @@ std::optional<Graph> ReadDimacs(std::istream& gr_stream,
     SetError(error, "gr: malformed problem line: " + line);
     return std::nullopt;
   }
-
-  GraphBuilder builder(static_cast<uint32_t>(n));
-
-  // --- arcs ---
-  uint64_t arcs_read = 0;
-  while (NextLine(gr_stream, &line)) {
-    std::istringstream arc(line);
-    std::string tag;
-    uint64_t u = 0, v = 0, w = 0;
-    if (!(arc >> tag >> u >> v >> w) || tag != "a") {
-      SetError(error, "gr: malformed arc line: " + line);
-      return std::nullopt;
-    }
-    if (u < 1 || u > n || v < 1 || v > n) {
-      SetError(error, "gr: vertex id out of range: " + line);
-      return std::nullopt;
-    }
-    if (w == 0) w = 1;  // the model requires positive weights
-    builder.AddEdge(static_cast<VertexId>(u - 1),
-                    static_cast<VertexId>(v - 1), static_cast<Weight>(w));
-    ++arcs_read;
-  }
-  if (arcs_read != m) {
-    SetError(error, "gr: arc count mismatch (header " + std::to_string(m) +
-                        ", read " + std::to_string(arcs_read) + ")");
+  // Ids 0..n-1 must stay below kInvalidVertex.
+  if (n > kInvalidVertex) {
+    SetError(error, "gr: vertex count exceeds 32-bit vertex ids: " + line);
     return std::nullopt;
   }
 
   // --- coordinates ---
+  // Read before the arcs, into a buffer that grows with the lines read:
+  // nothing is sized from a header, and the builder's n-sized arrays are
+  // allocated only once n coordinate lines have arrived.
   if (!NextLine(co_stream, &line)) {
     SetError(error, "co: missing problem line");
     return std::nullopt;
@@ -88,7 +71,7 @@ std::optional<Graph> ReadDimacs(std::istream& gr_stream,
     SetError(error, "co: vertex count differs from gr");
     return std::nullopt;
   }
-  uint64_t coords_read = 0;
+  std::vector<std::pair<VertexId, Point>> coords;
   while (NextLine(co_stream, &line)) {
     std::istringstream vc(line);
     std::string tag;
@@ -102,12 +85,58 @@ std::optional<Graph> ReadDimacs(std::istream& gr_stream,
       SetError(error, "co: vertex id out of range: " + line);
       return std::nullopt;
     }
-    builder.SetCoord(static_cast<VertexId>(id - 1),
-                     Point{static_cast<int32_t>(x), static_cast<int32_t>(y)});
-    ++coords_read;
+    constexpr int64_t kMin = std::numeric_limits<int32_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+    if (x < kMin || x > kMax || y < kMin || y > kMax) {
+      SetError(error, "co: coordinate exceeds 32 bits: " + line);
+      return std::nullopt;
+    }
+    coords.emplace_back(
+        static_cast<VertexId>(id - 1),
+        Point{static_cast<int32_t>(x), static_cast<int32_t>(y)});
   }
-  if (coords_read != n) {
+  if (coords.size() != n) {
     SetError(error, "co: coordinate count mismatch");
+    return std::nullopt;
+  }
+
+  GraphBuilder builder(static_cast<uint32_t>(n));
+  std::vector<bool> seen(n, false);
+  for (const auto& [id, point] : coords) {
+    if (seen[id]) {
+      SetError(error, "co: repeated vertex id " + std::to_string(id + 1));
+      return std::nullopt;
+    }
+    seen[id] = true;
+    builder.SetCoord(id, point);
+  }
+
+  // --- arcs ---
+  uint64_t arcs_read = 0;
+  while (NextLine(gr_stream, &line)) {
+    std::istringstream arc(line);
+    std::string tag;
+    uint64_t u = 0, v = 0, w = 0;
+    if (!(arc >> tag >> u >> v >> w) || tag != "a") {
+      SetError(error, "gr: malformed arc line: " + line);
+      return std::nullopt;
+    }
+    if (u < 1 || u > n || v < 1 || v > n) {
+      SetError(error, "gr: vertex id out of range: " + line);
+      return std::nullopt;
+    }
+    if (w > std::numeric_limits<Weight>::max()) {
+      SetError(error, "gr: arc weight exceeds 32 bits: " + line);
+      return std::nullopt;
+    }
+    if (w == 0) w = 1;  // the model requires positive weights
+    builder.AddEdge(static_cast<VertexId>(u - 1),
+                    static_cast<VertexId>(v - 1), static_cast<Weight>(w));
+    ++arcs_read;
+  }
+  if (arcs_read != m) {
+    SetError(error, "gr: arc count mismatch (header " + std::to_string(m) +
+                        ", read " + std::to_string(arcs_read) + ")");
     return std::nullopt;
   }
 

@@ -115,6 +115,22 @@ TEST(Contraction, OutputIsPinnedUnderTruncatedWitnessSearches) {
   });
 }
 
+// Contracting vertex 1 joins 0 and 2 by a shortcut of 6e9, past what a
+// 32-bit weight holds. Truncated, it would make dist(3, 5) read
+// 1,705,032,706 instead of 6,000,000,002.
+TEST(ContractionDeathTest, ShortcutBeyondWeightLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GraphBuilder b(7);
+  b.AddEdge(0, 1, 3000000000u);
+  b.AddEdge(1, 2, 3000000000u);
+  b.AddEdge(0, 3, 1);
+  b.AddEdge(0, 4, 1);
+  b.AddEdge(2, 5, 1);
+  b.AddEdge(2, 6, 1);
+  const Graph g = std::move(b).Build();
+  EXPECT_DEATH(ContractGraph(g, ChConfig{}), "32-bit shortcut-weight limit");
+}
+
 TEST(Contraction, PaperFigure1ProducesValidShortcuts) {
   Graph g = PaperFigure1Graph();
   ChConfig config;

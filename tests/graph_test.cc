@@ -1,6 +1,9 @@
 #include "graph/graph.h"
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "graph/connectivity.h"
@@ -195,6 +198,76 @@ TEST(Dimacs, SkipsComments) {
   auto g = ReadDimacs(gr, co, &error);
   ASSERT_TRUE(g.has_value()) << error;
   EXPECT_EQ(g->EdgeWeight(0, 1), std::optional<Weight>(7));
+}
+
+TEST(Dimacs, RejectsWeightBeyond32Bits) {
+  std::stringstream gr("p sp 2 1\na 1 2 4294967296\n");
+  std::stringstream co("p aux sp co 2\nv 1 0 0\nv 2 1 1\n");
+  std::string error;
+  EXPECT_FALSE(ReadDimacs(gr, co, &error).has_value());
+  EXPECT_NE(error.find("weight"), std::string::npos) << error;
+}
+
+TEST(Dimacs, RejectsVertexCountBeyond32Bits) {
+  // Truncated to 32 bits, the count would be 2 while id 4294967296 still
+  // passed a range check against the untruncated count.
+  std::stringstream gr("p sp 4294967298 1\na 1 4294967296 5\n");
+  std::stringstream co("p aux sp co 4294967298\nv 1 0 0\nv 2 1 1\n");
+  std::string error;
+  EXPECT_FALSE(ReadDimacs(gr, co, &error).has_value());
+  EXPECT_NE(error.find("vertex count"), std::string::npos) << error;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ROADNET_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ROADNET_SHADOW_MEMORY 1
+#endif
+#endif
+
+// Caps the address space so an allocation sized from a header alone
+// fails at once instead of paging in gigabytes. Sanitizer runtimes
+// reserve terabytes of shadow memory up front, so under them the cap
+// would fail every allocation and is left off.
+void CapAddressSpace() {
+#ifndef ROADNET_SHADOW_MEMORY
+  const rlimit cap{1ull << 30, 1ull << 30};
+  setrlimit(RLIMIT_AS, &cap);
+#endif
+}
+
+// Four billion vertices announced, none delivered: sizing anything from
+// the header would ask for tens of gigabytes.
+bool AcceptsHeaderOnlyInput() {
+  std::stringstream gr("p sp 4000000000 0\n");
+  std::stringstream co("p aux sp co 4000000000\n");
+  std::string error;
+  return ReadDimacs(gr, co, &error).has_value();
+}
+
+TEST(Dimacs, HeaderAloneAllocatesNothing) {
+  EXPECT_EXIT(
+      {
+        CapAddressSpace();
+        std::exit(AcceptsHeaderOnlyInput() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Dimacs, RejectsRepeatedVertexId) {
+  std::stringstream gr("p sp 3 1\na 1 2 5\n");
+  std::stringstream co("p aux sp co 3\nv 1 0 0\nv 2 1 1\nv 1 2 2\n");
+  std::string error;
+  EXPECT_FALSE(ReadDimacs(gr, co, &error).has_value());
+  EXPECT_NE(error.find("repeated"), std::string::npos) << error;
+}
+
+TEST(Dimacs, RejectsCoordinateBeyond32Bits) {
+  std::stringstream gr("p sp 2 1\na 1 2 5\n");
+  std::stringstream co("p aux sp co 2\nv 1 4294967296 0\nv 2 1 1\n");
+  std::string error;
+  EXPECT_FALSE(ReadDimacs(gr, co, &error).has_value());
 }
 
 }  // namespace
