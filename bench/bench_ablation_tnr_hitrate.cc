@@ -33,9 +33,9 @@ int main() {
     bench::PrintRule(56);
     for (const auto& set : sets) {
       if (set.pairs.empty()) continue;
-      tnr.ResetStats();
-      for (auto [s, t] : set.pairs) tnr.DistanceQuery(s, t);
-      const TnrStats& st = tnr.stats();
+      const auto ctx = tnr.NewContext();
+      for (auto [s, t] : set.pairs) tnr.DistanceQuery(ctx.get(), s, t);
+      const TnrStats st = tnr.RoutingStats(ctx.get());
       std::printf("%-6s %8zu %12zu %12zu %12zu\n", set.name.c_str(),
                   set.pairs.size(), st.coarse_table_answered,
                   st.fine_table_answered, st.fallback_answered);

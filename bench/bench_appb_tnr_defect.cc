@@ -50,6 +50,8 @@ int main() {
     TnrIndex flawed(g, &ch, flawed_config);
 
     Dijkstra truth(g);
+    const auto correct_ctx = correct.NewContext();
+    const auto flawed_ctx = flawed.NewContext();
     Rng rng(7);
     size_t queries = 0, correct_wrong = 0, flawed_wrong = 0;
     double max_rel_err = 0;
@@ -63,8 +65,10 @@ int main() {
       if (s == t || !correct.TableApplicable(s, t)) continue;
       ++queries;
       const Distance d = truth.Run(s, t);
-      if (correct.DistanceQuery(s, t) != d) ++correct_wrong;
-      const Distance f = flawed.DistanceQuery(s, t);
+      if (correct.DistanceQuery(correct_ctx.get(), s, t) != d) {
+        ++correct_wrong;
+      }
+      const Distance f = flawed.DistanceQuery(flawed_ctx.get(), s, t);
       if (f != d) {
         ++flawed_wrong;
         if (f != kInfDistance && d > 0) {

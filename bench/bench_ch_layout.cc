@@ -266,9 +266,9 @@ struct LayoutTimes {
   double ranked;
 };
 
-LayoutTimes MeasureBoth(PathIndex* legacy, PathIndex* ranked,
+LayoutTimes MeasureBoth(const PathIndex* legacy, const PathIndex* ranked,
                         const QuerySet& set,
-                        double (*pass)(PathIndex*, const QuerySet&)) {
+                        double (*pass)(const PathIndex*, const QuerySet&)) {
   // Warmup passes: first touch and page faults stay out of the samples.
   const double warm_legacy = pass(legacy, set);
   const double warm_ranked = pass(ranked, set);

@@ -44,8 +44,9 @@ struct PairedTimes {
   double hl;
 };
 
-PairedTimes MeasureBoth(PathIndex* ch, PathIndex* hl, const QuerySet& set,
-                        double (*pass)(PathIndex*, const QuerySet&)) {
+PairedTimes MeasureBoth(const PathIndex* ch, const PathIndex* hl,
+                        const QuerySet& set,
+                        double (*pass)(const PathIndex*, const QuerySet&)) {
   const double warm_ch = pass(ch, set);
   const double warm_hl = pass(hl, set);
   const double pass_micros =

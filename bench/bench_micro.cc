@@ -31,12 +31,12 @@ const Graph& BenchGraph() {
   return *kGraph;
 }
 
-ChIndex& BenchCh() {
+const ChIndex& BenchCh() {
   static ChIndex* const kCh = new ChIndex(BenchGraph());
   return *kCh;
 }
 
-TnrIndex& BenchTnr() {
+const TnrIndex& BenchTnr() {
   static TnrIndex* const kTnr = [] {
     TnrConfig config;
     config.grid_resolution = DefaultGridResolution(BenchGraph().NumVertices());
@@ -45,7 +45,7 @@ TnrIndex& BenchTnr() {
   return *kTnr;
 }
 
-SilcIndex& BenchSilc() {
+const SilcIndex& BenchSilc() {
   static SilcIndex* const kSilc = new SilcIndex(BenchGraph());
   return *kSilc;
 }
@@ -84,37 +84,41 @@ BENCHMARK(BM_DijkstraSssp);
 
 void BM_BidirectionalDistance(benchmark::State& state) {
   BidirectionalDijkstra bidi(BenchGraph());
+  const auto ctx = bidi.NewContext();
   Rng rng(3);
   for (auto _ : state) {
     auto [s, t] = RandomPair(&rng);
-    benchmark::DoNotOptimize(bidi.DistanceQuery(s, t));
+    benchmark::DoNotOptimize(bidi.DistanceQuery(ctx.get(), s, t));
   }
 }
 BENCHMARK(BM_BidirectionalDistance);
 
 void BM_ChDistance(benchmark::State& state) {
+  const auto ctx = BenchCh().NewContext();
   Rng rng(4);
   for (auto _ : state) {
     auto [s, t] = RandomPair(&rng);
-    benchmark::DoNotOptimize(BenchCh().DistanceQuery(s, t));
+    benchmark::DoNotOptimize(BenchCh().DistanceQuery(ctx.get(), s, t));
   }
 }
 BENCHMARK(BM_ChDistance);
 
 void BM_ChPath(benchmark::State& state) {
+  const auto ctx = BenchCh().NewContext();
   Rng rng(5);
   for (auto _ : state) {
     auto [s, t] = RandomPair(&rng);
-    benchmark::DoNotOptimize(BenchCh().PathQuery(s, t).size());
+    benchmark::DoNotOptimize(BenchCh().PathQuery(ctx.get(), s, t).size());
   }
 }
 BENCHMARK(BM_ChPath);
 
 void BM_TnrDistance(benchmark::State& state) {
+  const auto ctx = BenchTnr().NewContext();
   Rng rng(6);
   for (auto _ : state) {
     auto [s, t] = RandomPair(&rng);
-    benchmark::DoNotOptimize(BenchTnr().DistanceQuery(s, t));
+    benchmark::DoNotOptimize(BenchTnr().DistanceQuery(ctx.get(), s, t));
   }
 }
 BENCHMARK(BM_TnrDistance);
@@ -129,10 +133,11 @@ void BM_SilcNextHop(benchmark::State& state) {
 BENCHMARK(BM_SilcNextHop);
 
 void BM_SilcPath(benchmark::State& state) {
+  const auto ctx = BenchSilc().NewContext();
   Rng rng(8);
   for (auto _ : state) {
     auto [s, t] = RandomPair(&rng);
-    benchmark::DoNotOptimize(BenchSilc().PathQuery(s, t).size());
+    benchmark::DoNotOptimize(BenchSilc().PathQuery(ctx.get(), s, t).size());
   }
 }
 BENCHMARK(BM_SilcPath);

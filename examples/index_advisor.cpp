@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<SilcIndex> silc;
   if (g.NumVertices() <= 5000) silc = std::make_unique<SilcIndex>(g);
 
-  auto report = [&](PathIndex* index) {
+  auto report = [&](const PathIndex* index) {
     const double dist_us = Experiment::MeasureDistanceQueries(index, workload);
     const double path_us = Experiment::MeasurePathQueries(index, workload);
     std::printf("  %-6s %8.1f MiB   dist %8.2f us   path %8.2f us\n",

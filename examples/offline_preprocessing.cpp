@@ -55,6 +55,8 @@ int main() {
 
   // Serve a query burst and cross-check against the original index.
   Rng rng(3);
+  const auto loaded_ctx = loaded_ch->NewContext();
+  const auto ctx = ch.NewContext();
   timer.Reset();
   size_t mismatches = 0;
   const int kQueries = 2000;
@@ -63,7 +65,8 @@ int main() {
         rng.NextBelow(loaded_graph->NumVertices()));
     const VertexId t = static_cast<VertexId>(
         rng.NextBelow(loaded_graph->NumVertices()));
-    if (loaded_ch->DistanceQuery(s, t) != ch.DistanceQuery(s, t)) {
+    if (loaded_ch->DistanceQuery(loaded_ctx.get(), s, t) !=
+        ch.DistanceQuery(ctx.get(), s, t)) {
       ++mismatches;
     }
   }

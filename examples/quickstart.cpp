@@ -30,17 +30,19 @@ int main(int argc, char** argv) {
               timer.ElapsedSeconds(), ch.NumShortcuts(),
               ch.IndexBytes() / (1024.0 * 1024.0));
 
-  // 3. Queries. Pick two far-apart vertices.
+  // 3. Queries. Pick two far-apart vertices. The index is immutable;
+  //    per-query scratch lives in a context, one per thread.
   const VertexId s = 0;
   const VertexId t = g.NumVertices() - 1;
+  const auto ctx = ch.NewContext();
 
   timer.Reset();
-  const Distance d = ch.DistanceQuery(s, t);
+  const Distance d = ch.DistanceQuery(ctx.get(), s, t);
   std::printf("distance %u -> %u: %llu  (%.1f us)\n", s, t,
               static_cast<unsigned long long>(d), timer.ElapsedMicros());
 
   timer.Reset();
-  const Path path = ch.PathQuery(s, t);
+  const Path path = ch.PathQuery(ctx.get(), s, t);
   std::printf("shortest path: %zu vertices (%.1f us): ", path.size(),
               timer.ElapsedMicros());
   for (size_t i = 0; i < path.size() && i < 8; ++i) {

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
                build_timer.ElapsedSeconds(),
                ch.IndexBytes() / (1024.0 * 1024.0));
 
+  const auto ctx = ch.NewContext();
   char line[256];
   while (std::fgets(line, sizeof(line), stdin) != nullptr) {
     unsigned long n = 0;
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
             static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
         const VertexId t =
             static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
-        checksum += ch.DistanceQuery(s, t);
+        checksum += ch.DistanceQuery(ctx.get(), s, t);
       }
       std::printf("%lu random queries in %.1f us total (checksum %llu)\n", n,
                   timer.ElapsedMicros(), checksum);
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
       continue;
     }
     Timer timer;
-    const Path path = ch.PathQuery(static_cast<VertexId>(s),
+    const Path path = ch.PathQuery(ctx.get(), static_cast<VertexId>(s),
                                    static_cast<VertexId>(t));
     const double micros = timer.ElapsedMicros();
     if (path.empty()) {

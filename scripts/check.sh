@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification: release build + test suite, metrics/serving smokes,
-# the request-tracing smoke + overhead gate, the roadnet_lint +
+# Full verification: release build + test suite, metrics/serving/example
+# smokes, the request-tracing smoke + overhead gate, the roadnet_lint +
 # clang-tidy static-analysis gate, the Clang Thread Safety Analysis gate
 # (with a scripted delete-one-annotation negative test), the wire/frame
 # fuzz smoke, an ASan+UBSan build running the complete suite, a
@@ -54,7 +54,8 @@ stage_smoke() {
   echo "==> Metrics schema + search-space smoke (build/)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j"$(nproc)" --target \
-    roadnet_cli roadnet_loadgen bench_searchspace bench_ch_layout bench_hl
+    roadnet_cli roadnet_loadgen bench_searchspace bench_ch_layout bench_hl \
+    quickstart nearest_poi route_service index_advisor offline_preprocessing
   SMOKE="$(mktemp -d)"
   build/tools/roadnet_cli generate --vertices 1500 --seed 5 \
     --out "$SMOKE/g.bin" >/dev/null
@@ -126,6 +127,16 @@ stage_smoke() {
   SERVER_PID=""
   rm -rf "$SMOKE"
   SMOKE=""
+
+  echo "==> Examples: run all five (build/)"
+  # Each must exit 0. nearest_poi exits 1 if CH, TNR and the Dijkstra kNN
+  # oracle disagree, offline_preprocessing if the reloaded index disagrees
+  # with the original; index_advisor --validate times through Experiment.
+  build/examples/quickstart >/dev/null
+  printf '0 42\nrandom 100\n' | build/examples/route_service >/dev/null
+  build/examples/index_advisor --validate >/dev/null
+  build/examples/nearest_poi >/dev/null
+  build/examples/offline_preprocessing >/dev/null
 }
 
 stage_trace() {

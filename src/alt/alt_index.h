@@ -43,8 +43,6 @@ class AltIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   const std::vector<VertexId>& Landmarks() const { return landmarks_; }
@@ -52,11 +50,6 @@ class AltIndex : public PathIndex {
   // The A* potential: a lower bound on dist(v, t). Exposed for the
   // admissibility property tests.
   Distance LowerBound(VertexId v, VertexId t) const;
-
-  // Vertices settled by the most recent default-context query
-  // (goal-direction metric; A* should settle far fewer than plain
-  // Dijkstra on directed queries).
-  size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
  private:
   // Query scratch (generation-stamped).

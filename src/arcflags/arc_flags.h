@@ -46,8 +46,6 @@ class ArcFlagsIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   uint32_t NumRegions() const { return num_regions_; }
@@ -60,8 +58,6 @@ class ArcFlagsIndex : public PathIndex {
             (region % 64)) &
            1;
   }
-
-  size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
  private:
   // Query scratch.

@@ -67,8 +67,6 @@ class ChIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   // Whether queries use the stall-on-demand pruning (ChConfig option).
@@ -77,7 +75,6 @@ class ChIndex : public PathIndex {
   uint32_t RankOf(VertexId v) const { return rank_[v]; }
   VertexId VertexAtRank(uint32_t r) const { return order_[r]; }
   size_t NumShortcuts() const { return num_shortcuts_; }
-  size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
   // Forward upward search space of s: every vertex settled by the upward
   // Dijkstra (external ids), with its distance, appended to *out (which
@@ -90,14 +87,6 @@ class ChIndex : public PathIndex {
   void UpwardSearchSpace(QueryContext* ctx, VertexId s,
                          std::vector<std::pair<VertexId, Distance>>* out)
       const;
-
-  // Single-threaded convenience overload over the default context.
-  // roadnet-lint: allow(R2 legacy single-threaded wrapper over the default context; index structure untouched)
-  std::vector<std::pair<VertexId, Distance>> UpwardSearchSpace(VertexId s) {
-    std::vector<std::pair<VertexId, Distance>> out;
-    UpwardSearchSpace(DefaultContext(), s, &out);
-    return out;
-  }
 
  private:
   // Hot half of an upward arc, in rank space: both searches touch only

@@ -21,32 +21,34 @@ BuildResult Experiment::MeasureBuild(
   return result;
 }
 
-double Experiment::MeasureDistanceQueries(PathIndex* index,
+double Experiment::MeasureDistanceQueries(const PathIndex* index,
                                           const QuerySet& queries) {
   if (queries.pairs.empty()) return 0;
+  const auto ctx = index->NewContext();
   // The sum sink keeps the optimizer from dropping query work.
   uint64_t sink = 0;
   Timer timer;
   for (const auto& [s, t] : queries.pairs) {
-    sink += index->DistanceQuery(s, t);
+    sink += index->DistanceQuery(ctx.get(), s, t);
   }
   benchmark_sink_ = sink;
   return timer.ElapsedMicros() / static_cast<double>(queries.pairs.size());
 }
 
-double Experiment::MeasurePathQueries(PathIndex* index,
+double Experiment::MeasurePathQueries(const PathIndex* index,
                                       const QuerySet& queries) {
   if (queries.pairs.empty()) return 0;
+  const auto ctx = index->NewContext();
   uint64_t sink = 0;
   Timer timer;
   for (const auto& [s, t] : queries.pairs) {
-    sink += index->PathQuery(s, t).size();
+    sink += index->PathQuery(ctx.get(), s, t).size();
   }
   benchmark_sink_ = sink;
   return timer.ElapsedMicros() / static_cast<double>(queries.pairs.size());
 }
 
-QueryResult Experiment::MeasureQueries(PathIndex* index,
+QueryResult Experiment::MeasureQueries(const PathIndex* index,
                                        const QuerySet& queries) {
   QueryResult result;
   result.method = index->Name();
@@ -57,11 +59,17 @@ QueryResult Experiment::MeasureQueries(PathIndex* index,
   return result;
 }
 
-size_t Experiment::CountDistanceMismatches(PathIndex* a, PathIndex* b,
+size_t Experiment::CountDistanceMismatches(const PathIndex* a,
+                                           const PathIndex* b,
                                            const QuerySet& queries) {
+  const auto ctx_a = a->NewContext();
+  const auto ctx_b = b->NewContext();
   size_t mismatches = 0;
   for (const auto& [s, t] : queries.pairs) {
-    if (a->DistanceQuery(s, t) != b->DistanceQuery(s, t)) ++mismatches;
+    if (a->DistanceQuery(ctx_a.get(), s, t) !=
+        b->DistanceQuery(ctx_b.get(), s, t)) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }

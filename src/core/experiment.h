@@ -43,20 +43,25 @@ class Experiment {
       const std::string& method,
       const std::function<std::unique_ptr<PathIndex>()>& factory);
 
-  // Average distance-query latency over the set (microseconds).
-  static double MeasureDistanceQueries(PathIndex* index,
+  // Average distance-query latency over the set (microseconds). The query
+  // context is created before the timer starts, so only queries are timed.
+  static double MeasureDistanceQueries(const PathIndex* index,
                                        const QuerySet& queries);
 
-  // Average shortest-path-query latency over the set (microseconds).
-  static double MeasurePathQueries(PathIndex* index, const QuerySet& queries);
+  // Average shortest-path-query latency over the set (microseconds), timed
+  // the same way.
+  static double MeasurePathQueries(const PathIndex* index,
+                                   const QuerySet& queries);
 
   // Both metrics for one (index, set) pair.
-  static QueryResult MeasureQueries(PathIndex* index, const QuerySet& queries);
+  static QueryResult MeasureQueries(const PathIndex* index,
+                                    const QuerySet& queries);
 
   // Verifies that two indexes agree on distances over a query set;
   // returns the number of mismatches (0 = agreement). Benches use this to
   // guard measured numbers with correctness.
-  static size_t CountDistanceMismatches(PathIndex* a, PathIndex* b,
+  static size_t CountDistanceMismatches(const PathIndex* a,
+                                        const PathIndex* b,
                                         const QuerySet& queries);
 };
 

@@ -31,15 +31,7 @@ class BidirectionalDijkstra : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override { return 0; }
-
-  // Vertices settled by both searches in the most recent default-context
-  // query; the cost measure behind the paper's efficiency discussion.
-  size_t SettledCount() const {
-    return ContextCounters().vertices_settled;
-  }
 
  private:
   // One of the two search directions; 0 = forward from s, 1 = backward

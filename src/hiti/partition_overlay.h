@@ -53,15 +53,11 @@ class PartitionOverlayIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   uint32_t NumRegions() const { return num_regions_; }
   uint32_t RegionOf(VertexId v) const { return region_of_[v]; }
   bool IsBoundary(VertexId v) const { return is_boundary_[v]; }
-
-  size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
  private:
   // Clique arc: within-region shortest distance between two boundary

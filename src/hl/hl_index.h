@@ -89,8 +89,6 @@ class HlIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   // Bytes of the label arrays alone (the space the technique adds on

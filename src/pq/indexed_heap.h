@@ -10,7 +10,8 @@
 
 namespace roadnet {
 
-// Indexed 4-ary min-heap keyed by (key, item-id) supporting decrease-key.
+// Indexed 4-ary min-heap supporting decrease-key. Only keys are compared:
+// items with equal keys pop in no fixed order.
 //
 // This is the priority queue behind every Dijkstra variant in the
 // repository. Items are dense integer ids in [0, capacity). A 4-ary layout

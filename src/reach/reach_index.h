@@ -37,13 +37,9 @@ class ReachIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   Distance ReachOf(VertexId v) const { return reach_[v]; }
-
-  size_t SettledCount() const { return ContextCounters().vertices_settled; }
 
  private:
   struct Side {

@@ -22,41 +22,26 @@ void SortResults(std::vector<KnnResult>* results) {
 std::vector<KnnResult> KnnByDijkstra(const Graph& g,
                                      const std::vector<VertexId>& pois,
                                      VertexId query, size_t k) {
-  std::vector<bool> is_poi(g.NumVertices(), false);
-  for (VertexId p : pois) is_poi[p] = true;
-
-  // Expanding search collecting POIs in settle order. Collecting a few
-  // extra lets equal-distance ties resolve by vertex id, matching the
-  // scan strategy exactly.
-  std::vector<KnnResult> results;
-  Dijkstra dijkstra(g);
-  std::vector<VertexId> targets;
-  for (VertexId p : pois) targets.push_back(p);
-
   // Run until k distinct POIs settle (or the component is exhausted).
-  dijkstra.RunUntilSettled(query, targets, k);
+  Dijkstra dijkstra(g);
+  dijkstra.RunUntilSettled(query, pois, k);
+
+  // The heap pops equal keys in no fixed order, so the last POI to settle
+  // need not have the smallest id at its distance. With positive weights
+  // every vertex at that cutoff distance is already queued with its final
+  // distance, so queued POIs at the cutoff are exact answers too, and the
+  // sort below picks among the tied ones by vertex id.
+  Distance cutoff = 0;
   for (VertexId p : pois) {
-    if (dijkstra.Settled(p)) {
-      results.push_back(KnnResult{p, dijkstra.DistanceTo(p)});
-    }
+    if (dijkstra.Settled(p)) cutoff = std::max(cutoff, dijkstra.DistanceTo(p));
+  }
+  std::vector<KnnResult> results;
+  for (VertexId p : pois) {
+    const Distance d = dijkstra.DistanceTo(p);
+    if (d <= cutoff) results.push_back(KnnResult{p, d});
   }
   SortResults(&results);
   // Drop duplicates (a POI listed twice is one answer).
-  results.erase(std::unique(results.begin(), results.end()), results.end());
-  if (results.size() > k) results.resize(k);
-  return results;
-}
-
-std::vector<KnnResult> KnnByIndexScan(PathIndex* index,
-                                      const std::vector<VertexId>& pois,
-                                      VertexId query, size_t k) {
-  std::vector<KnnResult> results;
-  results.reserve(pois.size());
-  for (VertexId p : pois) {
-    const Distance d = index->DistanceQuery(query, p);
-    if (d != kInfDistance) results.push_back(KnnResult{p, d});
-  }
-  SortResults(&results);
   results.erase(std::unique(results.begin(), results.end()), results.end());
   if (results.size() > k) results.resize(k);
   return results;

@@ -5,24 +5,13 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "routing/path_index.h"
 
 namespace roadnet {
 
 // k-nearest-neighbour queries over a fixed set of points of interest —
 // the paper's Section 2 motivating scenario ("identify the restaurant
-// closest to her working place") generalized to k results. Two
-// strategies:
-//
-//  * KnnByDijkstra — one expanding Dijkstra from the query vertex that
-//    stops after settling k POIs. Optimal when POIs are plentiful or
-//    nearby; needs no index.
-//  * KnnByIndexScan — one distance query per POI through any PathIndex
-//    (the strategy the paper's example user applies); wins when the POI
-//    list is short and the index answers distance queries in
-//    microseconds (CH/TNR).
-//
-// Both return the same answers (ties broken by vertex id).
+// closest to her working place") generalized to k results. KnnByDijkstra
+// is the index-free oracle the kNN indexes of src/knn/ are tested against.
 
 struct KnnResult {
   VertexId poi;
@@ -33,15 +22,13 @@ struct KnnResult {
   }
 };
 
-// Expanding-search kNN. O(search ball) time, no preprocessing.
+// Expanding-search kNN: one Dijkstra from `query` that stops once k
+// distinct POIs have settled. Returns at most k distinct POIs sorted by
+// (distance, vertex id); unreachable POIs are left out. O(search ball)
+// time, no preprocessing.
 std::vector<KnnResult> KnnByDijkstra(const Graph& g,
                                      const std::vector<VertexId>& pois,
                                      VertexId query, size_t k);
-
-// Index-scan kNN: |pois| distance queries through `index`.
-std::vector<KnnResult> KnnByIndexScan(PathIndex* index,
-                                      const std::vector<VertexId>& pois,
-                                      VertexId query, size_t k);
 
 }  // namespace roadnet
 

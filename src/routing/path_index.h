@@ -37,11 +37,10 @@ class QueryContext {
 // are constructed over a Graph (preprocessing happens in the constructor
 // or a factory) and then answer the paper's two query types.
 //
-// Thread-safety contract: after construction the index is immutable, and
-// the context-taking overloads are safe to call concurrently as long as
-// each thread passes its own QueryContext. The context-free overloads
-// route through one internal default context and therefore stay
-// single-threaded, exactly like the paper's original code.
+// Thread-safety contract: after construction the index is immutable and
+// holds no query state, so queries are safe to run concurrently as long
+// as each thread passes its own QueryContext. A caller that times or
+// counts queries creates its context first and reads ctx->counters.
 class PathIndex {
  public:
   virtual ~PathIndex() = default;
@@ -62,43 +61,9 @@ class PathIndex {
   // (empty if unreachable).
   virtual Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const = 0;
 
-  // Single-threaded convenience overloads over the internal default
-  // context (the pre-context API every test and bench started from).
-  // roadnet-lint: allow(R2,R3 legacy single-threaded wrapper; mutates only the lazily-created default context, not index structure)
-  Distance DistanceQuery(VertexId s, VertexId t) {
-    return DistanceQuery(DefaultContext(), s, t);
-  }
-  // roadnet-lint: allow(R2,R3 legacy single-threaded wrapper; mutates only the lazily-created default context, not index structure)
-  Path PathQuery(VertexId s, VertexId t) {
-    return PathQuery(DefaultContext(), s, t);
-  }
-
   // Bytes of precomputed structures held beyond the input graph; the
   // paper's "space consumption" metric (Figure 6a). Excludes contexts.
   virtual size_t IndexBytes() const = 0;
-
-  // Counters of the most recent context-free DistanceQuery/PathQuery
-  // (the single-threaded convenience API above). Zeros if no such query
-  // ran yet. For the context-taking API read ctx->counters directly.
-  QueryCounters ContextCounters() const {
-    const QueryContext* ctx = default_context();
-    return ctx == nullptr ? QueryCounters{} : ctx->counters;
-  }
-
- protected:
-  // The lazily-created context behind the context-free overloads.
-  // Implementations use it for legacy per-query accessors (settled
-  // counts, routing stats).
-  QueryContext* DefaultContext() {
-    if (default_context_ == nullptr) default_context_ = NewContext();
-    return default_context_.get();
-  }
-  const QueryContext* default_context() const {
-    return default_context_.get();
-  }
-
- private:
-  std::unique_ptr<QueryContext> default_context_;
 };
 
 }  // namespace roadnet

@@ -15,9 +15,10 @@ namespace wire {
 //
 // Every frame is [u32 body_length][body]; the body starts with a u8
 // message type followed by the type's fixed layout (all integers
-// little-endian, matching io/binary.h). The protocol is strict
-// request-reply: a client sends QUERY / STATS / SHUTDOWN frames and
-// reads exactly one reply frame per request.
+// little-endian, matching io/binary.h). Every request frame gets exactly
+// one reply frame. A client may pipeline: QUERY2 frames carry a
+// request_id the reply echoes, so many can be outstanding on one
+// connection (see QUERY2 below).
 //
 //   QUERY          u8 technique, u8 kind, u32 source, u32 target,
 //                  u64 deadline_micros (0 = none, measured from receipt)
@@ -77,10 +78,12 @@ enum class Status : uint8_t {
   // Malformed request: vertex id out of range, bad kind, or a technique
   // id the server does not serve.
   kBadRequest = 2,
-  // Load shed at admission: the bounded request queue was full.
+  // Load shed: the connection's unsent reply bytes were over the
+  // server's write-queue hard cap (the peer is not reading its replies).
   kOverloaded = 3,
-  // Load shed at dispatch: the request waited in the queue past its
-  // deadline and was dropped without running.
+  // Load shed: more than the request's deadline_micros passed between its
+  // frame being fully received and its turn to run; it was dropped
+  // without running.
   kDeadlineExceeded = 4,
   // The server is draining; this request was not admitted.
   kShuttingDown = 5,

@@ -41,8 +41,6 @@ class SilcIndex : public PathIndex {
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   // First vertex after `from` on the shortest path from `from` to `to`

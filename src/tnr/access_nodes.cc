@@ -82,10 +82,11 @@ std::vector<VertexId> CrossingEndpointsAdjacentOnly(const Graph& g,
 
 // Ensures every vertex of the cell carries a distance to every access node
 // of the cell (the paper's I2 is complete per cell), filling gaps with CH
-// distance queries.
+// distance queries run on `ch_ctx`.
 void CompleteCellDistances(const std::vector<VertexId>& cell_vertices,
                            const std::vector<VertexId>& cell_access,
-                           ChIndex* ch, AccessNodeSet* result) {
+                           const ChIndex* ch, QueryContext* ch_ctx,
+                           AccessNodeSet* result) {
   for (VertexId v : cell_vertices) {
     auto& list = result->vertex_access[v];
     std::sort(list.begin(), list.end(),
@@ -107,7 +108,7 @@ void CompleteCellDistances(const std::vector<VertexId>& cell_vertices,
             return x.node < y.node;
           });
       if (!present) {
-        list.push_back(VertexAccess{a, ch->DistanceQuery(v, a)});
+        list.push_back(VertexAccess{a, ch->DistanceQuery(ch_ctx, v, a)});
       }
     }
     std::sort(list.begin(), list.end(),
@@ -120,12 +121,13 @@ void CompleteCellDistances(const std::vector<VertexId>& cell_vertices,
 }  // namespace
 
 AccessNodeSet ComputeAccessNodes(const Graph& g, const CellGrid& grid,
-                                 ChIndex* ch) {
+                                 const ChIndex* ch) {
   AccessNodeSet result;
   result.vertex_access.resize(g.NumVertices());
   result.cell_access.resize(grid.NumCells());
 
   Dijkstra dijkstra(g);
+  const auto ch_ctx = ch->NewContext();
   std::vector<VertexId> path_scratch;
 
   for (uint32_t cell : grid.NonEmptyCells()) {
@@ -168,18 +170,19 @@ AccessNodeSet ComputeAccessNodes(const Graph& g, const CellGrid& grid,
       }
     }
     SortUnique(&access);
-    CompleteCellDistances(cell_vertices, access, ch, &result);
+    CompleteCellDistances(cell_vertices, access, ch, ch_ctx.get(), &result);
   }
   return result;
 }
 
 AccessNodeSet ComputeAccessNodesFlawed(const Graph& g, const CellGrid& grid,
-                                       ChIndex* ch) {
+                                       const ChIndex* ch) {
   AccessNodeSet result;
   result.vertex_access.resize(g.NumVertices());
   result.cell_access.resize(grid.NumCells());
 
   Dijkstra dijkstra(g);
+  const auto ch_ctx = ch->NewContext();
 
   for (uint32_t cell : grid.NonEmptyCells()) {
     const std::vector<VertexId>& cell_vertices = grid.VerticesIn(cell);
@@ -230,7 +233,7 @@ AccessNodeSet ComputeAccessNodesFlawed(const Graph& g, const CellGrid& grid,
       }
     }
     SortUnique(&access);
-    CompleteCellDistances(cell_vertices, access, ch, &result);
+    CompleteCellDistances(cell_vertices, access, ch, ch_ctx.get(), &result);
   }
   return result;
 }

@@ -36,7 +36,7 @@ struct AccessNodeSet {
 // `ch` accelerates distance fill-ins (every vertex needs a distance to
 // every access node of its cell, even ones discovered via other vertices).
 AccessNodeSet ComputeAccessNodes(const Graph& g, const CellGrid& grid,
-                                 ChIndex* ch);
+                                 const ChIndex* ch);
 
 // The flawed Bast et al. preprocessing the paper dissects in Appendix B.
 // It derives candidate sets Sin (inner-shell edges) and Sup (outer-shell
@@ -49,7 +49,7 @@ AccessNodeSet ComputeAccessNodes(const Graph& g, const CellGrid& grid,
 // nodes and yield incorrect query answers, which the defect bench
 // demonstrates.
 AccessNodeSet ComputeAccessNodesFlawed(const Graph& g, const CellGrid& grid,
-                                       ChIndex* ch);
+                                       const ChIndex* ch);
 
 }  // namespace roadnet
 

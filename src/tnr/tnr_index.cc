@@ -64,7 +64,8 @@ void TnrIndex::BuildLevelIndex(const Graph& g, AccessNodeSet&& raw,
   }
 }
 
-TnrIndex::TnrIndex(const Graph& g, ChIndex* ch, const TnrConfig& config)
+TnrIndex::TnrIndex(const Graph& g, const ChIndex* ch,
+                   const TnrConfig& config)
     : graph_(g), ch_(ch), config_(config), coarse_(g, config.grid_resolution) {
   // --- Coarse level: access nodes (I2) + full pairwise table (I1). ---
   AccessNodeSet raw = config.flawed_access_nodes
@@ -147,13 +148,8 @@ std::unique_ptr<QueryContext> TnrIndex::NewContext() const {
   return ctx;
 }
 
-TnrStats TnrIndex::stats() const {
-  auto* ctx = static_cast<const Context*>(default_context());
-  return ctx == nullptr ? TnrStats{} : ctx->stats;
-}
-
-void TnrIndex::ResetStats() {
-  static_cast<Context*>(DefaultContext())->stats = TnrStats{};
+TnrStats TnrIndex::RoutingStats(const QueryContext* ctx) const {
+  return static_cast<const Context*>(ctx)->stats;
 }
 
 bool TnrIndex::TableApplicable(VertexId s, VertexId t) const {

@@ -46,7 +46,8 @@ struct TnrConfig {
   bool flawed_access_nodes = false;
 };
 
-// Query-routing counters, for the locality-filter ablation bench.
+// Query-routing counters, for the locality-filter ablation bench. They
+// accumulate over every query run on one context.
 struct TnrStats {
   size_t coarse_table_answered = 0;
   size_t fine_table_answered = 0;
@@ -71,24 +72,21 @@ class TnrIndex : public PathIndex {
  public:
   // `ch` accelerates preprocessing and serves as the fallback when
   // config.fallback == kCh; it must outlive the index.
-  TnrIndex(const Graph& g, ChIndex* ch, const TnrConfig& config);
+  TnrIndex(const Graph& g, const ChIndex* ch, const TnrConfig& config);
 
   std::string Name() const override { return "TNR"; }
   std::unique_ptr<QueryContext> NewContext() const override;
   Distance DistanceQuery(QueryContext* ctx, VertexId s,
                          VertexId t) const override;
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
-  using PathIndex::DistanceQuery;
-  using PathIndex::PathQuery;
   size_t IndexBytes() const override;
 
   // True if the coarse locality filter lets the table answer (s, t).
   bool TableApplicable(VertexId s, VertexId t) const;
 
-  // Routing counters of the default context (the context-free overloads).
-  TnrStats stats() const;
-  // roadnet-lint: allow(R2 resets default-context stats between legacy single-threaded measurement phases; index structure untouched)
-  void ResetStats();
+  // Routing counters of every query run on `ctx` (a context of this
+  // index) since NewContext() created it.
+  TnrStats RoutingStats(const QueryContext* ctx) const;
 
   // Distinct access nodes of the coarse level (reporting).
   size_t NumAccessNodes() const { return coarse_.access_vertices.size(); }
@@ -152,7 +150,7 @@ class TnrIndex : public PathIndex {
   }
 
   const Graph& graph_;
-  ChIndex* ch_;
+  const ChIndex* ch_;
   TnrConfig config_;
 
   Level coarse_;
@@ -165,7 +163,7 @@ class TnrIndex : public PathIndex {
   std::unordered_map<uint64_t, Distance> fine_table_;
 
   std::unique_ptr<BidirectionalDijkstra> bidi_fallback_;
-  PathIndex* fallback_ = nullptr;
+  const PathIndex* fallback_ = nullptr;
 };
 
 }  // namespace roadnet

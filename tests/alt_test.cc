@@ -63,11 +63,12 @@ TEST(AltIndex, GoalDirectionBeatsDijkstra) {
   // unassisted unidirectional Dijkstra on point-to-point queries.
   Graph g = TestNetwork(2500, 17);
   AltIndex alt(g);
+  const auto ctx = alt.NewContext();
   Dijkstra dij(g);
   size_t alt_total = 0, dij_total = 0;
   for (auto [s, t] : RandomPairs(g, 40, 21)) {
-    alt.DistanceQuery(s, t);
-    alt_total += alt.SettledCount();
+    alt.DistanceQuery(ctx.get(), s, t);
+    alt_total += ctx->counters.vertices_settled;
     dij.Run(s, t);
     dij_total += dij.SettledCount();
   }
@@ -106,8 +107,9 @@ TEST(AltIndex, UnreachablePair) {
   b.AddEdge(2, 3, 1);
   Graph g = std::move(b).Build();
   AltIndex alt(g);
-  EXPECT_EQ(alt.DistanceQuery(0, 3), kInfDistance);
-  EXPECT_TRUE(alt.PathQuery(0, 3).empty());
+  const auto ctx = alt.NewContext();
+  EXPECT_EQ(alt.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  EXPECT_TRUE(alt.PathQuery(ctx.get(), 0, 3).empty());
 }
 
 }  // namespace

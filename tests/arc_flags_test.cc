@@ -25,11 +25,12 @@ TEST(ArcFlags, PruningActuallyPrunes) {
   // unpruned unidirectional Dijkstra.
   Graph g = TestNetwork(2500, 9);
   ArcFlagsIndex af(g);
+  const auto ctx = af.NewContext();
   Dijkstra dij(g);
   size_t af_total = 0, dij_total = 0;
   for (auto [s, t] : RandomPairs(g, 30, 3)) {
-    af.DistanceQuery(s, t);
-    af_total += af.SettledCount();
+    af.DistanceQuery(ctx.get(), s, t);
+    af_total += ctx->counters.vertices_settled;
     dij.Run(s, t);
     dij_total += dij.SettledCount();
   }

@@ -156,13 +156,14 @@ TEST(Contraction, PaperFigure1ProducesValidShortcuts) {
 TEST(ChIndex, PaperFigure1Distances) {
   Graph g = PaperFigure1Graph();
   ChIndex ch(g);
+  const auto ctx = ch.NewContext();
   // The paper's walkthrough: the CH query for (v3, v7) meets at v8 and
   // returns dist = 6 (v3-v1-v8 = 2 plus v8-v6-v5-v7 = 4).
-  EXPECT_EQ(ch.DistanceQuery(2, 6), 6u);
+  EXPECT_EQ(ch.DistanceQuery(ctx.get(), 2, 6), 6u);
   Dijkstra dij(g);
   for (VertexId s = 0; s < 8; ++s) {
     for (VertexId t = 0; t < 8; ++t) {
-      EXPECT_EQ(ch.DistanceQuery(s, t), dij.Run(s, t))
+      EXPECT_EQ(ch.DistanceQuery(ctx.get(), s, t), dij.Run(s, t))
           << "s=" << s << " t=" << t;
     }
   }
@@ -186,8 +187,9 @@ TEST(ChIndex, CorrectWithoutStallOnDemand) {
 TEST(ChIndex, SelfQuery) {
   Graph g = TestNetwork(200, 3);
   ChIndex ch(g);
-  EXPECT_EQ(ch.DistanceQuery(5, 5), 0u);
-  Path p = ch.PathQuery(5, 5);
+  const auto ctx = ch.NewContext();
+  EXPECT_EQ(ch.DistanceQuery(ctx.get(), 5, 5), 0u);
+  Path p = ch.PathQuery(ctx.get(), 5, 5);
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(p[0], 5u);
 }

@@ -1,7 +1,9 @@
 #include "core/experiment.h"
 #include "core/guidelines.h"
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "ch/ch_index.h"
 #include "dijkstra/bidirectional.h"
@@ -29,6 +31,37 @@ TEST(Experiment, MeasuresBuildAndQueries) {
   EXPECT_EQ(q.num_queries, 50u);
   EXPECT_GT(q.avg_distance_micros, 0);
   EXPECT_GT(q.avg_path_micros, 0);
+}
+
+// An index whose contexts take 20 ms to make and whose queries return at
+// once. Timing the context with the queries would read 2,000 us/query over
+// ten queries.
+class SlowContextIndex : public PathIndex {
+ public:
+  std::string Name() const override { return "SlowContext"; }
+  std::unique_ptr<QueryContext> NewContext() const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return std::make_unique<QueryContext>();
+  }
+  Distance DistanceQuery(QueryContext*, VertexId s,
+                         VertexId t) const override {
+    return s + t;
+  }
+  Path PathQuery(QueryContext*, VertexId s, VertexId t) const override {
+    return {s, t};
+  }
+  size_t IndexBytes() const override { return 0; }
+};
+
+TEST(Experiment, TimesQueriesNotContextCreation) {
+  QuerySet set;
+  set.name = "ten";
+  for (VertexId i = 0; i < 10; ++i) set.pairs.emplace_back(i, i + 1);
+  // Fresh instances, so neither measurement finds a context already made.
+  SlowContextIndex for_distances;
+  EXPECT_LT(Experiment::MeasureDistanceQueries(&for_distances, set), 1000.0);
+  SlowContextIndex for_paths;
+  EXPECT_LT(Experiment::MeasurePathQueries(&for_paths, set), 1000.0);
 }
 
 TEST(Experiment, NullFactoryMeansNotApplicable) {

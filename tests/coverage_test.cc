@@ -20,12 +20,14 @@ TEST(ShapeProperties, ChSettlesFarFewerThanBidirectional) {
   Graph g = TestNetwork(4000, 3);
   ChIndex ch(g);
   BidirectionalDijkstra bidi(g);
+  const auto ch_ctx = ch.NewContext();
+  const auto bidi_ctx = bidi.NewContext();
   size_t ch_total = 0, bidi_total = 0;
   for (auto [s, t] : RandomPairs(g, 40, 7)) {
-    ch.DistanceQuery(s, t);
-    ch_total += ch.SettledCount();
-    bidi.DistanceQuery(s, t);
-    bidi_total += bidi.SettledCount();
+    ch.DistanceQuery(ch_ctx.get(), s, t);
+    ch_total += ch_ctx->counters.vertices_settled;
+    bidi.DistanceQuery(bidi_ctx.get(), s, t);
+    bidi_total += bidi_ctx->counters.vertices_settled;
   }
   EXPECT_LT(ch_total * 5, bidi_total);
 }
@@ -82,11 +84,11 @@ TEST(ShapeProperties, TnrFarPathQueriesUseTheWalk) {
     }
   }
   if (far_s == kInvalidVertex) GTEST_SKIP();
-  tnr.ResetStats();
-  Path p = tnr.PathQuery(far_s, far_t);
+  const auto ctx = tnr.NewContext();
+  Path p = tnr.PathQuery(ctx.get(), far_s, far_t);
   ASSERT_FALSE(p.empty());
   EXPECT_TRUE(IsValidPath(g, p));
-  EXPECT_EQ(tnr.stats().coarse_table_answered, 1u)
+  EXPECT_EQ(tnr.RoutingStats(ctx.get()).coarse_table_answered, 1u)
       << "far path queries should route through the greedy table walk";
 }
 
@@ -108,13 +110,15 @@ TEST(ApiCorners, AdjacentVertexQueries) {
   Graph g = TestNetwork(700, 17);
   ChIndex ch(g);
   SilcIndex silc(g);
+  const auto ch_ctx = ch.NewContext();
+  const auto silc_ctx = silc.NewContext();
   Dijkstra dij(g);
   size_t checked = 0;
   for (VertexId s = 0; s < g.NumVertices() && checked < 50; s += 13) {
     for (const Arc& a : g.Neighbors(s)) {
       const Distance truth = dij.Run(s, a.to);
-      EXPECT_EQ(ch.DistanceQuery(s, a.to), truth);
-      EXPECT_EQ(silc.DistanceQuery(s, a.to), truth);
+      EXPECT_EQ(ch.DistanceQuery(ch_ctx.get(), s, a.to), truth);
+      EXPECT_EQ(silc.DistanceQuery(silc_ctx.get(), s, a.to), truth);
       ++checked;
       break;
     }

@@ -41,15 +41,21 @@ void RunDifferential(uint32_t target_vertices, uint64_t graph_seed,
   ChIndex ch(g);
   HlIndex hl(g, ch);
   AltIndex alt(g);
-  std::vector<PathIndex*> techniques = {&bidi, &ch, &hl, &alt};
+  std::vector<const PathIndex*> techniques = {&bidi, &ch, &hl, &alt};
+  std::vector<std::unique_ptr<QueryContext>> contexts;
+  for (const PathIndex* index : techniques) {
+    contexts.push_back(index->NewContext());
+  }
 
   const auto pairs = RandomPairs(g, num_queries, query_seed);
   std::vector<Mismatch> mismatches;
   for (size_t qi = 0; qi < pairs.size(); ++qi) {
     const auto [s, t] = pairs[qi];
     const Distance truth = oracle.Run(s, t);
-    for (PathIndex* index : techniques) {
-      const Distance got = index->DistanceQuery(s, t);
+    for (size_t i = 0; i < techniques.size(); ++i) {
+      const PathIndex* index = techniques[i];
+      QueryContext* ctx = contexts[i].get();
+      const Distance got = index->DistanceQuery(ctx, s, t);
       if (got != truth) {
         mismatches.push_back(
             {s, t,
@@ -61,7 +67,7 @@ void RunDifferential(uint32_t target_vertices, uint64_t graph_seed,
       // queries; sample them, but check the sampled ones fully: a real
       // path in g whose weight equals the distance the index reported.
       if (qi % 16 != 0) continue;
-      const Path path = index->PathQuery(s, t);
+      const Path path = index->PathQuery(ctx, s, t);
       if (truth == kInfDistance) {
         if (!path.empty()) {
           mismatches.push_back(

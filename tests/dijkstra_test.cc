@@ -101,11 +101,12 @@ TEST(BidirectionalDijkstra, SettlesFewerVerticesThanUnidirectional) {
   // radius, so far queries settle fewer vertices in total.
   Graph g = TestNetwork(2500, 19);
   BidirectionalDijkstra bidi(g);
+  const auto ctx = bidi.NewContext();
   Dijkstra uni(g);
   size_t bidi_total = 0, uni_total = 0;
   for (auto [s, t] : RandomPairs(g, 40, 7)) {
-    bidi.DistanceQuery(s, t);
-    bidi_total += bidi.SettledCount();
+    bidi.DistanceQuery(ctx.get(), s, t);
+    bidi_total += ctx->counters.vertices_settled;
     uni.Run(s, t);
     uni_total += uni.SettledCount();
   }
@@ -115,8 +116,9 @@ TEST(BidirectionalDijkstra, SettlesFewerVerticesThanUnidirectional) {
 TEST(BidirectionalDijkstra, SelfQuery) {
   Graph g = TestNetwork(100, 1);
   BidirectionalDijkstra bidi(g);
-  EXPECT_EQ(bidi.DistanceQuery(4, 4), 0u);
-  Path p = bidi.PathQuery(4, 4);
+  const auto ctx = bidi.NewContext();
+  EXPECT_EQ(bidi.DistanceQuery(ctx.get(), 4, 4), 0u);
+  Path p = bidi.PathQuery(ctx.get(), 4, 4);
   ASSERT_EQ(p.size(), 1u);
   EXPECT_EQ(p[0], 4u);
 }
@@ -127,8 +129,9 @@ TEST(BidirectionalDijkstra, UnreachablePair) {
   b.AddEdge(2, 3, 1);
   Graph g = std::move(b).Build();
   BidirectionalDijkstra bidi(g);
-  EXPECT_EQ(bidi.DistanceQuery(0, 3), kInfDistance);
-  EXPECT_TRUE(bidi.PathQuery(0, 3).empty());
+  const auto ctx = bidi.NewContext();
+  EXPECT_EQ(bidi.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  EXPECT_TRUE(bidi.PathQuery(ctx.get(), 0, 3).empty());
 }
 
 }  // namespace

@@ -165,17 +165,21 @@ TEST(EngineEquivalence, RecordingTogglesZeroTheStats) {
   EXPECT_GT(result.stats.queries_per_second, 0.0);
 }
 
-TEST(EngineEquivalence, ExplicitContextsMatchLegacyApi) {
-  // The per-context overloads and the legacy context-free API must agree:
-  // the latter is now a wrapper over an internal default context.
+TEST(EngineEquivalence, ReusedContextMatchesFreshContexts) {
+  // One context kept for a whole run of queries must answer exactly like
+  // a fresh context per query: no scratch state may leak from one query
+  // into the next.
   EngineFixture f(/*seed=*/404);
   const auto queries = RandomPairs(f.g, 40, /*seed=*/902);
   for (PathIndex* index : f.Indexes()) {
-    auto ctx = index->NewContext();
+    const auto reused = index->NewContext();
     for (auto [s, t] : queries) {
-      EXPECT_EQ(index->DistanceQuery(ctx.get(), s, t),
-                index->DistanceQuery(s, t))
-          << index->Name();
+      EXPECT_EQ(index->DistanceQuery(reused.get(), s, t),
+                index->DistanceQuery(index->NewContext().get(), s, t))
+          << index->Name() << " s=" << s << " t=" << t;
+      EXPECT_EQ(index->PathQuery(reused.get(), s, t),
+                index->PathQuery(index->NewContext().get(), s, t))
+          << index->Name() << " s=" << s << " t=" << t;
     }
   }
 }

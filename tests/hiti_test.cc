@@ -39,11 +39,12 @@ TEST(PartitionOverlay, SkipsForeignInteriors) {
   // full unidirectional Dijkstra: foreign-region interiors are bypassed.
   Graph g = TestNetwork(2500, 9);
   PartitionOverlayIndex hiti(g);
+  const auto ctx = hiti.NewContext();
   Dijkstra dij(g);
   size_t hiti_total = 0, dij_total = 0;
   for (auto [s, t] : RandomPairs(g, 30, 3)) {
-    hiti.DistanceQuery(s, t);
-    hiti_total += hiti.SettledCount();
+    hiti.DistanceQuery(ctx.get(), s, t);
+    hiti_total += ctx->counters.vertices_settled;
     dij.Run(s, t);
     dij_total += dij.SettledCount();
   }
@@ -55,12 +56,13 @@ TEST(PartitionOverlay, SameRegionQueriesAreExact) {
   PartitionOverlayConfig config;
   config.region_resolution = 3;  // big regions: same-region pairs common
   PartitionOverlayIndex hiti(g, config);
+  const auto ctx = hiti.NewContext();
   Dijkstra dij(g);
   size_t same_region = 0;
   for (auto [s, t] : RandomPairs(g, 200, 13)) {
     if (hiti.RegionOf(s) != hiti.RegionOf(t)) continue;
     ++same_region;
-    EXPECT_EQ(hiti.DistanceQuery(s, t), dij.Run(s, t));
+    EXPECT_EQ(hiti.DistanceQuery(ctx.get(), s, t), dij.Run(s, t));
   }
   EXPECT_GT(same_region, 5u);
 }
@@ -84,8 +86,9 @@ TEST(PartitionOverlay, UnreachablePair) {
   b.AddEdge(2, 3, 1);
   Graph g = std::move(b).Build();
   PartitionOverlayIndex hiti(g);
-  EXPECT_EQ(hiti.DistanceQuery(0, 3), kInfDistance);
-  EXPECT_TRUE(hiti.PathQuery(0, 3).empty());
+  const auto ctx = hiti.NewContext();
+  EXPECT_EQ(hiti.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  EXPECT_TRUE(hiti.PathQuery(ctx.get(), 0, 3).empty());
 }
 
 }  // namespace

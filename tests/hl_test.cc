@@ -19,7 +19,7 @@ TEST(HubLabel, MatchesPaperFigure1) {
   ChIndex ch(g);
   HlIndex hl(g, ch);
   // The paper's CH walkthrough: dist(v3, v7) = 6.
-  EXPECT_EQ(hl.DistanceQuery(2, 6), 6u);
+  EXPECT_EQ(hl.DistanceQuery(hl.NewContext().get(), 2, 6), 6u);
   ExpectIndexCorrect(g, &hl, 64, 3);
 }
 
@@ -85,16 +85,17 @@ TEST(HubLabel, UnreachableAcrossComponentsIsInfinity) {
   Graph g = std::move(b).Build();
   ChIndex ch(g);
   HlIndex hl(g, ch);
+  const auto ctx = hl.NewContext();
   for (VertexId s = 0; s < 3; ++s) {
     for (VertexId t = 3; t < 6; ++t) {
-      EXPECT_EQ(hl.DistanceQuery(s, t), kInfDistance);
-      EXPECT_EQ(hl.DistanceQuery(t, s), kInfDistance);
-      EXPECT_TRUE(hl.PathQuery(s, t).empty());
+      EXPECT_EQ(hl.DistanceQuery(ctx.get(), s, t), kInfDistance);
+      EXPECT_EQ(hl.DistanceQuery(ctx.get(), t, s), kInfDistance);
+      EXPECT_TRUE(hl.PathQuery(ctx.get(), s, t).empty());
     }
   }
-  EXPECT_EQ(hl.DistanceQuery(0, 2), 1u);
-  EXPECT_EQ(hl.DistanceQuery(3, 5), 1u);
-  EXPECT_EQ(hl.DistanceQuery(4, 4), 0u);
+  EXPECT_EQ(hl.DistanceQuery(ctx.get(), 0, 2), 1u);
+  EXPECT_EQ(hl.DistanceQuery(ctx.get(), 3, 5), 1u);
+  EXPECT_EQ(hl.DistanceQuery(ctx.get(), 4, 4), 0u);
 }
 
 TEST(HubLabel, SingleVertexGraph) {
@@ -103,7 +104,7 @@ TEST(HubLabel, SingleVertexGraph) {
   Graph g = std::move(b).Build();
   ChIndex ch(g);
   HlIndex hl(g, ch);
-  EXPECT_EQ(hl.DistanceQuery(0, 0), 0u);
+  EXPECT_EQ(hl.DistanceQuery(hl.NewContext().get(), 0, 0), 0u);
   ASSERT_EQ(hl.Label(0).size(), 1u);
   EXPECT_EQ(hl.Label(0)[0].dist, 0u);
 }
@@ -154,8 +155,11 @@ TEST(HubLabelSerialization, RoundTripPreservesAnswersAndBytes) {
   ASSERT_NE(restored, nullptr) << error;
   EXPECT_EQ(restored->NumLabelEntries(), original.NumLabelEntries());
   EXPECT_EQ(restored->LabelBytes(), original.LabelBytes());
+  const auto restored_ctx = restored->NewContext();
+  const auto original_ctx = original.NewContext();
   for (auto [s, t] : RandomPairs(g, 200, 61)) {
-    EXPECT_EQ(restored->DistanceQuery(s, t), original.DistanceQuery(s, t));
+    EXPECT_EQ(restored->DistanceQuery(restored_ctx.get(), s, t),
+              original.DistanceQuery(original_ctx.get(), s, t));
   }
   // Byte-identical re-serialization pins the arrays, not just behavior.
   std::stringstream again;

@@ -37,18 +37,24 @@ TEST_P(AllIndexesTest, AllFiveTechniquesAgreeOnGeneratedWorkloads) {
   TnrIndex tnr(g, &ch, tnr_config);
   SilcIndex silc(g);
   PcpdIndex pcpd(g);
-  std::vector<PathIndex*> indexes = {&bidi, &ch, &tnr, &silc, &pcpd};
+  std::vector<const PathIndex*> indexes = {&bidi, &ch, &tnr, &silc, &pcpd};
+  std::vector<std::unique_ptr<QueryContext>> contexts;
+  for (const PathIndex* index : indexes) {
+    contexts.push_back(index->NewContext());
+  }
 
   const auto sets = GenerateLInfQuerySets(g, 15, GetParam() + 7);
   Dijkstra truth(g);
   for (const auto& set : sets) {
     for (auto [s, t] : set.pairs) {
       const Distance expected = truth.Run(s, t);
-      for (PathIndex* index : indexes) {
-        EXPECT_EQ(index->DistanceQuery(s, t), expected)
+      for (size_t i = 0; i < indexes.size(); ++i) {
+        const PathIndex* index = indexes[i];
+        QueryContext* ctx = contexts[i].get();
+        EXPECT_EQ(index->DistanceQuery(ctx, s, t), expected)
             << index->Name() << " on " << set.name << " s=" << s
             << " t=" << t;
-        Path p = index->PathQuery(s, t);
+        Path p = index->PathQuery(ctx, s, t);
         ASSERT_FALSE(p.empty()) << index->Name();
         EXPECT_EQ(p.front(), s) << index->Name();
         EXPECT_EQ(p.back(), t) << index->Name();
@@ -89,8 +95,11 @@ TEST(Integration, DimacsRoundTripPreservesQueryAnswers) {
   ASSERT_TRUE(reparsed.has_value()) << error;
   ChIndex ch1(g);
   ChIndex ch2(*reparsed);
+  const auto ctx1 = ch1.NewContext();
+  const auto ctx2 = ch2.NewContext();
   for (auto [s, t] : RandomPairs(g, 100, 9)) {
-    EXPECT_EQ(ch1.DistanceQuery(s, t), ch2.DistanceQuery(s, t));
+    EXPECT_EQ(ch1.DistanceQuery(ctx1.get(), s, t),
+              ch2.DistanceQuery(ctx2.get(), s, t));
   }
 }
 

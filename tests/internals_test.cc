@@ -50,10 +50,11 @@ TEST(ContractionInternals, StarGraphShortcutCount) {
   by_degree.heuristic = OrderingHeuristic::kDegree;
   ChIndex ch(g, by_degree);
   EXPECT_EQ(ch.NumShortcuts(), 0u);
+  const auto ctx = ch.NewContext();
   Dijkstra dij(g);
   for (VertexId s = 0; s <= k; ++s) {
     for (VertexId t = 0; t <= k; ++t) {
-      EXPECT_EQ(ch.DistanceQuery(s, t), dij.Run(s, t));
+      EXPECT_EQ(ch.DistanceQuery(ctx.get(), s, t), dij.Run(s, t));
     }
   }
 }
@@ -85,9 +86,10 @@ TEST(ContractionInternals, ShortcutWeightIsARealPathLength) {
   ChConfig config;
   config.witness_settle_limit = 1;
   ChIndex ch(g, config);
+  const auto ctx = ch.NewContext();
   for (auto [s, t] : RandomPairs(g, 80, 9)) {
-    const Distance d = ch.DistanceQuery(s, t);
-    Path p = ch.PathQuery(s, t);
+    const Distance d = ch.DistanceQuery(ctx.get(), s, t);
+    Path p = ch.PathQuery(ctx.get(), s, t);
     if (d == kInfDistance) {
       EXPECT_TRUE(p.empty());
       continue;
@@ -115,7 +117,8 @@ TEST(ChInternals, UpwardSearchSpaceDistancesAreUpperBounds) {
   Dijkstra dij(g);
   const VertexId s = 17;
   dij.RunAll(s);
-  auto space = ch.UpwardSearchSpace(s);
+  std::vector<std::pair<VertexId, Distance>> space;
+  ch.UpwardSearchSpace(ch.NewContext().get(), s, &space);
   ASSERT_FALSE(space.empty());
   bool has_self = false;
   for (const auto& [v, d] : space) {
@@ -133,10 +136,12 @@ TEST(ChInternals, MeetingVertexRecoversTrueDistance) {
   // (the invariant the many-to-many engine builds on).
   Graph g = TestNetwork(400, 9);
   ChIndex ch(g);
+  const auto ctx = ch.NewContext();
   Dijkstra dij(g);
+  std::vector<std::pair<VertexId, Distance>> fs, bs;
   for (auto [s, t] : RandomPairs(g, 40, 11)) {
-    auto fs = ch.UpwardSearchSpace(s);
-    auto bs = ch.UpwardSearchSpace(t);
+    ch.UpwardSearchSpace(ctx.get(), s, &fs);
+    ch.UpwardSearchSpace(ctx.get(), t, &bs);
     std::vector<Distance> db(g.NumVertices(), kInfDistance);
     for (const auto& [v, d] : bs) db[v] = d;
     Distance best = kInfDistance;
@@ -178,14 +183,14 @@ TEST(TnrInternals, StatsPartitionAllDistanceQueries) {
   config.grid_resolution = 16;
   config.hybrid = true;
   TnrIndex tnr(g, &ch, config);
-  tnr.ResetStats();
+  const auto ctx = tnr.NewContext();
   const auto pairs = RandomPairs(g, 200, 5);
   size_t non_trivial = 0;
   for (auto [s, t] : pairs) {
-    tnr.DistanceQuery(s, t);
+    tnr.DistanceQuery(ctx.get(), s, t);
     if (s != t) ++non_trivial;  // s == t short-circuits before routing
   }
-  const TnrStats& st = tnr.stats();
+  const TnrStats st = tnr.RoutingStats(ctx.get());
   EXPECT_EQ(st.coarse_table_answered + st.fine_table_answered +
                 st.fallback_answered,
             non_trivial);

@@ -1,8 +1,9 @@
 #include "routing/knn.h"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
-#include "ch/ch_index.h"
 #include "dijkstra/dijkstra.h"
 #include "tests/test_util.h"
 #include "gtest/gtest.h"
@@ -20,73 +21,89 @@ std::vector<VertexId> RandomPois(const Graph& g, size_t count,
   return pois;
 }
 
-std::vector<Distance> DistancesOf(const std::vector<KnnResult>& r) {
-  std::vector<Distance> d;
-  for (const KnnResult& x : r) d.push_back(x.dist);
-  return d;
+// Brute force: every POI's exact distance from one full Dijkstra, sorted
+// by (distance, vertex id), without duplicates or unreachable POIs, cut
+// to k.
+std::vector<KnnResult> BruteForceKnn(const Graph& g,
+                                     const std::vector<VertexId>& pois,
+                                     VertexId q, size_t k) {
+  Dijkstra dij(g);
+  dij.RunAll(q);
+  std::vector<KnnResult> all;
+  for (VertexId p : pois) {
+    if (dij.DistanceTo(p) != kInfDistance) {
+      all.push_back(KnnResult{p, dij.DistanceTo(p)});
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const KnnResult& a, const KnnResult& b) {
+    return std::tie(a.dist, a.poi) < std::tie(b.dist, b.poi);
+  });
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  if (all.size() > k) all.resize(k);
+  return all;
 }
 
-TEST(Knn, StrategiesAgreeOnDistances) {
+TEST(Knn, MatchesBruteForce) {
   Graph g = TestNetwork(900, 3);
-  ChIndex ch(g);
   const auto pois = RandomPois(g, 30, 5);
   Rng rng(7);
   for (int i = 0; i < 25; ++i) {
     const VertexId q = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
     for (size_t k : {size_t{1}, size_t{5}, size_t{30}}) {
-      const auto a = KnnByDijkstra(g, pois, q, k);
-      const auto b = KnnByIndexScan(&ch, pois, q, k);
-      EXPECT_EQ(DistancesOf(a), DistancesOf(b))
+      EXPECT_EQ(KnnByDijkstra(g, pois, q, k), BruteForceKnn(g, pois, q, k))
           << "q=" << q << " k=" << k;
     }
   }
 }
 
-TEST(Knn, MatchesBruteForce) {
-  Graph g = TestNetwork(500, 11);
-  ChIndex ch(g);
-  const auto pois = RandomPois(g, 20, 9);
-  Dijkstra dij(g);
-  const VertexId q = 42;
-  dij.RunAll(q);
-  std::vector<Distance> all;
-  for (VertexId p : pois) all.push_back(dij.DistanceTo(p));
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-
-  const auto top3 = KnnByIndexScan(&ch, pois, q, 3);
-  ASSERT_GE(top3.size(), 1u);
-  // Results are sorted ascending and within the true distance multiset.
-  for (size_t i = 0; i + 1 < top3.size(); ++i) {
-    EXPECT_LE(top3[i].dist, top3[i + 1].dist);
+// POIs 3 and 4 tie at distance 5 from vertex 0, one queued before the
+// other; `larger_first` queues 4 first.
+Graph TieGraph(bool larger_first) {
+  const VertexId first = larger_first ? 4 : 3;
+  const VertexId second = larger_first ? 3 : 4;
+  GraphBuilder b(5);
+  for (VertexId v = 0; v < 5; ++v) {
+    b.SetCoord(v, Point{static_cast<int32_t>(v) * 100, 0});
   }
-  EXPECT_EQ(top3[0].dist, all[0]);
+  b.AddEdge(0, 1, 1);       // a POI at distance 1
+  b.AddEdge(0, 2, 2);       // a relay that settles after vertex 1
+  b.AddEdge(1, first, 4);   // distance 5, queued when 1 settles
+  b.AddEdge(2, second, 3);  // distance 5, queued when 2 settles
+  return std::move(b).Build();
+}
+
+TEST(Knn, TiesAtTheKthDistancePickTheSmallerId) {
+  // k = 2 splits the tie: whichever is queued first, 3 must win.
+  for (bool larger_first : {false, true}) {
+    const Graph g = TieGraph(larger_first);
+    const std::vector<VertexId> pois = {1, 3, 4};
+    const std::vector<KnnResult> expected = {{1, 1}, {3, 5}};
+    EXPECT_EQ(KnnByDijkstra(g, pois, 0, 2), expected)
+        << "larger_first=" << larger_first;
+  }
 }
 
 TEST(Knn, KLargerThanPoiCount) {
   Graph g = TestNetwork(300, 13);
-  ChIndex ch(g);
   const auto pois = RandomPois(g, 4, 3);
-  const auto results = KnnByIndexScan(&ch, pois, 0, 100);
+  const auto results = KnnByDijkstra(g, pois, 0, 100);
   EXPECT_LE(results.size(), 4u);
   EXPECT_GE(results.size(), 1u);
+  EXPECT_EQ(results, BruteForceKnn(g, pois, 0, 100));
 }
 
 TEST(Knn, DuplicatePoisCollapse) {
   Graph g = TestNetwork(300, 17);
-  ChIndex ch(g);
   std::vector<VertexId> pois = {7, 7, 7, 9};
-  const auto results = KnnByIndexScan(&ch, pois, 0, 4);
+  const auto results = KnnByDijkstra(g, pois, 0, 4);
   EXPECT_LE(results.size(), 2u);
-  const auto results2 = KnnByDijkstra(g, pois, 0, 4);
-  EXPECT_EQ(DistancesOf(results), DistancesOf(results2));
+  EXPECT_EQ(results, BruteForceKnn(g, pois, 0, 4));
 }
 
 TEST(Knn, QueryVertexIsPoi) {
   Graph g = TestNetwork(300, 19);
-  ChIndex ch(g);
   std::vector<VertexId> pois = {5, 100, 200};
-  const auto results = KnnByIndexScan(&ch, pois, 5, 1);
+  const auto results = KnnByDijkstra(g, pois, 5, 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].poi, 5u);
   EXPECT_EQ(results[0].dist, 0u);

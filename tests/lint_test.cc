@@ -188,6 +188,17 @@ int RunBinary(const std::string& args) {
   return WEXITSTATUS(status);
 }
 
+std::string ReadFile(const std::string& path) {
+  std::string content;
+  FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) return content;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
+  std::fclose(f);
+  return content;
+}
+
 TEST(LintBinary, ExitsNonzeroOnEachBadFixture) {
   for (const RuleFixture& fx : kFixtures) {
     EXPECT_EQ(RunBinary(std::string("--root ") + LINT_FIXTURE_DIR + " " +
@@ -208,20 +219,32 @@ TEST(LintBinary, RepositoryTreeIsCleanWithReasonedWaivers) {
   EXPECT_EQ(RunBinary(std::string("--root ") + ROADNET_REPO_ROOT), 0);
 }
 
+TEST(LintBinary, RepositoryTreeStaysWithinWaiverBudget) {
+  // Every waiver is a place where the tree's own rules do not hold; the
+  // whole repository may carry at most this many.
+  constexpr int kWaiverBudget = 2;
+  const std::string json = ::testing::TempDir() + "/lint_repo.jsonl";
+  ASSERT_EQ(RunBinary(std::string("--root ") + ROADNET_REPO_ROOT +
+                      " --json " + json),
+            0);
+  const std::string content = ReadFile(json);
+  const size_t summary = content.find("\"rule\":\"summary\"");
+  ASSERT_NE(summary, std::string::npos) << content;
+  const std::string key = "\"waived\":";
+  const size_t waived = content.find(key, summary);
+  ASSERT_NE(waived, std::string::npos) << content.substr(summary);
+  EXPECT_LE(std::stoi(content.substr(waived + key.size())), kWaiverBudget)
+      << content.substr(summary);
+}
+
 TEST(LintBinary, JsonFindingsAreWritten) {
   const std::string json = ::testing::TempDir() + "/lint_findings.jsonl";
   EXPECT_EQ(RunBinary(std::string("--root ") + LINT_FIXTURE_DIR +
                       " --json " + json + " waivers/waived.cc"),
             0);
-  std::vector<SourceFile> unused;
   // Read the JSON back coarsely: it must mention the rule and the file.
-  FILE* f = std::fopen(json.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) content.append(buf, n);
-  std::fclose(f);
+  const std::string content = ReadFile(json);
+  ASSERT_FALSE(content.empty());
   EXPECT_NE(content.find("\"rule\":\"R4\""), std::string::npos);
   EXPECT_NE(content.find("\"waived\":true"), std::string::npos);
   EXPECT_NE(content.find("\"rule\":\"summary\""), std::string::npos);

@@ -13,12 +13,13 @@ namespace {
 TEST(PcpdIndex, PaperFigure1AllPairs) {
   Graph g = PaperFigure1Graph();
   PcpdIndex pcpd(g);
+  const auto ctx = pcpd.NewContext();
   Dijkstra dij(g);
   for (VertexId s = 0; s < 8; ++s) {
     for (VertexId t = 0; t < 8; ++t) {
-      EXPECT_EQ(pcpd.DistanceQuery(s, t), dij.Run(s, t))
+      EXPECT_EQ(pcpd.DistanceQuery(ctx.get(), s, t), dij.Run(s, t))
           << "s=" << s << " t=" << t;
-      Path p = pcpd.PathQuery(s, t);
+      Path p = pcpd.PathQuery(ctx.get(), s, t);
       ASSERT_FALSE(p.empty());
       EXPECT_TRUE(IsValidPath(g, p));
       EXPECT_EQ(PathWeight(g, p), dij.Run(s, t));
@@ -59,13 +60,14 @@ TEST(PcpdIndex, HandlesDuplicateCoordinates) {
 TEST(PcpdIndex, CoversEveryVertexPair) {
   Graph g = TestNetwork(150, 17);
   PcpdIndex pcpd(g);
+  const auto ctx = pcpd.NewContext();
   Dijkstra dij(g);
   // Exhaustive all-pairs check on a small network: the decomposition must
   // cover every pair with a usable chain.
   for (VertexId s = 0; s < g.NumVertices(); ++s) {
     dij.RunAll(s);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      EXPECT_EQ(pcpd.DistanceQuery(s, t), dij.DistanceTo(t))
+      EXPECT_EQ(pcpd.DistanceQuery(ctx.get(), s, t), dij.DistanceTo(t))
           << "s=" << s << " t=" << t;
     }
   }

@@ -127,9 +127,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ShapeSweepTest,
 TEST(PathProperties, PrefixesAreShortest) {
   Graph g = TestNetwork(500, 77);
   ChIndex ch(g);
+  const auto ctx = ch.NewContext();
   Dijkstra dij(g);
   for (auto [s, t] : RandomPairs(g, 25, 5)) {
-    Path p = ch.PathQuery(s, t);
+    Path p = ch.PathQuery(ctx.get(), s, t);
     if (p.size() < 3) continue;
     dij.RunAll(s);
     Distance along = 0;
@@ -148,10 +149,16 @@ TEST(PathProperties, DistanceIsSymmetric) {
   ChIndex ch(g);
   BidirectionalDijkstra bidi(g);
   AltIndex alt(g);
+  const auto ch_ctx = ch.NewContext();
+  const auto bidi_ctx = bidi.NewContext();
+  const auto alt_ctx = alt.NewContext();
   for (auto [s, t] : RandomPairs(g, 50, 7)) {
-    EXPECT_EQ(ch.DistanceQuery(s, t), ch.DistanceQuery(t, s));
-    EXPECT_EQ(bidi.DistanceQuery(s, t), bidi.DistanceQuery(t, s));
-    EXPECT_EQ(alt.DistanceQuery(s, t), alt.DistanceQuery(t, s));
+    EXPECT_EQ(ch.DistanceQuery(ch_ctx.get(), s, t),
+              ch.DistanceQuery(ch_ctx.get(), t, s));
+    EXPECT_EQ(bidi.DistanceQuery(bidi_ctx.get(), s, t),
+              bidi.DistanceQuery(bidi_ctx.get(), t, s));
+    EXPECT_EQ(alt.DistanceQuery(alt_ctx.get(), s, t),
+              alt.DistanceQuery(alt_ctx.get(), t, s));
   }
 }
 
@@ -159,14 +166,15 @@ TEST(PathProperties, DistanceIsSymmetric) {
 TEST(PathProperties, TriangleInequality) {
   Graph g = TestNetwork(400, 41);
   ChIndex ch(g);
+  const auto ctx = ch.NewContext();
   Rng rng(3);
   for (int i = 0; i < 60; ++i) {
     const VertexId a = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
     const VertexId b = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
     const VertexId c = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
-    const Distance ab = ch.DistanceQuery(a, b);
-    const Distance bc = ch.DistanceQuery(b, c);
-    const Distance ac = ch.DistanceQuery(a, c);
+    const Distance ab = ch.DistanceQuery(ctx.get(), a, b);
+    const Distance bc = ch.DistanceQuery(ctx.get(), b, c);
+    const Distance ac = ch.DistanceQuery(ctx.get(), a, c);
     if (ab == kInfDistance || bc == kInfDistance) continue;
     EXPECT_LE(ac, ab + bc);
   }

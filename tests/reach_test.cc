@@ -58,12 +58,14 @@ TEST(ReachIndex, PruningReducesSettledVertices) {
   Graph g = TestNetwork(2500, 17);
   ReachIndex re(g);
   BidirectionalDijkstra bidi(g);
+  const auto re_ctx = re.NewContext();
+  const auto bidi_ctx = bidi.NewContext();
   size_t re_total = 0, bidi_total = 0;
   for (auto [s, t] : RandomPairs(g, 30, 7)) {
-    re.DistanceQuery(s, t);
-    re_total += re.SettledCount();
-    bidi.DistanceQuery(s, t);
-    bidi_total += bidi.SettledCount();
+    re.DistanceQuery(re_ctx.get(), s, t);
+    re_total += re_ctx->counters.vertices_settled;
+    bidi.DistanceQuery(bidi_ctx.get(), s, t);
+    bidi_total += bidi_ctx->counters.vertices_settled;
   }
   EXPECT_LT(re_total, bidi_total);
 }
@@ -74,8 +76,9 @@ TEST(ReachIndex, UnreachablePair) {
   b.AddEdge(2, 3, 1);
   Graph g = std::move(b).Build();
   ReachIndex re(g);
-  EXPECT_EQ(re.DistanceQuery(0, 3), kInfDistance);
-  EXPECT_TRUE(re.PathQuery(0, 3).empty());
+  const auto ctx = re.NewContext();
+  EXPECT_EQ(re.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  EXPECT_TRUE(re.PathQuery(ctx.get(), 0, 3).empty());
 }
 
 TEST(ReachIndex, ChainGraphReaches) {

@@ -128,9 +128,13 @@ TEST(ChSerialization, RoundTripPreservesAnswers) {
   auto restored = ChIndex::Deserialize(g, buffer, &error);
   ASSERT_NE(restored, nullptr) << error;
   EXPECT_EQ(restored->NumShortcuts(), original.NumShortcuts());
+  const auto restored_ctx = restored->NewContext();
+  const auto original_ctx = original.NewContext();
   for (auto [s, t] : RandomPairs(g, 150, 5)) {
-    EXPECT_EQ(restored->DistanceQuery(s, t), original.DistanceQuery(s, t));
-    EXPECT_EQ(restored->PathQuery(s, t), original.PathQuery(s, t));
+    EXPECT_EQ(restored->DistanceQuery(restored_ctx.get(), s, t),
+              original.DistanceQuery(original_ctx.get(), s, t));
+    EXPECT_EQ(restored->PathQuery(restored_ctx.get(), s, t),
+              original.PathQuery(original_ctx.get(), s, t));
   }
   // The restored index remains correct against ground truth too.
   ExpectIndexCorrect(g, restored.get(), 60, 21);

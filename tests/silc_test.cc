@@ -123,13 +123,14 @@ TEST(SilcIndex, PaperFigure1FirstHops) {
 TEST(SilcIndex, DistanceEqualsPathWeight) {
   Graph g = TestNetwork(400, 21);
   SilcIndex silc(g);
+  const auto ctx = silc.NewContext();
   for (auto [s, t] : RandomPairs(g, 100, 3)) {
-    Path p = silc.PathQuery(s, t);
+    Path p = silc.PathQuery(ctx.get(), s, t);
     if (p.empty()) {
-      EXPECT_EQ(silc.DistanceQuery(s, t), kInfDistance);
+      EXPECT_EQ(silc.DistanceQuery(ctx.get(), s, t), kInfDistance);
       continue;
     }
-    EXPECT_EQ(silc.DistanceQuery(s, t), PathWeight(g, p));
+    EXPECT_EQ(silc.DistanceQuery(ctx.get(), s, t), PathWeight(g, p));
   }
 }
 

@@ -72,14 +72,15 @@ inline std::vector<std::pair<VertexId, VertexId>> RandomPairs(
 // Checks an index against Dijkstra ground truth on random queries: the
 // distance must match exactly and the path must be a real path in g whose
 // weight equals the distance.
-inline void ExpectIndexCorrect(const Graph& g, PathIndex* index,
+inline void ExpectIndexCorrect(const Graph& g, const PathIndex* index,
                                size_t num_queries, uint64_t seed) {
   Dijkstra reference(g);
+  const auto ctx = index->NewContext();
   for (auto [s, t] : RandomPairs(g, num_queries, seed)) {
     const Distance truth = reference.Run(s, t);
-    EXPECT_EQ(index->DistanceQuery(s, t), truth)
+    EXPECT_EQ(index->DistanceQuery(ctx.get(), s, t), truth)
         << index->Name() << " distance mismatch for s=" << s << " t=" << t;
-    Path path = index->PathQuery(s, t);
+    Path path = index->PathQuery(ctx.get(), s, t);
     if (truth == kInfDistance) {
       EXPECT_TRUE(path.empty());
       continue;

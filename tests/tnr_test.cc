@@ -102,11 +102,12 @@ TEST(TnrIndex, FarQueriesUseTheTable) {
     }
   }
   ASSERT_TRUE(tnr.TableApplicable(far_a, far_b));
-  tnr.ResetStats();
+  const auto ctx = tnr.NewContext();
   Dijkstra dij(g);
-  EXPECT_EQ(tnr.DistanceQuery(far_a, far_b), dij.Run(far_a, far_b));
-  EXPECT_EQ(tnr.stats().coarse_table_answered, 1u);
-  EXPECT_EQ(tnr.stats().fallback_answered, 0u);
+  EXPECT_EQ(tnr.DistanceQuery(ctx.get(), far_a, far_b),
+            dij.Run(far_a, far_b));
+  EXPECT_EQ(tnr.RoutingStats(ctx.get()).coarse_table_answered, 1u);
+  EXPECT_EQ(tnr.RoutingStats(ctx.get()).fallback_answered, 0u);
 }
 
 TEST(TnrIndex, NearQueriesFallBack) {
@@ -115,13 +116,13 @@ TEST(TnrIndex, NearQueriesFallBack) {
   TnrConfig config;
   config.grid_resolution = 8;
   TnrIndex tnr(g, &ch, config);
-  tnr.ResetStats();
+  const auto ctx = tnr.NewContext();
   // A vertex and its neighbour are in the same or adjacent cells.
   VertexId s = 0;
   VertexId t = g.Neighbors(0)[0].to;
   Dijkstra dij(g);
-  EXPECT_EQ(tnr.DistanceQuery(s, t), dij.Run(s, t));
-  EXPECT_EQ(tnr.stats().fallback_answered, 1u);
+  EXPECT_EQ(tnr.DistanceQuery(ctx.get(), s, t), dij.Run(s, t));
+  EXPECT_EQ(tnr.RoutingStats(ctx.get()).fallback_answered, 1u);
 }
 
 // --- Appendix B: the flawed access-node computation gives wrong answers.
@@ -170,9 +171,9 @@ TEST(TnrDefect, FlawedAccessNodesGiveWrongAnswers) {
   // The query must be far enough for the table to apply on both variants.
   ASSERT_TRUE(correct.TableApplicable(v1, v6));
   const Distance truth = dij.Run(v1, v6);
-  EXPECT_EQ(correct.DistanceQuery(v1, v6), truth)
+  EXPECT_EQ(correct.DistanceQuery(correct.NewContext().get(), v1, v6), truth)
       << "corrected TNR must be exact";
-  EXPECT_NE(flawed.DistanceQuery(v1, v6), truth)
+  EXPECT_NE(flawed.DistanceQuery(flawed.NewContext().get(), v1, v6), truth)
       << "the Appendix-B defect should manifest on the jumping edge";
 }
 

@@ -275,10 +275,11 @@ int Query(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "vertex ids must be < %u\n", g->NumVertices());
     return 1;
   }
+  const auto ctx = ch->NewContext();
   Timer timer;
-  const Distance d = ch->DistanceQuery(s, t);
+  const Distance d = ch->DistanceQuery(ctx.get(), s, t);
   const double micros = timer.ElapsedMicros();
-  QueryCounters counters = ch->ContextCounters();
+  QueryCounters counters = ctx->counters;
   std::printf("distance %u -> %u: ", s, t);
   if (d == kInfDistance) {
     std::printf("unreachable");
@@ -287,8 +288,8 @@ int Query(const std::map<std::string, std::string>& flags) {
   }
   std::printf("  (%.1f us)\n", micros);
   if (flags.count("path") && d != kInfDistance) {
-    const Path path = ch->PathQuery(s, t);
-    counters += ch->ContextCounters();
+    const Path path = ch->PathQuery(ctx.get(), s, t);
+    counters += ctx->counters;
     std::printf("path (%zu vertices):", path.size());
     for (VertexId v : path) std::printf(" %u", v);
     std::printf("\n");

@@ -145,8 +145,7 @@ class NoFindEdgeRule : public Rule {
 // QueryContexts) only holds if nothing can mutate the index after its
 // constructor returns. PR 4 deleted ChIndex::set_stall_on_demand for
 // exactly this reason. Constructors, destructors, operator=, statics,
-// and `= default/delete` are exempt; legacy single-threaded wrappers
-// carry reasoned waivers.
+// and `= default/delete` are exempt.
 class IndexImmutableRule : public Rule {
  public:
   std::string Id() const override { return "R2"; }
@@ -321,8 +320,7 @@ class IndexImmutableRule : public Rule {
 // Grounding: PR 1 split every index into immutable structure +
 // per-thread QueryContext; a DistanceQuery/PathQuery declaration
 // without a context parameter reintroduces hidden shared scratch and
-// breaks the one-index-many-threads contract. The single-threaded
-// convenience wrappers in routing/path_index.h carry reasoned waivers.
+// breaks the one-index-many-threads contract.
 class ContextQueryApiRule : public Rule {
  public:
   std::string Id() const override { return "R3"; }
@@ -372,7 +370,7 @@ class ContextQueryApiRule : public Rule {
         if (s.compare(wb, back - wb, "return") == 0) continue;
       }
       if (prev == ':') {
-        // Qualified name: skip `using PathIndex::DistanceQuery;`.
+        // Qualified name: skip a using-declaration of a base-class query.
         size_t line_begin = s.rfind('\n', here);
         line_begin = line_begin == std::string::npos ? 0 : line_begin + 1;
         if (Trim(s.substr(line_begin, here - line_begin)).rfind("using", 0) ==
