@@ -4,7 +4,11 @@
 #include <tuple>
 #include <vector>
 
+#include "ch/ch_index.h"
 #include "dijkstra/dijkstra.h"
+#include "knn/ier.h"
+#include "knn/knn_index.h"
+#include "poi/poi_set.h"
 #include "tests/test_util.h"
 #include "gtest/gtest.h"
 
@@ -52,6 +56,37 @@ TEST(Knn, MatchesBruteForce) {
     for (size_t k : {size_t{1}, size_t{5}, size_t{30}}) {
       EXPECT_EQ(KnnByDijkstra(g, pois, q, k), BruteForceKnn(g, pois, q, k))
           << "q=" << q << " k=" << k;
+    }
+  }
+}
+
+// The index-free oracle and the two index-backed strategies (bucket-CH
+// and IER over CH) return the same lists, so the same distances.
+TEST(Knn, StrategiesAgreeOnDistances) {
+  Graph g = TestNetwork(900, 3);
+  ChIndex ch(g);
+  PoiConfig config;
+  config.categories = {{"poi", 30.0 / g.NumVertices()}};
+  config.seed = 5;
+  const PoiSet pois = PoiSet::Generate(g, config);
+  const auto span = pois.Vertices(0);
+  const std::vector<VertexId> poi_vec(span.begin(), span.end());
+  ASSERT_FALSE(poi_vec.empty());
+
+  KnnBucketIndex bucket(ch, pois);
+  IerKnnIndex ier(g, ch, pois);
+  KnnBucketIndex::Context bucket_ctx = bucket.NewContext();
+  IerKnnIndex::Context ier_ctx = ier.NewContext();
+  std::vector<KnnResult> from_bucket, from_ier;
+  Rng rng(7);
+  for (int i = 0; i < 25; ++i) {
+    const VertexId q = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
+    for (size_t k : {size_t{1}, size_t{5}, size_t{30}}) {
+      const auto oracle = KnnByDijkstra(g, poi_vec, q, k);
+      bucket.KnnQuery(&bucket_ctx, 0, q, k, &from_bucket);
+      ier.KnnQuery(&ier_ctx, 0, q, k, &from_ier);
+      EXPECT_EQ(from_bucket, oracle) << "q=" << q << " k=" << k;
+      EXPECT_EQ(from_ier, oracle) << "q=" << q << " k=" << k;
     }
   }
 }
