@@ -153,7 +153,7 @@ stage_trace() {
   # Slow threshold 0 = every request crosses it, so the slow-query log
   # must come back non-empty even with head sampling at 1-in-10; the
   # loadgen retunes sampling to 1-in-5 over the wire and prints the
-  # server's per-stage breakdown from STATS v2.
+  # server's per-stage breakdown from STATS.
   build/tools/roadnet_cli serve --graph "$SMOKE/g.bin" --index "$SMOKE/g.ch" \
     --technique ch --port 0 --port-file "$SMOKE/port" \
     --trace-out "$SMOKE/traces.jsonl" --trace-sample 10 --slow-us 0 \
@@ -390,17 +390,22 @@ stage_tsa() {
 
 stage_fuzz() {
   echo "==> Fuzz harnesses: wire decode + frame assembler (ROADNET_FUZZ=ON)"
+  SMOKE="$(mktemp -d)"
   if command -v clang++ >/dev/null 2>&1; then
     # Real libFuzzer: 30-second smoke per harness, seeded from the
     # checked-in corpus, ASan underneath. Any crash/trap fails the stage.
+    # libFuzzer writes new inputs into the first corpus directory it is
+    # given, so a scratch directory goes first and the tracked corpus
+    # stays read-only.
     cmake -B build-fuzz -S . -DCMAKE_BUILD_TYPE=Release -DROADNET_FUZZ=ON \
       -DCMAKE_CXX_COMPILER=clang++ >/dev/null
     cmake --build build-fuzz -j"$(nproc)" --target \
       fuzz_wire_decode fuzz_frame_assembler
+    mkdir -p "$SMOKE/wire" "$SMOKE/frame"
     build-fuzz/tests/fuzz/fuzz_wire_decode -max_total_time=30 \
-      -print_final_stats=1 tests/fuzz/corpus/wire
+      -print_final_stats=1 "$SMOKE/wire" tests/fuzz/corpus/wire
     build-fuzz/tests/fuzz/fuzz_frame_assembler -max_total_time=30 \
-      -print_final_stats=1 tests/fuzz/corpus/frame
+      -print_final_stats=1 "$SMOKE/frame" tests/fuzz/corpus/frame
   else
     echo "SKIP: clang++ not installed — no libFuzzer; falling back to the"
     echo "      deterministic corpus replay + mutation sweep (the property"
@@ -411,7 +416,17 @@ stage_fuzz() {
       fuzz_wire_decode fuzz_frame_assembler
     build/tests/fuzz/fuzz_wire_decode --mutate 256 tests/fuzz/corpus/wire
     build/tests/fuzz/fuzz_frame_assembler --mutate 256 tests/fuzz/corpus/frame
+    # The tracked seeds must be exactly what the encoders write today: an
+    # encoder change that leaves a stale or orphaned seed fails here.
+    build/tests/fuzz/fuzz_wire_decode --write-corpus "$SMOKE/wire" \
+      >/dev/null
+    build/tests/fuzz/fuzz_frame_assembler --write-corpus "$SMOKE/frame" \
+      >/dev/null
+    diff -r "$SMOKE/wire" tests/fuzz/corpus/wire
+    diff -r "$SMOKE/frame" tests/fuzz/corpus/frame
   fi
+  rm -rf "$SMOKE"
+  SMOKE=""
 }
 
 stage_asan_ubsan() {

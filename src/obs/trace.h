@@ -38,7 +38,7 @@ namespace roadnet {
 // SPSC ring buffers (one per connection shard; the handler is the only
 // producer, the exporter thread the only consumer) and are written as
 // JSONL. Per-stage latency histograms are maintained for every traced
-// request, sampled or not, and feed the STATS v2 live-introspection
+// request, sampled or not, and feed the STATS live-introspection
 // reply.
 //
 // Compile-time kill switch: -DROADNET_DISABLE_TRACING turns every span
@@ -290,7 +290,7 @@ class Tracer {
   // the thread).
   bool ExporterRunning() const;
 
-  // --- Live introspection (the STATS v2 payload) ---
+  // --- Live introspection (the STATS payload) ---
 
   struct StageStat {
     TraceStage stage;

@@ -10,10 +10,12 @@
 
 namespace roadnet {
 
-// Blocking request-reply client for the query service's wire protocol
-// (server/wire.h). One connection, one request in flight — the building
-// block of the closed-loop load generator and the tests. Not
-// thread-safe; use one client per thread.
+// Blocking client for the query service's wire protocol
+// (server/wire.h), over one connection — the building block of the
+// closed-loop load generator and the tests. Point queries are QUERY2
+// frames: Query() is a pipeline of depth one, and Send()/Recv() let the
+// caller keep many requests outstanding. Not thread-safe; use one
+// client per thread.
 class BlockingClient {
  public:
   // Connects to host:port; nullptr + *error on failure.
@@ -21,12 +23,22 @@ class BlockingClient {
                                                  uint16_t port,
                                                  std::string* error);
 
-  // Sends a QUERY frame and reads its reply. False on transport or
-  // protocol failure (*error set); server-side rejections (OVERLOADED,
-  // DEADLINE_EXCEEDED, ...) are successful round-trips reported in
-  // resp->status.
+  // Sends a QUERY2 frame and reads its reply. False on transport or
+  // protocol failure (*error set), including a reply that echoes another
+  // request_id; server-side rejections (OVERLOADED, DEADLINE_EXCEEDED,
+  // ...) are successful round-trips reported in resp->status.
   bool Query(const wire::QueryRequest& req, wire::QueryResponse* resp,
              std::string* error);
+
+  // Writes one QUERY2 frame (req.request_id is the correlation tag).
+  // Does not wait for the reply.
+  bool Send(const wire::QueryRequest& req, std::string* error);
+
+  // Blocks for the next QUERY_REPLY2 frame, in whatever order the
+  // server completed them. Match resp->request_id against your sends.
+  // Collect every outstanding reply before any other request: the
+  // methods below expect the next frame to be their own reply.
+  bool Recv(wire::QueryResponse* resp, std::string* error);
 
   // Sends a KNN_QUERY frame and reads its reply. Same failure contract
   // as Query(); a short (or empty) entry list with kOk is a complete
@@ -55,35 +67,11 @@ class BlockingClient {
  private:
   explicit BlockingClient(ScopedFd fd) : fd_(std::move(fd)) {}
 
-  // One request-reply round trip.
+  // One frame each way; RoundTrip is a write then a read.
+  bool Write(const std::string& body, std::string* error);
+  bool Read(std::string* body, std::string* error);
   bool RoundTrip(const std::string& request, std::string* reply_body,
                  std::string* error);
-
-  ScopedFd fd_;
-};
-
-// Pipelined client for the QUERY2 frame pair: many requests may be
-// outstanding on the one connection, each tagged with a caller-chosen
-// request_id that the server echoes in the (possibly out-of-order)
-// reply. Send and Recv are independent blocking calls — the caller
-// decides the window. Not thread-safe; one client per thread.
-class PipelinedClient {
- public:
-  // Connects to host:port; nullptr + *error on failure.
-  static std::unique_ptr<PipelinedClient> Connect(const std::string& host,
-                                                  uint16_t port,
-                                                  std::string* error);
-
-  // Writes one QUERY2 frame (req.request_id is the correlation tag).
-  // Does not wait for the reply.
-  bool Send(const wire::QueryRequest& req, std::string* error);
-
-  // Blocks for the next QUERY_REPLY2 frame, in whatever order the
-  // server completed them. Match resp->request_id against your sends.
-  bool Recv(wire::QueryResponse* resp, std::string* error);
-
- private:
-  explicit PipelinedClient(ScopedFd fd) : fd_(std::move(fd)) {}
 
   ScopedFd fd_;
 };

@@ -11,15 +11,16 @@
 
 namespace roadnet {
 
-// Open-loop load driver for the pipelined QUERY2 protocol.
+// Open-loop load driver over pipelined QUERY2 frames.
 //
-// Closed-loop clients (BlockingClient in a loop) measure a server that is
-// never behind: each client waits for its reply before sending again, so
-// offered load collapses exactly when the server degrades — hiding the
-// latency cliff. An open-loop driver instead emits requests on a fixed
-// arrival schedule regardless of completions, and measures latency from
-// the *scheduled* arrival time, so queueing delay under overload is part
-// of the number (the coordinated-omission fix).
+// Closed-loop clients (BlockingClient::Query in a loop, one request in
+// flight per connection) measure a server that is never behind: each
+// client waits for its reply before sending again, so offered load
+// collapses exactly when the server degrades — hiding the latency cliff.
+// An open-loop driver instead emits requests on a fixed arrival schedule
+// regardless of completions, and measures latency from the *scheduled*
+// arrival time, so queueing delay under overload is part of the number
+// (the coordinated-omission fix).
 //
 // One thread drives every connection through epoll: requests are
 // assigned round-robin, at most `pipeline` outstanding per connection

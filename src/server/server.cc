@@ -153,8 +153,7 @@ std::string QueryServer::EncodeReply(Request* r) {
     case Request::Family::kPoint:
       break;
   }
-  return r->pipelined ? wire::EncodeQueryResponseV2(r->resp)
-                      : wire::EncodeQueryResponse(r->resp);
+  return wire::EncodeQueryResponseV2(r->resp);
 }
 
 bool QueryServer::Decode(wire::MessageType type, const std::string& body,
@@ -163,11 +162,9 @@ bool QueryServer::Decode(wire::MessageType type, const std::string& body,
   // only malformed frames, ids out of range, and techniques/methods the
   // server does not host are.
   RequestTrace& trace = r->trace;
-  if (type == wire::kQuery || type == wire::kQueryV2) {
-    const auto req = type == wire::kQueryV2 ? wire::DecodeQueryRequestV2(body)
-                                            : wire::DecodeQueryRequest(body);
+  if (type == wire::kQueryV2) {
+    const auto req = wire::DecodeQueryRequestV2(body);
     if (!req.has_value()) return false;
-    r->pipelined = type == wire::kQueryV2;
     r->resp.request_id = req->request_id;
     r->req = *req;
     trace.kind = static_cast<uint8_t>(req->kind);
@@ -270,7 +267,7 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
 
   // Admin frames are answered inline on the loop thread and not traced.
   if (*type == wire::kStats) {
-    return pool_->Send(conn, wire::EncodeStatsResponse(StatsV2()));
+    return pool_->Send(conn, wire::EncodeStatsResponse(Stats()));
   }
   if (*type == wire::kShutdown) {
     // Ack first so the admin client gets a reply, then flag the drain;
@@ -288,8 +285,8 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
     ack.slow_micros = tracer_.SlowMicros();
     return pool_->Send(conn, wire::EncodeTraceConfigResponse(ack));
   }
-  if (*type != wire::kQuery && *type != wire::kQueryV2 &&
-      *type != wire::kKnnQuery && *type != wire::kOneToManyQuery) {
+  if (*type != wire::kQueryV2 && *type != wire::kKnnQuery &&
+      *type != wire::kOneToManyQuery) {
     return false;
   }
 
@@ -366,25 +363,6 @@ wire::StatsResponse QueryServer::Stats() const {
     const EventLoopPool::PoolStats ps = pool_->Stats();
     s.connections_accepted = ps.accepted;
     s.connections_rejected = ps.rejected;
-  }
-  MutexLock lock(stats_mu_);
-  s.distance_count = distance_latency_.Count();
-  s.distance_p50_ns = distance_latency_.ValueAtQuantile(0.50);
-  s.distance_p99_ns = distance_latency_.ValueAtQuantile(0.99);
-  s.path_count = path_latency_.Count();
-  s.path_p50_ns = path_latency_.ValueAtQuantile(0.50);
-  s.path_p99_ns = path_latency_.ValueAtQuantile(0.99);
-  return s;
-}
-
-wire::StatsResponse QueryServer::StatsV2() const {
-  wire::StatsResponse s = Stats();
-  // Live gauges: instantaneous, so a mid-run STATS shows who is
-  // connected and how many reply bytes wait on them. queue_depth and
-  // in_flight_batches keep their wire slots and read 0: no request waits
-  // between threads any more.
-  if (pool_ != nullptr) {
-    const EventLoopPool::PoolStats ps = pool_->Stats();
     s.open_connections = ps.open_connections;
     s.write_queue_bytes = ps.write_queue_bytes;
     s.idle_reaped = ps.idle_reaped;
@@ -404,11 +382,18 @@ wire::StatsResponse QueryServer::StatsV2() const {
     w.p99_ns = stat.p99_ns;
     s.stages.push_back(w);
   }
+  MutexLock lock(stats_mu_);
+  s.distance_count = distance_latency_.Count();
+  s.distance_p50_ns = distance_latency_.ValueAtQuantile(0.50);
+  s.distance_p99_ns = distance_latency_.ValueAtQuantile(0.99);
+  s.path_count = path_latency_.Count();
+  s.path_p50_ns = path_latency_.ValueAtQuantile(0.50);
+  s.path_p99_ns = path_latency_.ValueAtQuantile(0.99);
   return s;
 }
 
 void QueryServer::ExportMetrics(MetricsRegistry* registry) const {
-  const wire::StatsResponse s = StatsV2();
+  const wire::StatsResponse s = Stats();
   const std::vector<std::pair<std::string, std::string>> labels = {
       {"command", "serve"}, {"method", index_.Name()}};
   registry->Add("served", static_cast<double>(s.served), labels);
@@ -423,7 +408,7 @@ void QueryServer::ExportMetrics(MetricsRegistry* registry) const {
                 static_cast<double>(s.connections_accepted), labels);
   registry->Add("connections_rejected",
                 static_cast<double>(s.connections_rejected), labels);
-  // Event-loop core gauges (STATS v3).
+  // Event-loop core gauges.
   registry->Add("write_queue_bytes", static_cast<double>(s.write_queue_bytes),
                 labels);
   registry->Add("idle_connections_reaped",

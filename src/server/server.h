@@ -114,15 +114,11 @@ class QueryServer : private FrameHandler {
   // all threads. Idempotent; also called by the destructor.
   void Shutdown();
 
-  // Snapshot of the serving counters and per-endpoint latency
-  // percentiles. Thread-safe.
+  // Snapshot of everything the STATS frame serves: the serving
+  // counters, per-endpoint latency percentiles, live gauges (open
+  // connections, write-queue bytes, per-loop connections) and the
+  // tracer's per-stage breakdown. Thread-safe; callable mid-run.
   wire::StatsResponse Stats() const;
-
-  // Stats() plus the live gauges (open connections, write-queue bytes;
-  // queue depth and in-flight batches stay in the layout and read 0) and
-  // the tracer's per-stage breakdown — the STATS frame's actual payload.
-  // Thread-safe; callable mid-run.
-  wire::StatsResponse StatsV2() const;
 
   // The server's tracer, for runtime retuning (TRACE_CONFIG does this
   // remotely) and test introspection.
@@ -151,9 +147,6 @@ class QueryServer : private FrameHandler {
     // copied out of `resp` when the reply frame is encoded.
     wire::KnnResponse knn_resp;
     RequestTrace trace;
-    // Arrived as a QUERY2 frame: reply with QUERY_REPLY2 (request_id is
-    // mirrored in resp). Old QUERY frames get old QUERY_REPLY frames.
-    bool pipelined = false;
   };
 
   // One event loop's query scratch, indexed by ConnRef::loop. A request
@@ -186,7 +179,7 @@ class QueryServer : private FrameHandler {
   // histogram (r.resp.server_latency_ns) and the summed counters.
   void RecordServed(const Request& r);
 
-  // Encodes the reply frame of whatever family/version `r` is (copies
+  // Encodes the reply frame of whatever family `r` is (copies
   // status/latency into the kNN reply struct first, hence non-const).
   static std::string EncodeReply(Request* r);
 

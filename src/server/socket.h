@@ -8,8 +8,9 @@
 
 namespace roadnet {
 
-// Thin RAII + framing layer over POSIX TCP sockets — just enough for the
-// query service's blocking thread-per-connection model; no event loop.
+// Thin RAII + framing layer over POSIX TCP sockets: the listen socket
+// the event loops accept from, and the blocking connect/read/write calls
+// of the client and the tests.
 
 // Owns a file descriptor; closes it on destruction.
 class ScopedFd {

@@ -37,6 +37,11 @@ struct Reader {
   bool Done() const { return ok && pos == body.size(); }
 };
 
+// Encoded sizes of the STATS_REPLY list entries: a per-loop connection
+// gauge, and a {stage, count, p50, p99} row.
+constexpr size_t kLoopEntryBytes = sizeof(uint64_t);
+constexpr size_t kStageEntryBytes = sizeof(uint8_t) + 3 * sizeof(uint64_t);
+
 }  // namespace
 
 // Keep in sync with server::MakeIndex (index_factory.cc): these are the
@@ -71,70 +76,6 @@ const char* StatusName(Status s) {
     case Status::kShuttingDown: return "SHUTTING_DOWN";
   }
   return "?";
-}
-
-std::string EncodeQueryRequest(const QueryRequest& req) {
-  std::string body;
-  body.reserve(1 + 1 + 1 + 4 + 4 + 8);
-  Append<uint8_t>(&body, kQuery);
-  Append<uint8_t>(&body, req.technique);
-  Append<uint8_t>(&body, static_cast<uint8_t>(req.kind));
-  Append<uint32_t>(&body, req.source);
-  Append<uint32_t>(&body, req.target);
-  Append<uint64_t>(&body, req.deadline_micros);
-  return body;
-}
-
-std::optional<QueryRequest> DecodeQueryRequest(const std::string& body) {
-  Reader r{body};
-  uint8_t type = 0, kind = 0;
-  QueryRequest req;
-  r.Take(&type);
-  r.Take(&req.technique);
-  r.Take(&kind);
-  r.Take(&req.source);
-  r.Take(&req.target);
-  r.Take(&req.deadline_micros);
-  if (!r.Done() || type != kQuery || kind > 1) return std::nullopt;
-  req.kind = static_cast<QueryKind>(kind);
-  return req;
-}
-
-std::string EncodeQueryResponse(const QueryResponse& resp) {
-  std::string body;
-  body.reserve(1 + 1 + 8 + 8 + 4 + resp.path.size() * sizeof(VertexId));
-  Append<uint8_t>(&body, kQueryReply);
-  Append<uint8_t>(&body, static_cast<uint8_t>(resp.status));
-  Append<uint64_t>(&body, resp.distance);
-  Append<uint64_t>(&body, resp.server_latency_ns);
-  Append<uint32_t>(&body, static_cast<uint32_t>(resp.path.size()));
-  for (VertexId v : resp.path) Append<uint32_t>(&body, v);
-  return body;
-}
-
-std::optional<QueryResponse> DecodeQueryResponse(const std::string& body) {
-  Reader r{body};
-  uint8_t type = 0, status = 0;
-  QueryResponse resp;
-  uint32_t path_len = 0;
-  r.Take(&type);
-  r.Take(&status);
-  r.Take(&resp.distance);
-  r.Take(&resp.server_latency_ns);
-  r.Take(&path_len);
-  if (!r.ok || type != kQueryReply ||
-      status > static_cast<uint8_t>(Status::kShuttingDown)) {
-    return std::nullopt;
-  }
-  // The remaining bytes must be exactly the declared path.
-  if (body.size() - r.pos != size_t{path_len} * sizeof(uint32_t)) {
-    return std::nullopt;
-  }
-  resp.status = static_cast<Status>(status);
-  resp.path.resize(path_len);
-  for (uint32_t i = 0; i < path_len; ++i) r.Take(&resp.path[i]);
-  if (!r.Done()) return std::nullopt;
-  return resp;
 }
 
 std::string EncodeQueryRequestV2(const QueryRequest& req) {
@@ -224,8 +165,6 @@ std::string EncodeStatsResponse(const StatsResponse& stats) {
   Append<uint64_t>(&body, stats.path_count);
   Append<uint64_t>(&body, stats.path_p50_ns);
   Append<uint64_t>(&body, stats.path_p99_ns);
-  Append<uint64_t>(&body, stats.queue_depth);
-  Append<uint64_t>(&body, stats.in_flight_batches);
   Append<uint64_t>(&body, stats.open_connections);
   Append<uint64_t>(&body, stats.traces_finished);
   Append<uint64_t>(&body, stats.traces_captured);
@@ -233,9 +172,10 @@ std::string EncodeStatsResponse(const StatsResponse& stats) {
   Append<uint64_t>(&body, stats.traces_slow);
   Append<uint64_t>(&body, stats.write_queue_bytes);
   Append<uint64_t>(&body, stats.idle_reaped);
-  Append<uint8_t>(&body, static_cast<uint8_t>(stats.loop_connections.size()));
+  Append<uint32_t>(&body,
+                   static_cast<uint32_t>(stats.loop_connections.size()));
   for (uint64_t c : stats.loop_connections) Append<uint64_t>(&body, c);
-  Append<uint8_t>(&body, static_cast<uint8_t>(stats.stages.size()));
+  Append<uint32_t>(&body, static_cast<uint32_t>(stats.stages.size()));
   for (const StageStatWire& s : stats.stages) {
     Append<uint8_t>(&body, s.stage);
     Append<uint64_t>(&body, s.count);
@@ -267,8 +207,6 @@ std::optional<StatsResponse> DecodeStatsResponse(const std::string& body) {
   r.Take(&s.path_count);
   r.Take(&s.path_p50_ns);
   r.Take(&s.path_p99_ns);
-  r.Take(&s.queue_depth);
-  r.Take(&s.in_flight_batches);
   r.Take(&s.open_connections);
   r.Take(&s.traces_finished);
   r.Take(&s.traces_captured);
@@ -276,22 +214,26 @@ std::optional<StatsResponse> DecodeStatsResponse(const std::string& body) {
   r.Take(&s.traces_slow);
   r.Take(&s.write_queue_bytes);
   r.Take(&s.idle_reaped);
-  uint8_t loop_count = 0;
+  // Each count is checked against the bytes left before anything is
+  // sized from it: a lying count costs a rejection, not an allocation.
+  uint32_t loop_count = 0;
   r.Take(&loop_count);
-  for (uint8_t i = 0; i < loop_count && r.ok; ++i) {
-    uint64_t c = 0;
-    r.Take(&c);
-    s.loop_connections.push_back(c);
+  if (!r.ok || loop_count > (body.size() - r.pos) / kLoopEntryBytes) {
+    return std::nullopt;
   }
-  uint8_t stage_count = 0;
+  s.loop_connections.resize(loop_count);
+  for (uint64_t& c : s.loop_connections) r.Take(&c);
+  uint32_t stage_count = 0;
   r.Take(&stage_count);
-  for (uint8_t i = 0; i < stage_count && r.ok; ++i) {
-    StageStatWire stat;
+  if (!r.ok || stage_count > (body.size() - r.pos) / kStageEntryBytes) {
+    return std::nullopt;
+  }
+  s.stages.resize(stage_count);
+  for (StageStatWire& stat : s.stages) {
     r.Take(&stat.stage);
     r.Take(&stat.count);
     r.Take(&stat.p50_ns);
     r.Take(&stat.p99_ns);
-    s.stages.push_back(stat);
   }
   if (!r.Done()) return std::nullopt;
   return s;
@@ -458,7 +400,8 @@ std::optional<KnnResponse> DecodeKnnResponse(MessageType reply_type,
 std::optional<MessageType> PeekType(const std::string& body) {
   if (body.empty()) return std::nullopt;
   const uint8_t t = static_cast<uint8_t>(body[0]);
-  if (t < kQuery || t > kQueryReplyV2) return std::nullopt;
+  // 1 and 4 are unassigned (see wire.h).
+  if (t < kStats || t > kQueryReplyV2 || t == 4) return std::nullopt;
   return static_cast<MessageType>(t);
 }
 

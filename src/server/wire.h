@@ -16,14 +16,10 @@ namespace wire {
 // Every frame is [u32 body_length][body]; the body starts with a u8
 // message type followed by the type's fixed layout (all integers
 // little-endian, matching io/binary.h). Every request frame gets exactly
-// one reply frame. A client may pipeline: QUERY2 frames carry a
-// request_id the reply echoes, so many can be outstanding on one
-// connection (see QUERY2 below).
+// one reply frame. Point queries carry a client-chosen request_id that
+// the reply echoes, so a client may pipeline: many QUERY2 frames can be
+// outstanding on one connection, their replies matched by id.
 //
-//   QUERY          u8 technique, u8 kind, u32 source, u32 target,
-//                  u64 deadline_micros (0 = none, measured from receipt)
-//   QUERY_REPLY    u8 status, u64 distance, u64 server_latency_ns,
-//                  u32 path_len, u32 vertex * path_len
 //   STATS          (empty)
 //   STATS_REPLY    u8 version (= kStatsVersion), lifetime counters +
 //                  live gauges + per-stage trace histogram table (see
@@ -41,20 +37,24 @@ namespace wire {
 //                  (distance, vertex); count < k is an OK short answer
 //   ONE_TO_MANY_QUERY  u32 category, u32 source, u64 deadline_micros
 //   ONE_TO_MANY_REPLY  same layout as KNN_REPLY; every reachable POI
-//   QUERY2         u64 request_id, then the QUERY layout. The pipelined
-//                  frame version: a client may have many QUERY2 frames
-//                  outstanding on one connection; replies can complete
-//                  out of order and are matched by request_id.
-//   QUERY_REPLY2   u64 request_id (echoed), then the QUERY_REPLY layout
+//   QUERY2         u64 request_id, u8 technique, u8 kind, u32 source,
+//                  u32 target, u64 deadline_micros (0 = none, measured
+//                  from receipt). Replies may complete out of order and
+//                  are matched by request_id.
+//   QUERY_REPLY2   u64 request_id (echoed), u8 status, u64 distance,
+//                  u64 server_latency_ns, u32 path_len,
+//                  u32 vertex * path_len
+//
+// Types 1 and 4 are unassigned and stay so: a client still speaking the
+// retired id-less point-query pair gets its connection closed, never a
+// reply it would misread.
 //
 // Frame bodies are capped (kMaxFrameBytes) so a corrupt or hostile
 // length prefix cannot trigger an unbounded allocation.
 
 enum MessageType : uint8_t {
-  kQuery = 1,
   kStats = 2,
   kShutdown = 3,
-  kQueryReply = 4,
   kStatsReply = 5,
   kShutdownReply = 6,
   kTraceConfig = 7,
@@ -89,7 +89,7 @@ enum class Status : uint8_t {
   kShuttingDown = 5,
 };
 
-// Technique ids carried in QUERY frames. kAnyTechnique matches whatever
+// Technique ids carried in QUERY2 frames. kAnyTechnique matches whatever
 // index the server was started with; a specific id is validated against
 // it so a client cannot silently read answers from the wrong index.
 inline constexpr uint8_t kAnyTechnique = 0;
@@ -104,8 +104,8 @@ struct QueryRequest {
   VertexId source = 0;
   VertexId target = 0;
   uint64_t deadline_micros = 0;
-  // Client-chosen correlation id; carried only by QUERY2 frames and
-  // echoed verbatim in the matching QUERY_REPLY2.
+  // Client-chosen correlation id, echoed verbatim in the matching
+  // QUERY_REPLY2.
   uint64_t request_id = 0;
 };
 
@@ -115,7 +115,7 @@ struct QueryResponse {
   // Receipt-to-completion time on the server (includes queueing).
   uint64_t server_latency_ns = 0;
   std::vector<VertexId> path;  // filled for kPath queries that succeed
-  // Echo of QueryRequest::request_id; meaningful only in QUERY_REPLY2.
+  // Echo of QueryRequest::request_id.
   uint64_t request_id = 0;
 };
 
@@ -155,15 +155,12 @@ struct KnnResponse {
   std::vector<std::pair<VertexId, Distance>> entries;
 };
 
-// STATS_REPLY version byte. v2 added the live gauges, trace counters,
-// and the per-stage histogram table; v3 added the event-loop core's
-// gauges (per-loop connection counts, total write-queue bytes, idle
-// connections reaped). Other versions are rejected by
-// DecodeStatsResponse so a stale client fails loudly rather than
-// misreading shifted fields.
-inline constexpr uint8_t kStatsVersion = 3;
+// STATS_REPLY version byte, bumped on every layout change. Other
+// versions are rejected by DecodeStatsResponse so a stale client fails
+// loudly rather than misreading shifted fields.
+inline constexpr uint8_t kStatsVersion = 4;
 
-// One row of the per-stage latency table in a STATS v2 reply: the
+// One row of the per-stage latency table in a STATS reply: the
 // lifecycle stage id (obs/trace.h TraceStage) and its merged histogram
 // summary in nanoseconds.
 struct StageStatWire {
@@ -174,9 +171,9 @@ struct StageStatWire {
 };
 
 // STATS_REPLY payload: the server's lifetime counters and latency
-// percentiles (all u64, percentiles in nanoseconds), plus v2's live
-// gauges — a point-in-time snapshot, not a lifetime count — and the
-// tracer's per-stage breakdown.
+// percentiles (all u64, percentiles in nanoseconds), live gauges — a
+// point-in-time snapshot, not a lifetime count — and the tracer's
+// per-stage breakdown.
 struct StatsResponse {
   uint64_t served = 0;            // queries answered kOk / kUnreachable
   uint64_t shed_overloaded = 0;   // rejected with kOverloaded
@@ -191,19 +188,13 @@ struct StatsResponse {
   uint64_t path_count = 0;
   uint64_t path_p50_ns = 0;
   uint64_t path_p99_ns = 0;
-  // --- v2 live gauges (instantaneous) ---
-  // queue_depth and in_flight_batches keep their slots but the server
-  // reports 0: requests run to completion on their loop and never queue
-  // between threads.
-  uint64_t queue_depth = 0;
-  uint64_t in_flight_batches = 0;
-  uint64_t open_connections = 0;   // sockets with a live handler
-  // --- v2 tracer counters (lifetime) ---
+  uint64_t open_connections = 0;   // gauge: sockets with a live handler
+  // --- tracer counters (lifetime) ---
   uint64_t traces_finished = 0;
   uint64_t traces_captured = 0;
   uint64_t traces_dropped = 0;   // lost to a full trace ring
   uint64_t traces_slow = 0;      // exceeded the slow threshold
-  // --- v3 event-loop core ---
+  // --- event-loop core ---
   uint64_t write_queue_bytes = 0;  // gauge: queued reply bytes, all conns
   uint64_t idle_reaped = 0;        // lifetime: idle connections closed
   // Gauge: open connections owned by each event loop (sums to
@@ -232,9 +223,6 @@ inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
 // --- Body encoding (the returned string excludes the length prefix) ---
 
-std::string EncodeQueryRequest(const QueryRequest& req);
-std::string EncodeQueryResponse(const QueryResponse& resp);
-// Pipelined frame version: same payloads prefixed with request_id.
 std::string EncodeQueryRequestV2(const QueryRequest& req);
 std::string EncodeQueryResponseV2(const QueryResponse& resp);
 std::string EncodeStatsRequest();
@@ -251,11 +239,10 @@ std::string EncodeKnnResponse(MessageType reply_type,
 
 // --- Body decoding. nullopt on short/trailing bytes or a bad type. ---
 
-// Peeks the message type of a body (nullopt when empty).
+// Peeks the message type of a body (nullopt when empty or when the
+// first byte is not an assigned type).
 std::optional<MessageType> PeekType(const std::string& body);
 
-std::optional<QueryRequest> DecodeQueryRequest(const std::string& body);
-std::optional<QueryResponse> DecodeQueryResponse(const std::string& body);
 std::optional<QueryRequest> DecodeQueryRequestV2(const std::string& body);
 std::optional<QueryResponse> DecodeQueryResponseV2(const std::string& body);
 std::optional<StatsResponse> DecodeStatsResponse(const std::string& body);

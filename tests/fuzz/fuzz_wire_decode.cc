@@ -20,37 +20,30 @@ namespace {
     if (!(cond)) __builtin_trap(); \
   } while (0)
 
-void CheckQueryRequest(const std::string& body, bool v2) {
-  auto req = v2 ? wire::DecodeQueryRequestV2(body)
-                : wire::DecodeQueryRequest(body);
+void CheckQueryRequest(const std::string& body) {
+  auto req = wire::DecodeQueryRequestV2(body);
   if (!req) return;
-  const std::string re =
-      v2 ? wire::EncodeQueryRequestV2(*req) : wire::EncodeQueryRequest(*req);
-  auto again =
-      v2 ? wire::DecodeQueryRequestV2(re) : wire::DecodeQueryRequest(re);
+  auto again = wire::DecodeQueryRequestV2(wire::EncodeQueryRequestV2(*req));
   FUZZ_CHECK(again.has_value());
+  FUZZ_CHECK(again->request_id == req->request_id);
   FUZZ_CHECK(again->technique == req->technique);
   FUZZ_CHECK(again->kind == req->kind);
   FUZZ_CHECK(again->source == req->source);
   FUZZ_CHECK(again->target == req->target);
   FUZZ_CHECK(again->deadline_micros == req->deadline_micros);
-  if (v2) FUZZ_CHECK(again->request_id == req->request_id);
 }
 
-void CheckQueryResponse(const std::string& body, bool v2) {
-  auto resp = v2 ? wire::DecodeQueryResponseV2(body)
-                 : wire::DecodeQueryResponse(body);
+void CheckQueryResponse(const std::string& body) {
+  auto resp = wire::DecodeQueryResponseV2(body);
   if (!resp) return;
-  const std::string re = v2 ? wire::EncodeQueryResponseV2(*resp)
-                            : wire::EncodeQueryResponse(*resp);
   auto again =
-      v2 ? wire::DecodeQueryResponseV2(re) : wire::DecodeQueryResponse(re);
+      wire::DecodeQueryResponseV2(wire::EncodeQueryResponseV2(*resp));
   FUZZ_CHECK(again.has_value());
+  FUZZ_CHECK(again->request_id == resp->request_id);
   FUZZ_CHECK(again->status == resp->status);
   FUZZ_CHECK(again->distance == resp->distance);
   FUZZ_CHECK(again->server_latency_ns == resp->server_latency_ns);
   FUZZ_CHECK(again->path == resp->path);
-  if (v2) FUZZ_CHECK(again->request_id == resp->request_id);
 }
 
 void CheckStatsResponse(const std::string& body) {
@@ -135,7 +128,6 @@ void WriteSeedCorpus(const std::string& dir) {
   q.source = 12;
   q.target = 3400;
   q.deadline_micros = 250000;
-  WriteFile(dir, "query_req.bin", wire::EncodeQueryRequest(q));
   WriteFile(dir, "query_req_v2.bin", wire::EncodeQueryRequestV2(q));
 
   wire::QueryResponse qr;
@@ -144,7 +136,6 @@ void WriteSeedCorpus(const std::string& dir) {
   qr.distance = 123456;
   qr.server_latency_ns = 52000;
   qr.path = {12, 13, 90, 3400};
-  WriteFile(dir, "query_resp.bin", wire::EncodeQueryResponse(qr));
   WriteFile(dir, "query_resp_v2.bin", wire::EncodeQueryResponseV2(qr));
 
   wire::StatsResponse st;
@@ -193,10 +184,10 @@ void WriteSeedCorpus(const std::string& dir) {
 
   // Hostile inputs: a truncated response and a path length lying about
   // the remaining bytes.
-  const std::string resp = wire::EncodeQueryResponse(qr);
+  const std::string resp = wire::EncodeQueryResponseV2(qr);
   WriteFile(dir, "truncated_resp.bin", resp.substr(0, resp.size() / 2));
   std::string lying = resp;
-  lying[18] = char(0xff);  // path_len low byte, body now too short
+  lying[26] = char(0xff);  // path_len low byte, body now too short
   WriteFile(dir, "lying_path_len.bin", lying);
   WriteFile(dir, "empty.bin", std::string());
 }
@@ -208,10 +199,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace roadnet;
   const std::string body(reinterpret_cast<const char*>(data), size);
   wire::PeekType(body);
-  CheckQueryRequest(body, /*v2=*/false);
-  CheckQueryRequest(body, /*v2=*/true);
-  CheckQueryResponse(body, /*v2=*/false);
-  CheckQueryResponse(body, /*v2=*/true);
+  CheckQueryRequest(body);
+  CheckQueryResponse(body);
   CheckStatsResponse(body);
   CheckTraceConfig(body);
   CheckKnnFamily(body);

@@ -35,8 +35,6 @@ std::vector<std::string> AllFrameBodies() {
   req.source = 123456;
   req.target = 654321;
   req.deadline_micros = 777;
-  bodies.push_back(wire::EncodeQueryRequest(req));
-
   req.request_id = 0xfeedfacecafebeefull;
   bodies.push_back(wire::EncodeQueryRequestV2(req));
 
@@ -45,8 +43,6 @@ std::vector<std::string> AllFrameBodies() {
   resp.distance = 42424242;
   resp.server_latency_ns = 987654321;
   resp.path = {9, 8, 7, 6, 5};
-  bodies.push_back(wire::EncodeQueryResponse(resp));
-
   resp.request_id = 31337;
   bodies.push_back(wire::EncodeQueryResponseV2(resp));
 
@@ -54,7 +50,6 @@ std::vector<std::string> AllFrameBodies() {
 
   wire::StatsResponse stats;
   stats.served = 1000;
-  stats.queue_depth = 3;
   stats.write_queue_bytes = 4096;
   stats.idle_reaped = 2;
   stats.loop_connections = {5, 7};

@@ -558,19 +558,18 @@ int Serve(const FlagMap& flags) {
               " path p50 %.1f us p99 %.1f us\n",
               stats.distance_p50_ns * 1e-3, stats.distance_p99_ns * 1e-3,
               stats.path_p50_ns * 1e-3, stats.path_p99_ns * 1e-3);
-  const wire::StatsResponse v2 = server.StatsV2();
-  if (v2.idle_reaped > 0) {
+  if (stats.idle_reaped > 0) {
     std::printf("reaped:    %llu idle connections\n",
-                static_cast<unsigned long long>(v2.idle_reaped));
+                static_cast<unsigned long long>(stats.idle_reaped));
   }
-  if (v2.traces_finished > 0) {
+  if (stats.traces_finished > 0) {
     std::printf("traces:    %llu finished, %llu captured, %llu slow,"
                 " %llu dropped\n",
-                static_cast<unsigned long long>(v2.traces_finished),
-                static_cast<unsigned long long>(v2.traces_captured),
-                static_cast<unsigned long long>(v2.traces_slow),
-                static_cast<unsigned long long>(v2.traces_dropped));
-    for (const wire::StageStatWire& s : v2.stages) {
+                static_cast<unsigned long long>(stats.traces_finished),
+                static_cast<unsigned long long>(stats.traces_captured),
+                static_cast<unsigned long long>(stats.traces_slow),
+                static_cast<unsigned long long>(stats.traces_dropped));
+    for (const wire::StageStatWire& s : stats.stages) {
       std::printf("  %-15s %8llu  p50 %9.1f us  p99 %9.1f us\n",
                   TraceStageName(static_cast<TraceStage>(s.stage)),
                   static_cast<unsigned long long>(s.count), s.p50_ns * 1e-3,

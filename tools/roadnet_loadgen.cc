@@ -130,6 +130,71 @@ std::string FlagOr(const FlagMap& flags, const std::string& name,
   return it == flags.end() ? fallback : it->second;
 }
 
+// The post-run admin step of both modes: --stats prints the server's
+// STATS snapshot, --shutdown then sends the SHUTDOWN frame. False (after
+// printing why) on any admin failure.
+bool ReportServer(const std::string& host, uint16_t port, bool stats,
+                  bool shutdown) {
+  std::string error;
+  auto admin = BlockingClient::Connect(host, port, &error);
+  if (admin == nullptr) {
+    std::fprintf(stderr, "admin connect: %s\n", error.c_str());
+    return false;
+  }
+  if (stats) {
+    wire::StatsResponse s;
+    if (!admin->GetStats(&s, &error)) {
+      std::fprintf(stderr, "stats: %s\n", error.c_str());
+      return false;
+    }
+    std::printf("server:      served %llu, shed %llu/%llu/%llu, bad %llu,"
+                " conns %llu accepted %llu rejected\n",
+                static_cast<unsigned long long>(s.served),
+                static_cast<unsigned long long>(s.shed_overloaded),
+                static_cast<unsigned long long>(s.shed_deadline),
+                static_cast<unsigned long long>(s.shed_draining),
+                static_cast<unsigned long long>(s.bad_requests),
+                static_cast<unsigned long long>(s.connections_accepted),
+                static_cast<unsigned long long>(s.connections_rejected));
+    std::printf("server lat:  distance p50 %.1f us p99 %.1f us,"
+                " path p50 %.1f us p99 %.1f us\n",
+                s.distance_p50_ns * 1e-3, s.distance_p99_ns * 1e-3,
+                s.path_p50_ns * 1e-3, s.path_p99_ns * 1e-3);
+    std::printf("server live: open connections %llu, write queues %llu"
+                " bytes, reaped %llu idle\n",
+                static_cast<unsigned long long>(s.open_connections),
+                static_cast<unsigned long long>(s.write_queue_bytes),
+                static_cast<unsigned long long>(s.idle_reaped));
+    if (s.traces_finished > 0) {
+      std::printf("traces:      %llu finished, %llu captured"
+                  " (%llu slow), %llu dropped\n",
+                  static_cast<unsigned long long>(s.traces_finished),
+                  static_cast<unsigned long long>(s.traces_captured),
+                  static_cast<unsigned long long>(s.traces_slow),
+                  static_cast<unsigned long long>(s.traces_dropped));
+    }
+    if (!s.stages.empty()) {
+      std::printf("stage breakdown (server-side, all finished requests):\n");
+      std::printf("  %-15s %10s %12s %12s\n", "stage", "count", "p50_us",
+                  "p99_us");
+      for (const wire::StageStatWire& st : s.stages) {
+        std::printf("  %-15s %10llu %12.1f %12.1f\n",
+                    TraceStageName(static_cast<TraceStage>(st.stage)),
+                    static_cast<unsigned long long>(st.count),
+                    st.p50_ns * 1e-3, st.p99_ns * 1e-3);
+      }
+    }
+  }
+  if (shutdown) {
+    if (!admin->SendShutdown(&error)) {
+      std::fprintf(stderr, "shutdown: %s\n", error.c_str());
+      return false;
+    }
+    std::printf("shutdown:    acknowledged, server draining\n");
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,6 +223,8 @@ int main(int argc, char** argv) {
   const uint64_t verify_every = FlagOr(*flags, "verify-every", 10);
   const std::string technique = FlagOr(*flags, "technique", "any");
   const bool use_paths = flags->count("paths") > 0;
+  const bool want_stats = flags->count("stats") > 0;
+  const bool want_shutdown = flags->count("shutdown") > 0;
   if (connections == 0 || total_queries == 0) return Usage();
   if (technique != "any" && wire::TechniqueId(technique) == 0) {
     std::fprintf(stderr, "unknown --technique %s\n", technique.c_str());
@@ -386,34 +453,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "problem:     %s\n", first_problem.c_str());
     }
 
-    if (flags->count("stats") > 0 || flags->count("shutdown") > 0) {
-      auto admin = BlockingClient::Connect(host, port, &error);
-      if (admin == nullptr) {
-        std::fprintf(stderr, "admin connect: %s\n", error.c_str());
-        return 1;
-      }
-      if (flags->count("stats") > 0) {
-        wire::StatsResponse s;
-        if (!admin->GetStats(&s, &error)) {
-          std::fprintf(stderr, "stats: %s\n", error.c_str());
-          return 1;
-        }
-        std::printf("server:      served %llu, shed %llu/%llu/%llu,"
-                    " reaped %llu idle, write queues %llu bytes\n",
-                    static_cast<unsigned long long>(s.served),
-                    static_cast<unsigned long long>(s.shed_overloaded),
-                    static_cast<unsigned long long>(s.shed_deadline),
-                    static_cast<unsigned long long>(s.shed_draining),
-                    static_cast<unsigned long long>(s.idle_reaped),
-                    static_cast<unsigned long long>(s.write_queue_bytes));
-      }
-      if (flags->count("shutdown") > 0) {
-        if (!admin->SendShutdown(&error)) {
-          std::fprintf(stderr, "shutdown: %s\n", error.c_str());
-          return 1;
-        }
-        std::printf("shutdown:    acknowledged, server draining\n");
-      }
+    if ((want_stats || want_shutdown) &&
+        !ReportServer(host, port, want_stats, want_shutdown)) {
+      return 1;
     }
     return (!res.ok || mismatches > 0) ? 1 : 0;
   }
@@ -591,60 +633,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "problem:     %s\n", total.first_problem.c_str());
   }
 
-  if (flags->count("stats") > 0 || flags->count("shutdown") > 0) {
-    auto admin = BlockingClient::Connect(host, port, &error);
-    if (admin == nullptr) {
-      std::fprintf(stderr, "admin connect: %s\n", error.c_str());
-      return 1;
-    }
-    if (flags->count("stats") > 0) {
-      wire::StatsResponse s;
-      if (!admin->GetStats(&s, &error)) {
-        std::fprintf(stderr, "stats: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("server:      served %llu, shed %llu/%llu/%llu, bad %llu,"
-                  " conns %llu accepted %llu rejected\n",
-                  static_cast<unsigned long long>(s.served),
-                  static_cast<unsigned long long>(s.shed_overloaded),
-                  static_cast<unsigned long long>(s.shed_deadline),
-                  static_cast<unsigned long long>(s.shed_draining),
-                  static_cast<unsigned long long>(s.bad_requests),
-                  static_cast<unsigned long long>(s.connections_accepted),
-                  static_cast<unsigned long long>(s.connections_rejected));
-      std::printf("server lat:  distance p50 %.1f us p99 %.1f us,"
-                  " path p50 %.1f us p99 %.1f us\n",
-                  s.distance_p50_ns * 1e-3, s.distance_p99_ns * 1e-3,
-                  s.path_p50_ns * 1e-3, s.path_p99_ns * 1e-3);
-      std::printf("server live: open connections %llu\n",
-                  static_cast<unsigned long long>(s.open_connections));
-      if (s.traces_finished > 0) {
-        std::printf("traces:      %llu finished, %llu captured"
-                    " (%llu slow), %llu dropped\n",
-                    static_cast<unsigned long long>(s.traces_finished),
-                    static_cast<unsigned long long>(s.traces_captured),
-                    static_cast<unsigned long long>(s.traces_slow),
-                    static_cast<unsigned long long>(s.traces_dropped));
-      }
-      if (!s.stages.empty()) {
-        std::printf("stage breakdown (server-side, all finished requests):\n");
-        std::printf("  %-15s %10s %12s %12s\n", "stage", "count", "p50_us",
-                    "p99_us");
-        for (const wire::StageStatWire& st : s.stages) {
-          std::printf("  %-15s %10llu %12.1f %12.1f\n",
-                      TraceStageName(static_cast<TraceStage>(st.stage)),
-                      static_cast<unsigned long long>(st.count),
-                      st.p50_ns * 1e-3, st.p99_ns * 1e-3);
-        }
-      }
-    }
-    if (flags->count("shutdown") > 0) {
-      if (!admin->SendShutdown(&error)) {
-        std::fprintf(stderr, "shutdown: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("shutdown:    acknowledged, server draining\n");
-    }
+  if ((want_stats || want_shutdown) &&
+      !ReportServer(host, port, want_stats, want_shutdown)) {
+    return 1;
   }
 
   return (total.mismatches > 0 || total.transport_errors > 0) ? 1 : 0;
