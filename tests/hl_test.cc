@@ -9,10 +9,36 @@
 #include "ch/ch_index.h"
 #include "dijkstra/dijkstra.h"
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 #include "gtest/gtest.h"
 
 namespace roadnet {
 namespace {
+
+// FNV-1a over the label arrays: every CSR offset, then every entry as
+// (hub rank, distance) in storage order.
+uint64_t Fingerprint(const HlIndex& hl, uint32_t n) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (x >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  uint64_t offset = 0;
+  mix(offset);
+  for (VertexId v = 0; v < n; ++v) {
+    offset += hl.Label(v).size();
+    mix(offset);
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    for (const HlIndex::HubEntry& e : hl.Label(v)) {
+      mix(e.hub);
+      mix(e.dist);
+    }
+  }
+  return h;
+}
 
 TEST(HubLabel, MatchesPaperFigure1) {
   Graph g = PaperFigure1Graph();
@@ -60,6 +86,57 @@ TEST(HubLabel, LabelsAreCanonicalAndExact) {
           << "v=" << v << " hub=" << hub;
     }
   }
+}
+
+// The labels are pinned bit for bit over the pinned contraction
+// (ch_test.cc): a construction change must reproduce every offset and
+// every {hub, dist} entry exactly, so the layout, the file format and
+// every answer stay as they are.
+TEST(HubLabel, LabelsArePinned) {
+  struct Pinned {
+    const char* dataset;
+    size_t num_entries;
+    uint64_t fingerprint;
+  };
+  const std::vector<Pinned> cases = {
+      {"DE'", 7711, 12952331882133230543ull},
+      {"NH'", 19774, 18207912890223535215ull},
+      {"ME'", 33240, 11188536247245635940ull},
+      {"CO'", 103423, 7385276629350011510ull},
+  };
+  for (const Pinned& c : cases) {
+    const DatasetSpec* spec = nullptr;
+    for (const DatasetSpec& s : PaperDatasets()) {
+      if (s.name == c.dataset) spec = &s;
+    }
+    ASSERT_NE(spec, nullptr) << c.dataset;
+    const Graph g = BuildDataset(*spec);
+    const ChIndex ch(g);
+    const HlIndex hl(g, ch);
+    SCOPED_TRACE(c.dataset);
+    EXPECT_EQ(hl.NumLabelEntries(), c.num_entries);
+    EXPECT_EQ(Fingerprint(hl, g.NumVertices()), c.fingerprint);
+  }
+}
+
+// `serve --index g.ch --technique hl` builds labels over a hierarchy
+// read back from disk: they must be the labels the in-memory hierarchy
+// gives, byte for byte.
+TEST(HubLabel, BuildOverRestoredHierarchyIsIdentical) {
+  Graph g = TestNetwork(450, 57);
+  ChIndex ch(g);
+  std::stringstream ch_file;
+  ch.Serialize(ch_file);
+  std::string error;
+  const auto restored_ch = ChIndex::Deserialize(g, ch_file, &error);
+  ASSERT_NE(restored_ch, nullptr) << error;
+  HlIndex in_memory(g, ch);
+  HlIndex over_restored(g, *restored_ch);
+  std::stringstream a;
+  std::stringstream b;
+  in_memory.Serialize(a);
+  over_restored.Serialize(b);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(HubLabel, AgreesWithDijkstraOnRandomNetwork) {
