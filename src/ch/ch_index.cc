@@ -450,7 +450,7 @@ void ChIndex::UpwardSearchSpace(
     const Distance du = top.key;
     // roadnet-lint: allow(R11 caller-owned output; its final size is the settled count, unknowable before the search — callers reuse the vector across calls so growth amortizes to zero)
     out->emplace_back(order_[u], du);
-    for (const HotArc& a : Arcs(u)) {
+    for (const HotArc& a : UpwardArcs(u)) {
       const Distance cand = du + a.weight;
       Distance& d = side.dist[a.target];
       if (cand < d) {

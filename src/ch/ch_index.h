@@ -88,7 +88,6 @@ class ChIndex : public PathIndex {
                          std::vector<std::pair<VertexId, Distance>>* out)
       const;
 
- private:
   // Hot half of an upward arc, in rank space: both searches touch only
   // this 8-byte record per relaxation. `target` is the rank of the
   // higher-ranked endpoint; the source rank is implicit in the CSR
@@ -98,6 +97,13 @@ class ChIndex : public PathIndex {
     Weight weight;
   };
 
+  // The upward arcs of rank r, sorted by target rank. Hub-label
+  // construction derives every label from these.
+  std::span<const HotArc> UpwardArcs(uint32_t r) const {
+    return {arcs_.data() + up_offsets_[r], up_offsets_[r + 1] - up_offsets_[r]};
+  }
+
+ private:
   // Cold half, touched only by path unpacking. A shortcut stores the arc
   // indices of its two halves (both arcs of the middle vertex, which is
   // ranked below either endpoint): `lo` leads from the middle to the
@@ -239,10 +245,6 @@ class ChIndex : public PathIndex {
     SearchSide forward;
     SearchSide backward;
   };
-
-  std::span<const HotArc> Arcs(uint32_t r) const {
-    return {arcs_.data() + up_offsets_[r], up_offsets_[r + 1] - up_offsets_[r]};
-  }
 
   // Builds the rank-space arrays from a contraction run.
   void BuildFrom(ContractionResult result);

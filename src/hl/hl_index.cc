@@ -1,13 +1,12 @@
 #include "hl/hl_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "engine/query_engine.h"
 #include "io/binary.h"
 #include "io/crc32.h"
 #include "util/bytes.h"
@@ -19,117 +18,108 @@ namespace {
 constexpr char kHlMagic[8] = {'R', 'N', 'E', 'T', 'H', 'L', 'I', 'X'};
 constexpr uint32_t kHlVersion = 1;
 
-// Vertices per construction round. Bounds the transient memory (search
-// spaces plus one pruning batch) to the block instead of the whole
-// graph, while keeping each engine batch large enough that the worker
-// pool's chunked stealing has something to balance.
-constexpr uint32_t kBuildBlock = 4096;
-
 }  // namespace
 
-HlIndex::HlIndex(const Graph& g, const ChIndex& ch, const HlConfig& config)
-    : graph_(g), ch_(&ch) {
-  BuildLabels(config);
+HlIndex::HlIndex(const Graph& g, const ChIndex& ch) : graph_(g), ch_(&ch) {
+  BuildLabels();
 }
 
 HlIndex::HlIndex(const Graph& g, const ChIndex& ch, DeserializeTag)
     : graph_(g), ch_(&ch) {}
 
 std::unique_ptr<HlIndex> HlIndex::BuildOwning(
-    const Graph& g, std::unique_ptr<const ChIndex> ch,
-    const HlConfig& config) {
-  auto index = std::make_unique<HlIndex>(g, *ch, config);
+    const Graph& g, std::unique_ptr<const ChIndex> ch) {
+  auto index = std::make_unique<HlIndex>(g, *ch);
   index->owned_ch_ = std::move(ch);
   return index;
 }
 
-void HlIndex::BuildLabels(const HlConfig& config) {
+void HlIndex::BuildLabels() {
   const uint32_t n = graph_.NumVertices();
-  offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  labels_.clear();
-  if (n == 0) return;
 
-  size_t num_threads = config.num_threads != 0
-                           ? config.num_threads
-                           : std::thread::hardware_concurrency();
-  if (num_threads == 0) num_threads = 1;
+  // Labels in rank space, appended highest rank first: rank r's label is
+  // by_rank[stop[r + 1], stop[r]).
+  std::vector<HubEntry> by_rank;
+  std::vector<uint64_t> stop(static_cast<size_t>(n) + 1, 0);
+  auto rank_label = [&](uint32_t r) {
+    return std::span<const HubEntry>(by_rank.data() + stop[r + 1],
+                                     stop[r] - stop[r + 1]);
+  };
 
-  // The distance checks run as batches on the engine worker pool: each
-  // candidate (v, hub) becomes one CH distance query, and the pool's
-  // work stealing soaks up the wildly uneven per-vertex label sizes.
-  QueryEngine engine(*ch_, num_threads);
-  BatchOptions batch_options;
-  batch_options.record_latencies = false;
-  batch_options.record_counters = false;
-
-  // Per-block scratch, reused across rounds.
-  std::vector<std::vector<std::pair<VertexId, Distance>>> spaces(kBuildBlock);
-  std::vector<std::pair<VertexId, VertexId>> checks;
+  // cand[h]: the shortest candidate distance to hub rank h found so far
+  // for the rank being labelled; `touched` lists the hubs it holds.
+  std::vector<Distance> cand(n, kInfDistance);
+  std::vector<uint32_t> touched;
   std::vector<HubEntry> label;
-
-  for (uint32_t begin = 0; begin < n; begin += kBuildBlock) {
-    const uint32_t end = std::min<uint32_t>(begin + kBuildBlock, n);
-
-    // Upward search space of every vertex in the block, in parallel.
-    // Results land in slots indexed by vertex, so the output does not
-    // depend on scheduling and construction stays deterministic.
-    {
-      std::atomic<uint32_t> cursor{begin};
-      auto worker = [&] {
-        std::unique_ptr<QueryContext> ctx = ch_->NewContext();
-        std::vector<std::pair<VertexId, Distance>> buf;
-        for (;;) {
-          const uint32_t v = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (v >= end) return;
-          ch_->UpwardSearchSpace(ctx.get(), v, &buf);
-          spaces[v - begin] = buf;
+  for (uint32_t r = n; r-- > 0;) {
+    // Candidates: r itself, and every finished label of an upward
+    // neighbour shifted by the arc weight. Each is the length of an
+    // upward path, and every hub whose upward distance is exact arrives
+    // at that distance through the first arc of its shortest upward
+    // path.
+    touched.clear();
+    cand[r] = 0;
+    touched.push_back(r);
+    for (const ChIndex::HotArc& arc : ch_->UpwardArcs(r)) {
+      for (const HubEntry& e : rank_label(arc.target)) {
+        const Distance d = Distance{e.dist} + arc.weight;
+        Distance& c = cand[e.hub];
+        if (c == kInfDistance) touched.push_back(e.hub);
+        if (d < c) c = d;
+      }
+    }
+    // Keep a candidate only if no hub g of its own label offers a
+    // shorter way to it: the apex of a shortest r-h path is a candidate
+    // and an entry of L(h), both exact, so this drops exactly the
+    // candidates above their true distance.
+    label.clear();
+    for (const uint32_t h : touched) {
+      const Distance d = cand[h];
+      bool exact = true;
+      if (h != r) {
+        for (const HubEntry& e : rank_label(h)) {
+          const Distance via = cand[e.hub];
+          if (via < d && via + e.dist < d) {
+            exact = false;
+            break;
+          }
         }
-      };
-      std::vector<std::thread> threads;
-      threads.reserve(num_threads);
-      for (size_t i = 0; i + 1 < num_threads; ++i) {
-        threads.emplace_back(worker);
       }
-      worker();
-      for (std::thread& t : threads) t.join();
-    }
-
-    // Distance-check pruning, batched. The self-hub (upward distance 0)
-    // is exact by definition and skips the check.
-    checks.clear();
-    for (uint32_t v = begin; v < end; ++v) {
-      for (const auto& [u, d] : spaces[v - begin]) {
-        if (u != v) checks.emplace_back(v, u);
+      if (!exact) continue;
+      // Storing a longer distance would truncate it and corrupt every
+      // query through this hub, so this fails in every build.
+      if (d > std::numeric_limits<uint32_t>::max()) {
+        std::fprintf(stderr,
+                     "HlIndex: label of vertex %u holds hub %u at distance "
+                     "%llu, past the 32-bit label-distance limit (%u)\n",
+                     ch_->VertexAtRank(r), ch_->VertexAtRank(h),
+                     static_cast<unsigned long long>(d),
+                     std::numeric_limits<uint32_t>::max());
+        std::abort();
       }
+      label.push_back(HubEntry{h, static_cast<uint32_t>(d)});
     }
-    BatchResult result;
-    if (!checks.empty()) result = engine.Run(checks, batch_options);
-
-    // Keep a hub only if its upward distance is the true distance, and
-    // store survivors in strictly ascending rank order.
-    size_t check_index = 0;
-    for (uint32_t v = begin; v < end; ++v) {
-      label.clear();
-      for (const auto& [u, d] : spaces[v - begin]) {
-        const bool exact =
-            u == v || result.distances[check_index++] == d;
-        if (!exact) continue;
-        assert(d <= UINT32_MAX);
-        label.push_back(HubEntry{ch_->RankOf(u), static_cast<uint32_t>(d)});
-      }
-      std::sort(label.begin(), label.end(),
-                [](const HubEntry& a, const HubEntry& b) {
-                  return a.hub < b.hub;
-                });
-      labels_.insert(labels_.end(), label.begin(), label.end());
-      offsets_[v + 1] = labels_.size();
-      spaces[v - begin].clear();
-    }
+    for (const uint32_t h : touched) cand[h] = kInfDistance;
+    std::sort(label.begin(), label.end(),
+              [](const HubEntry& a, const HubEntry& b) {
+                return a.hub < b.hub;
+              });
+    by_rank.insert(by_rank.end(), label.begin(), label.end());
+    stop[r] = by_rank.size();
   }
-  // The index is immutable from here on; drop the growth slack so
-  // IndexBytes() (capacity-based, util/bytes.h) reports what a restored
-  // index would hold.
-  labels_.shrink_to_fit();
+
+  // Lay the labels out by external id, the order queries address them
+  // in. Exact-size arrays keep IndexBytes() (capacity-based,
+  // util/bytes.h) equal to what a restored index holds.
+  offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    offsets_[v + 1] = offsets_[v] + rank_label(ch_->RankOf(v)).size();
+  }
+  labels_.reserve(by_rank.size());
+  for (VertexId v = 0; v < n; ++v) {
+    const std::span<const HubEntry> l = rank_label(ch_->RankOf(v));
+    labels_.insert(labels_.end(), l.begin(), l.end());
+  }
 }
 
 std::unique_ptr<QueryContext> HlIndex::NewContext() const {

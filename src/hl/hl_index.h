@@ -15,25 +15,21 @@
 
 namespace roadnet {
 
-struct HlConfig {
-  // Worker threads for label construction; 0 picks
-  // std::thread::hardware_concurrency(). Construction output is
-  // byte-identical for every thread count.
-  size_t num_threads = 0;
-};
-
 // Hub labeling over a finished contraction hierarchy (Abraham et al.
 // 2011; Zhu et al.'s "Towards Bridging Theory and Practice" is the
 // practice this follows — see PAPERS.md).
 //
-// The label of vertex v is its CH upward search space after
-// distance-check pruning: vertex u with upward distance d survives only
-// if d equals the true dist(v, u), verified with a CH query. Because the
-// graph is undirected one label per vertex serves both query roles, and
-// CH's correctness argument carries over directly: the apex (the
-// highest-ranked vertex of a shortest s-t path) lies in both upward
-// search spaces at its true distance, so it survives pruning in both
-// labels and the merge below finds it.
+// The label of vertex v holds every vertex u of its CH upward search
+// space whose upward distance equals the true dist(v, u). Labels are
+// built top-down from the hierarchy, highest rank first: v's candidates
+// are v itself plus its upward neighbours' finished labels shifted by
+// the arc weight, and a candidate survives only if no hub of its own
+// label offers a shorter way to it. No search runs and no CH query is
+// asked. Because the graph is undirected one label per vertex serves
+// both query roles, and CH's correctness argument carries over
+// directly: the apex (the highest-ranked vertex of a shortest s-t path)
+// lies in both labels at its true distance, so the merge below finds
+// it.
 //
 // A distance query is a single merge-intersection of the two labels —
 // no heap, no graph traversal, no scattered loads: hubs are stored as
@@ -53,23 +49,23 @@ class HlIndex : public PathIndex {
   // makes entries sort-stable across identical builds and keeps the
   // high-rank hubs every label shares in a dense id range); `dist` is
   // the exact shortest-path distance to the hub. Road-network distances
-  // fit u32 (Weight is u32 and paths are short); construction asserts.
+  // fit u32 (Weight is u32 and paths are short); construction aborts on
+  // one that does not.
   struct HubEntry {
     uint32_t hub;
     uint32_t dist;
   };
 
   // Builds labels from ch, which must be built over g and outlive the
-  // index. Deterministic for any thread count.
-  HlIndex(const Graph& g, const ChIndex& ch, const HlConfig& config);
-  HlIndex(const Graph& g, const ChIndex& ch) : HlIndex(g, ch, HlConfig{}) {}
+  // index. Single-threaded and deterministic: the same hierarchy gives
+  // the same labels, byte for byte.
+  HlIndex(const Graph& g, const ChIndex& ch);
 
   // Builds labels over a hierarchy the index adopts — the serving path,
   // where nothing else needs the CH afterwards (path queries still use
   // it internally).
   static std::unique_ptr<HlIndex> BuildOwning(
-      const Graph& g, std::unique_ptr<const ChIndex> ch,
-      const HlConfig& config = HlConfig{});
+      const Graph& g, std::unique_ptr<const ChIndex> ch);
 
   // Writes the labels (format v1: magic, version, CRC-checksummed
   // payload) so query servers can skip both contraction and label
@@ -124,9 +120,9 @@ class HlIndex : public PathIndex {
   struct DeserializeTag {};
   HlIndex(const Graph& g, const ChIndex& ch, DeserializeTag);
 
-  // Runs label construction (see .cc): upward search spaces, batched
-  // distance-check pruning on the engine worker pool, CSR flattening.
-  void BuildLabels(const HlConfig& config);
+  // Runs label construction (see .cc): the top-down pass over the
+  // hierarchy's upward arcs, then the layout by external id.
+  void BuildLabels();
 
   const Graph& graph_;
   const ChIndex* ch_;

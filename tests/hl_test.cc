@@ -203,22 +203,51 @@ TEST(HubLabel, QueryCountsLabelScansOnly) {
   }
 }
 
-// Identical labels for every construction thread count, pinned at the
-// byte level through serialization.
-TEST(HubLabel, ConstructionIsDeterministicAcrossThreadCounts) {
-  Graph g = TestNetwork(350, 53);
-  ChIndex ch(g);
-  HlConfig one;
-  one.num_threads = 1;
-  HlConfig five;
-  five.num_threads = 5;
-  HlIndex a(g, ch, one);
-  HlIndex b(g, ch, five);
-  std::stringstream sa;
-  std::stringstream sb;
-  a.Serialize(sa);
-  b.Serialize(sb);
-  EXPECT_EQ(sa.str(), sb.str());
+// The path 0-1-2-3 with weights 3e9, 3e9 and 1 ranks its vertices 0, 2,
+// 3, 1, so vertex 0's label holds vertex 2 at its exact distance 6e9,
+// past what a 32-bit label entry holds. Truncated, dist(0, 2) would read
+// 1,705,032,704 instead of 6,000,000,000.
+TEST(HubLabelDeathTest, LabelDistanceBeyondWeightLimitAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  GraphBuilder b(4);
+  b.AddEdge(0, 1, 3000000000u);
+  b.AddEdge(1, 2, 3000000000u);
+  b.AddEdge(2, 3, 1);
+  const Graph g = std::move(b).Build();
+  const ChIndex ch(g);
+  ASSERT_EQ(ch.RankOf(0), 0u);
+  ASSERT_EQ(ch.RankOf(1), 2u);
+  ASSERT_EQ(ch.RankOf(2), 3u);
+  ASSERT_EQ(ch.RankOf(3), 1u);
+  EXPECT_EQ(ch.DistanceQuery(ch.NewContext().get(), 0, 2), 6000000000u);
+  EXPECT_DEATH(HlIndex(g, ch), "32-bit label-distance limit");
+}
+
+// Only a label entry that survives pruning is checked against the 32-bit
+// limit. The cycle 0-1-2-3-0 has weights 3e9, 3e9, 1 and 1; pendants on
+// 2 and 3 rank the cycle 0 < 1 < 2 < 3. Vertex 0's only candidate for
+// hub 2 arrives through 1 at 6e9, but hub 3 offers 2, so the candidate
+// is dropped and nothing aborts.
+TEST(HubLabel, PrunedCandidateBeyondWeightLimitIsDropped) {
+  GraphBuilder b(9);
+  b.AddEdge(0, 1, 3000000000u);
+  b.AddEdge(1, 2, 3000000000u);
+  b.AddEdge(2, 3, 1);
+  b.AddEdge(3, 0, 1);
+  b.AddEdge(2, 4, 1);
+  b.AddEdge(2, 5, 1);
+  b.AddEdge(3, 6, 1);
+  b.AddEdge(3, 7, 1);
+  b.AddEdge(3, 8, 1);
+  const Graph g = std::move(b).Build();
+  const ChIndex ch(g);
+  ASSERT_EQ(ch.RankOf(0), 0u);
+  ASSERT_LT(ch.RankOf(0), ch.RankOf(1));
+  ASSERT_LT(ch.RankOf(1), ch.RankOf(2));
+  ASSERT_LT(ch.RankOf(2), ch.RankOf(3));
+  const HlIndex hl(g, ch);
+  EXPECT_EQ(hl.DistanceQuery(hl.NewContext().get(), 0, 2), 2u);
+  ExpectIndexCorrect(g, &hl, 16, 5);
 }
 
 TEST(HubLabelSerialization, RoundTripPreservesAnswersAndBytes) {
