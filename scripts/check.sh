@@ -389,7 +389,7 @@ stage_tsa() {
 }
 
 stage_fuzz() {
-  echo "==> Fuzz harnesses: wire decode + frame assembler (ROADNET_FUZZ=ON)"
+  echo "==> Fuzz harnesses: wire decode + frame assembler + HL decode (ROADNET_FUZZ=ON)"
   SMOKE="$(mktemp -d)"
   if command -v clang++ >/dev/null 2>&1; then
     # Real libFuzzer: 30-second smoke per harness, seeded from the
@@ -400,12 +400,14 @@ stage_fuzz() {
     cmake -B build-fuzz -S . -DCMAKE_BUILD_TYPE=Release -DROADNET_FUZZ=ON \
       -DCMAKE_CXX_COMPILER=clang++ >/dev/null
     cmake --build build-fuzz -j"$(nproc)" --target \
-      fuzz_wire_decode fuzz_frame_assembler
-    mkdir -p "$SMOKE/wire" "$SMOKE/frame"
+      fuzz_wire_decode fuzz_frame_assembler fuzz_hl_decode
+    mkdir -p "$SMOKE/wire" "$SMOKE/frame" "$SMOKE/hl"
     build-fuzz/tests/fuzz/fuzz_wire_decode -max_total_time=30 \
       -print_final_stats=1 "$SMOKE/wire" tests/fuzz/corpus/wire
     build-fuzz/tests/fuzz/fuzz_frame_assembler -max_total_time=30 \
       -print_final_stats=1 "$SMOKE/frame" tests/fuzz/corpus/frame
+    build-fuzz/tests/fuzz/fuzz_hl_decode -max_total_time=30 \
+      -print_final_stats=1 "$SMOKE/hl" tests/fuzz/corpus/hl
   else
     echo "SKIP: clang++ not installed — no libFuzzer; falling back to the"
     echo "      deterministic corpus replay + mutation sweep (the property"
@@ -413,17 +415,21 @@ stage_fuzz() {
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DROADNET_FUZZ=ON \
       >/dev/null
     cmake --build build -j"$(nproc)" --target \
-      fuzz_wire_decode fuzz_frame_assembler
+      fuzz_wire_decode fuzz_frame_assembler fuzz_hl_decode
     build/tests/fuzz/fuzz_wire_decode --mutate 256 tests/fuzz/corpus/wire
     build/tests/fuzz/fuzz_frame_assembler --mutate 256 tests/fuzz/corpus/frame
+    build/tests/fuzz/fuzz_hl_decode --mutate 256 tests/fuzz/corpus/hl
     # The tracked seeds must be exactly what the encoders write today: an
-    # encoder change that leaves a stale or orphaned seed fails here.
+    # encoder or label change that leaves a stale or orphaned seed fails
+    # here.
     build/tests/fuzz/fuzz_wire_decode --write-corpus "$SMOKE/wire" \
       >/dev/null
     build/tests/fuzz/fuzz_frame_assembler --write-corpus "$SMOKE/frame" \
       >/dev/null
+    build/tests/fuzz/fuzz_hl_decode --write-corpus "$SMOKE/hl" >/dev/null
     diff -r "$SMOKE/wire" tests/fuzz/corpus/wire
     diff -r "$SMOKE/frame" tests/fuzz/corpus/frame
+    diff -r "$SMOKE/hl" tests/fuzz/corpus/hl
   fi
   rm -rf "$SMOKE"
   SMOKE=""
