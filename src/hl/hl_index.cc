@@ -54,9 +54,8 @@ void HlIndex::BuildLabels() {
   for (uint32_t r = n; r-- > 0;) {
     // Candidates: r itself, and every finished label of an upward
     // neighbour shifted by the arc weight. Each is the length of an
-    // upward path, and every hub whose upward distance is exact arrives
-    // at that distance through the first arc of its shortest upward
-    // path.
+    // upward path; an exact hub arrives at its exact distance through
+    // the first arc of its shortest upward path.
     touched.clear();
     cand[r] = 0;
     touched.push_back(r);
@@ -109,16 +108,14 @@ void HlIndex::BuildLabels() {
   }
 
   // Lay the labels out by external id, the order queries address them
-  // in. Exact-size arrays keep IndexBytes() (capacity-based,
+  // in. An exact-size array keeps IndexBytes() (capacity-based,
   // util/bytes.h) equal to what a restored index holds.
   offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + rank_label(ch_->RankOf(v)).size();
-  }
   labels_.reserve(by_rank.size());
   for (VertexId v = 0; v < n; ++v) {
     const std::span<const HubEntry> l = rank_label(ch_->RankOf(v));
     labels_.insert(labels_.end(), l.begin(), l.end());
+    offsets_[v + 1] = labels_.size();
   }
 }
 

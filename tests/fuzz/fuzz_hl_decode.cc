@@ -126,7 +126,7 @@ void WriteSeedCorpus(const std::string& dir) {
   bad_labels = labels;
   for (uint64_t i = 0; i < offsets[1]; ++i) {
     if (bad_labels[i].hub == f.ch.RankOf(0)) {
-      bad_labels.erase(bad_labels.begin() + static_cast<ptrdiff_t>(i));
+      bad_labels.erase(bad_labels.begin() + static_cast<std::ptrdiff_t>(i));
       break;
     }
   }
