@@ -80,9 +80,10 @@ stage_smoke() {
   python3 scripts/validate_metrics.py "$SMOKE/BENCH_ch_layout.json"
 
   echo "==> HL bench: label merge vs CH search (quick gate)"
-  # Exits nonzero if HL disagrees with CH on any distance or if the label
+  # Exits nonzero if HL disagrees with CH on any distance, if the label
   # merge is not faster than the rank-SoA CH core on the Q6..Q10 workload
-  # of the largest quick dataset.
+  # of the largest quick dataset, or if building that dataset's labels
+  # takes longer than its contraction.
   build/bench/bench_hl --quick --out "$SMOKE/BENCH_hl.json" >/dev/null
   python3 scripts/validate_metrics.py "$SMOKE/BENCH_hl.json"
 
