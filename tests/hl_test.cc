@@ -50,9 +50,9 @@ TEST(HubLabel, MatchesPaperFigure1) {
 }
 
 // Canonical label form: hubs strictly rank-sorted, the vertex itself
-// present at distance 0, and — the distance-check pruning invariant —
-// every stored distance is the true shortest-path distance (a prunable
-// hub is exactly one stored above its true distance; none may survive).
+// present at distance 0, and — the pruning invariant — every stored
+// distance is the true shortest-path distance (a prunable hub is
+// exactly one stored above its true distance; none may survive).
 TEST(HubLabel, LabelsAreCanonicalAndExact) {
   Graph g = TestNetwork(400, 41);
   ChIndex ch(g);
