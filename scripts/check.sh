@@ -386,7 +386,7 @@ stage_tsa() {
   # annotations tied to a QueryServer or EventLoop mutex has to fail
   # the stage (via R10) even on hosts without clang.
   tsa_negative_test src/server/server.h shutdown_mu_
-  tsa_negative_test src/server/event_loop.cc post_mu
+  tsa_negative_test src/server/event_loop.h drain_mu_
 }
 
 stage_fuzz() {

@@ -148,12 +148,9 @@ Tracer::Tracer(const TracerOptions& options)
       slow_micros_(options.slow_micros) {
   const size_t n = std::max<size_t>(options.shards, 1);
   shards_.reserve(n);
-  free_shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>(options.ring_capacity));
   }
-  // Hand out low shard indexes first.
-  for (size_t i = n; i-- > 0;) free_shards_.push_back(static_cast<int>(i));
 }
 
 Tracer::~Tracer() { StopExporter(); }
@@ -166,20 +163,6 @@ void Tracer::Configure(std::optional<uint64_t> sample_every,
   if (slow_micros) {
     slow_micros_.store(*slow_micros, std::memory_order_relaxed);
   }
-}
-
-int Tracer::AcquireShard() {
-  MutexLock lock(shard_free_mu_);
-  if (free_shards_.empty()) return -1;
-  const int shard = free_shards_.back();
-  free_shards_.pop_back();
-  return shard;
-}
-
-void Tracer::ReleaseShard(int shard) {
-  if (shard < 0) return;
-  MutexLock lock(shard_free_mu_);
-  free_shards_.push_back(shard);
 }
 
 void Tracer::StartRequest(RequestTrace* trace) {
@@ -203,12 +186,9 @@ void Tracer::StartRequest(RequestTrace* trace) {
   trace->active = true;
 }
 
-void Tracer::Finish(int shard, RequestTrace* trace) {
+void Tracer::Finish(size_t shard, RequestTrace* trace) {
   if constexpr (!kTracingCompiledIn) return;
   if (!trace->active) return;
-  // RAII balance: a span left open means a lifecycle path forgot to
-  // close its stage, and its window would be garbage.
-  assert(trace->open_spans == 0);
   trace->active = false;
 
   uint64_t first_start = ~0ull;
@@ -225,7 +205,7 @@ void Tracer::Finish(int shard, RequestTrace* trace) {
   trace->slow =
       slow_us != kTraceSlowDisabled && trace->total_ns >= slow_us * 1000;
 
-  Shard& s = *shards_[static_cast<size_t>(shard)];
+  Shard& s = *shards_[shard];
   {
     MutexLock lock(s.mu);
     ++s.finished;

@@ -2,7 +2,6 @@
 #define ROADNET_OBS_TRACE_H_
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,16 +34,16 @@ namespace roadnet {
 // any request whose total latency reaches the slow threshold is captured
 // regardless — the slow-query log never misses an outlier because the
 // head sampler skipped it. Captured traces travel through lock-free
-// SPSC ring buffers (one per connection shard; the handler is the only
+// SPSC ring buffers (one per event loop; the loop thread is the only
 // producer, the exporter thread the only consumer) and are written as
 // JSONL. Per-stage latency histograms are maintained for every traced
 // request, sampled or not, and feed the STATS live-introspection
 // reply.
 //
-// Compile-time kill switch: -DROADNET_DISABLE_TRACING turns every span
-// and stamp into a no-op (bench_trace_overhead holds the remaining cost
-// of the instrumented-but-disabled hot path to <= 2%). The API remains
-// so callers need no #ifdefs, mirroring ROADNET_DISABLE_COUNTERS.
+// Compile-time kill switch: -DROADNET_DISABLE_TRACING turns every stamp
+// into a no-op, and the API remains so callers need no #ifdefs, mirroring
+// ROADNET_DISABLE_COUNTERS. bench_trace_overhead gates the runtime-idle
+// cost at 2%.
 
 #ifdef ROADNET_DISABLE_TRACING
 inline constexpr bool kTracingCompiledIn = false;
@@ -103,7 +102,6 @@ struct RequestTrace {
   QueryCounters counters;     // engine snapshot for the execute stage
   TraceStageRecord stages[kNumTraceStages];
   std::chrono::steady_clock::time_point epoch{};
-  int open_spans = 0;  // RAII balance check; Finish() asserts it is 0
 
   // Nanoseconds since the tracer epoch; 0 when the trace is inactive so
   // an untraced request never reads the clock.
@@ -125,49 +123,10 @@ struct RequestTrace {
   }
 };
 
-// RAII span: stamps its stage's start on construction and the end on
-// destruction (or an explicit early Close()). On an inactive trace the
-// constructor is a branch and nothing else.
-class TraceSpan {
- public:
-  TraceSpan(RequestTrace* trace, TraceStage stage)
-      : trace_(trace), stage_(stage) {
-    if constexpr (kTracingCompiledIn) {
-      if (trace_ != nullptr && trace_->active) {
-        start_ns_ = trace_->NowNs();
-        ++trace_->open_spans;
-        armed_ = true;
-      }
-    }
-  }
-  ~TraceSpan() { Close(); }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  // Ends the span now; idempotent. Useful when the span must close
-  // before a scope exit (e.g. before Finish() in the same block).
-  void Close() {
-    if constexpr (kTracingCompiledIn) {
-      if (armed_) {
-        trace_->RecordStage(stage_, start_ns_, trace_->NowNs());
-        --trace_->open_spans;
-        armed_ = false;
-      }
-    }
-  }
-
- private:
-  RequestTrace* trace_;
-  TraceStage stage_;
-  uint64_t start_ns_ = 0;
-  bool armed_ = false;
-};
-
 // Lock-free single-producer single-consumer ring of completed traces.
-// The producer is the shard-owning connection handler; the consumer is
-// the exporter thread. A full ring drops the new trace (counted) rather
-// than blocking the request path.
+// The producer is the shard's event loop; the consumer is the exporter
+// thread. A full ring drops the new trace (counted) rather than blocking
+// the request path.
 class TraceRing {
  public:
   // Capacity is rounded up to a power of two, minimum 2.
@@ -203,7 +162,7 @@ struct TracerOptions {
   // microseconds is captured even when not head-sampled.
   // kTraceSlowDisabled turns tail capture off; 0 captures everything.
   uint64_t slow_micros = kTraceSlowDisabled;
-  // Shard count (one per concurrent producer, e.g. max_connections).
+  // Shard count: one per producer thread (the server's event loops).
   size_t shards = 8;
   // Per-shard ring capacity (rounded up to a power of two).
   size_t ring_capacity = 256;
@@ -217,9 +176,9 @@ struct TracerOptions {
 
 // The per-process tracing hub: owns the shards (ring + per-stage
 // histograms), the sampling decision, and the JSONL exporter thread.
-// Thread-safety: StartRequest/Finish are called by shard owners (one
-// thread per shard at a time); Configure, GetSnapshot, and the exporter
-// may run concurrently with them.
+// Thread-safety: Finish(shard, ...) is called by one thread per shard at
+// a time; StartRequest, Configure, GetSnapshot, and the exporter may run
+// concurrently with it.
 class Tracer {
  public:
   explicit Tracer(const TracerOptions& options);
@@ -247,12 +206,6 @@ class Tracer {
     return slow_micros_.load(std::memory_order_relaxed);
   }
 
-  // Shard ownership for producers. AcquireShard returns -1 when all
-  // shards are taken (the caller then simply runs untraced); every
-  // acquired shard must be released.
-  int AcquireShard();
-  void ReleaseShard(int shard);
-
   // Arms `trace` for this request: assigns seq + trace id, applies the
   // head sampler, and stamps the epoch. When tracing is off (compiled
   // out or runtime-disabled) it only clears `active` — the cost a
@@ -260,11 +213,11 @@ class Tracer {
   // bench_trace_overhead.
   void StartRequest(RequestTrace* trace);
 
-  // Completes the trace: asserts span balance, computes the total, makes
-  // the tail (slow) decision, records per-stage histograms, and pushes
-  // head-sampled/slow traces into the shard's ring. Must be called by
-  // the shard owner; no-op for inactive traces.
-  void Finish(int shard, RequestTrace* trace);
+  // Completes the trace: computes the total, makes the tail (slow)
+  // decision, records per-stage histograms, and pushes head-sampled/slow
+  // traces into the ring of `shard` (< TracerOptions::shards; the
+  // server passes the event loop's index). No-op for inactive traces.
+  void Finish(size_t shard, RequestTrace* trace);
 
   // Nanoseconds since the tracer epoch (unconditional clock read; for
   // cold-path stamps like connection accept).
@@ -343,8 +296,6 @@ class Tracer {
   std::atomic<uint64_t> seq_{0};
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  Mutex shard_free_mu_;
-  std::vector<int> free_shards_ ROADNET_GUARDED_BY(shard_free_mu_);
 
   mutable Mutex exporter_mu_;
   CondVar exporter_cv_;

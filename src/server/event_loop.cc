@@ -12,9 +12,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
 namespace roadnet {
 
 namespace {
@@ -70,7 +67,7 @@ FrameAssembler::Result FrameAssembler::Next(std::string* body) {
 }
 
 // One connection's state machine. Owned (read, written, closed) only by
-// its loop's thread; cross-thread access goes through Post + ConnRef.
+// its loop's thread.
 struct EventLoopPool::Conn {
   ScopedFd fd;
   uint64_t gen = 1;      // bumped on close; ConnRef carries a snapshot
@@ -99,8 +96,7 @@ struct EventLoopPool::Loop {
   // next iteration on, so stale events in this batch cannot reach a
   // recycled slot.
   std::vector<uint32_t> freed_pending;
-  Mutex post_mu;
-  std::vector<std::function<void()>> posted ROADNET_GUARDED_BY(post_mu);
+  bool listening = true;  // listen fd still in epoll_fd; see DetachListen
   // Idle-reaping deadline wheel: (slot, generation) entries bucketed by
   // expiry tick. Entries are lazy — closed connections leave stale
   // entries behind that the generation check discards on drain.
@@ -186,62 +182,35 @@ bool EventLoopPool::Start(ScopedFd listen_fd, std::string* error) {
   return true;
 }
 
-void EventLoopPool::Post(uint32_t loop, std::function<void()> fn) {
-  if (!started_.load(std::memory_order_acquire) || loop >= loops_.size()) {
-    fn();  // stopped pool: run inline so cleanup closures never leak
-    return;
-  }
-  Loop* l = loops_[loop].get();
-  bool wake = false;
-  {
-    MutexLock g(l->post_mu);
-    l->posted.push_back(std::move(fn));
-    wake = l->posted.size() == 1;
-  }
-  if (wake) {
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(l->wake_fd.get(), &one, sizeof(one));
-  }
-}
-
-void EventLoopPool::RunPosted(Loop* loop) {
-  std::vector<std::function<void()>> batch;
-  {
-    MutexLock g(loop->post_mu);
-    batch.swap(loop->posted);
-  }
-  for (auto& fn : batch) fn();
-}
-
 void EventLoopPool::StopAccepting() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (!accepting_.exchange(false)) return;
   // Deregister the listen fd from every loop before closing it; until
   // then a level-triggered pending backlog would spin the loops.
-  struct Sync {
-    Mutex mu;
-    CondVar cv;
-    size_t remaining ROADNET_GUARDED_BY(mu);
-  };
-  auto sync = std::make_shared<Sync>();
+  WakeLoops();
   {
-    MutexLock g(sync->mu);
-    sync->remaining = loops_.size();
-  }
-  for (auto& loop : loops_) {
-    Loop* l = loop.get();
-    Post(l->index, [this, l, sync] {
-      ::epoll_ctl(l->epoll_fd.get(), EPOLL_CTL_DEL, listen_.get(), nullptr);
-      MutexLock g(sync->mu);
-      if (--sync->remaining == 0) sync->cv.NotifyAll();
-    });
-  }
-  {
-    MutexLock lk(sync->mu);
-    while (sync->remaining != 0) sync->cv.Wait(lk);
+    MutexLock lk(drain_mu_);
+    while (detached_loops_ != loops_.size()) drain_cv_.Wait(lk);
   }
   listen_.Close();
+}
+
+void EventLoopPool::WakeLoops() {
+  const uint64_t one = 1;
+  for (auto& loop : loops_) {
+    [[maybe_unused]] ssize_t n =
+        ::write(loop->wake_fd.get(), &one, sizeof(one));
+  }
+}
+
+// Runs on the loop's thread between events, so the frame it was handling
+// when StopAccepting cleared accepting_ has been handled.
+void EventLoopPool::DetachListen(Loop* loop) {
+  if (!loop->listening) return;
+  loop->listening = false;
+  ::epoll_ctl(loop->epoll_fd.get(), EPOLL_CTL_DEL, listen_.get(), nullptr);
+  MutexLock g(drain_mu_);
+  if (++detached_loops_ == loops_.size()) drain_cv_.NotifyAll();
 }
 
 bool EventLoopPool::FlushAndWait(std::chrono::milliseconds timeout) {
@@ -265,18 +234,11 @@ void EventLoopPool::Stop() {
     }
     return;
   }
-  for (auto& loop : loops_) {
-    const uint64_t one = 1;
-    [[maybe_unused]] ssize_t n =
-        ::write(loop->wake_fd.get(), &one, sizeof(one));
-  }
+  WakeLoops();
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
   started_.store(false, std::memory_order_release);
-  // Cleanup closures posted after the loops drained their final batch
-  // still have to run (their Sends fail the generation check).
-  for (auto& loop : loops_) RunPosted(loop.get());
   listen_.Close();
 }
 
@@ -290,8 +252,8 @@ bool EventLoopPool::Send(const ConnRef& conn, const std::string& body) {
   c.out.append(body);
   l->write_queue_bytes.fetch_add(sizeof(len) + body.size(),
                                  std::memory_order_relaxed);
+  // A send error marks c dead; the ProcessInput running OnFrame closes it.
   if (!c.want_out_edge) FlushConn(l, &c);
-  if (c.dead && !c.in_input) CloseConn(l, conn.slot);
   return true;
 }
 
@@ -541,7 +503,7 @@ void EventLoopPool::LoopMain(Loop* loop) {
         uint64_t drain = 0;
         [[maybe_unused]] ssize_t r =
             ::read(loop->wake_fd.get(), &drain, sizeof(drain));
-        RunPosted(loop);
+        if (!accepting_.load(std::memory_order_acquire)) DetachListen(loop);
         if (stopping_.load(std::memory_order_acquire)) break;
         continue;
       }
@@ -571,10 +533,9 @@ void EventLoopPool::LoopMain(Loop* loop) {
     }
     AdvanceWheel(loop, NowNs());
   }
-  // Drain anything still posted, then drop every connection this loop
-  // owns. Closures posted after this run inline once the pool is
-  // stopped.
-  RunPosted(loop);
+  // Count out of a concurrent StopAccepting, then drop every connection
+  // this loop owns.
+  DetachListen(loop);
   for (uint32_t slot = 0; slot < loop->conns.size(); ++slot) {
     if (loop->conns[slot].in_use) {
       FlushConn(loop, &loop->conns[slot]);  // best effort, nonblocking

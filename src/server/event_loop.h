@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +12,8 @@
 
 #include "server/socket.h"
 #include "server/wire.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace roadnet {
 
@@ -25,15 +26,12 @@ namespace roadnet {
 //   - A connection belongs to exactly one loop for its whole life. Only
 //     that loop's thread reads it, writes it, or closes it.
 //   - Complete request frames are handed to FrameHandler::OnFrame on the
-//     loop thread. The handler replies either inline (Send from inside
-//     OnFrame; QueryServer always does) or later from another thread by
-//     Post()ing a closure to the owning loop — the closure runs on the
-//     loop thread and may then Send. Post is the only cross-thread entry
-//     point; it wakes the loop via an eventfd.
-//   - A ConnRef {loop, slot, generation} names a connection across
-//     threads. Slots are recycled; the generation check makes a ref to
-//     a closed connection fail Send harmlessly instead of writing into
-//     whoever inherited the slot.
+//     loop thread, which replies before it returns by Send()ing on the
+//     connection. No other thread touches a connection.
+//   - A ConnRef {loop, slot, generation} names a connection. Slots are
+//     recycled; the generation check makes a ref to a closed connection
+//     fail Send harmlessly instead of writing into whoever inherited the
+//     slot.
 //
 // Backpressure policy: every connection has a write queue (encoded reply
 // bytes not yet accepted by the kernel). Above
@@ -75,7 +73,7 @@ class FrameAssembler {
   bool error_ = false;
 };
 
-// Names one connection across threads; see the ownership rules above.
+// Names one connection; see the ownership rules above.
 struct ConnRef {
   uint32_t loop = 0;
   uint32_t slot = 0;
@@ -144,8 +142,9 @@ class EventLoopPool {
 
   // Deregisters and closes the listening socket in every loop; no new
   // connections are accepted once this returns. Established connections
-  // keep running. It waits for a closure to run on every loop, so the
-  // frame each loop was handling when it was called has been handled.
+  // keep running. It waits until every loop has dropped the listen fd
+  // between events, so the frame each loop was handling when it was
+  // called has been handled.
   void StopAccepting();
 
   // Blocks until every connection's write queue is empty or the timeout
@@ -153,19 +152,13 @@ class EventLoopPool {
   // Returns true if fully flushed.
   bool FlushAndWait(std::chrono::milliseconds timeout);
 
-  // Closes every connection and joins the loop threads. Closures still
-  // queued via Post are run (on the caller) after the join, so cleanup
-  // closures always execute. Idempotent.
+  // Closes every connection and joins the loop threads. Idempotent.
   void Stop();
-
-  // Runs `fn` on the given loop's thread; the only cross-thread way to
-  // reach a connection. Closures posted to a stopped pool run inline.
-  void Post(uint32_t loop, std::function<void()> fn);
 
   // Queues one frame ([u32 length] prefix added here) on the
   // connection's write queue and flushes what the kernel will take.
-  // Must be called on the owning loop's thread (from OnFrame or a
-  // posted closure). False if the connection is gone.
+  // Must be called from OnFrame on the owning loop's thread. False if
+  // the connection is gone.
   bool Send(const ConnRef& conn, const std::string& body);
 
   size_t NumLoops() const { return loops_.size(); }
@@ -189,7 +182,8 @@ class EventLoopPool {
   void ProcessInput(Loop* loop, uint32_t slot);
   void FlushConn(Loop* loop, Conn* conn);
   void CloseConn(Loop* loop, uint32_t slot);
-  void RunPosted(Loop* loop);
+  void WakeLoops();
+  void DetachListen(Loop* loop);
   void AdvanceWheel(Loop* loop, uint64_t now_ns);
   void ScheduleIdle(Loop* loop, uint32_t slot);
   uint64_t NowNs() const;
@@ -202,6 +196,12 @@ class EventLoopPool {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> accepting_{false};
+  // StopAccepting's barrier: loops that have dropped the listen fd from
+  // their epoll set. Each loop counts itself once, on the wakeup after
+  // accepting_ clears or when it exits.
+  Mutex drain_mu_;
+  CondVar drain_cv_;
+  size_t detached_loops_ ROADNET_GUARDED_BY(drain_mu_) = 0;
 };
 
 }  // namespace roadnet

@@ -26,7 +26,6 @@ TracerOptions MakeTracerOptions(const ServerOptions& options) {
   // One shard per event loop: the loop thread is the only producer into
   // its shard's ring (requests start and finish on their owning loop).
   t.shards = NumLoops(options);
-  t.ring_capacity = options.trace_ring_capacity;
   t.id_seed = options.trace_seed;
   t.status_name = &TraceStatusName;
   return t;
@@ -77,13 +76,7 @@ bool QueryServer::Start(std::string* error) {
   // The cast happens here (not inside make_unique) because FrameHandler
   // is a private base: only members may convert to it.
   pool_ = std::make_unique<EventLoopPool>(lo, static_cast<FrameHandler*>(this));
-  loop_shards_.clear();
-  for (size_t i = 0; i < lo.num_loops; ++i) {
-    loop_shards_.push_back(tracer_.AcquireShard());
-  }
   if (!pool_->Start(std::move(listen), error)) {
-    for (int shard : loop_shards_) tracer_.ReleaseShard(shard);
-    loop_shards_.clear();
     pool_.reset();
     // The exporter was started at the top of this function; a failed
     // Start must not leak its thread (and must close the JSONL file so
@@ -122,9 +115,9 @@ void QueryServer::Shutdown() {
   draining_.store(true);
 
   if (started_) {
-    // 1. Stop accepting. This runs a closure on every loop and waits for
-    // all of them, so each loop has finished the request it was running
-    // when draining_ was set; every later frame is answered
+    // 1. Stop accepting. This waits for every loop to drop the listen fd
+    // between events, so each loop has finished the request it was
+    // running when draining_ was set; every later frame is answered
     // SHUTTING_DOWN. Every admitted request now has its reply queued.
     pool_->StopAccepting();
 
@@ -132,8 +125,6 @@ void QueryServer::Shutdown() {
     // stopped reading cannot stall the drain forever), then stop.
     pool_->FlushAndWait(std::chrono::seconds(2));
     pool_->Stop();
-    for (int shard : loop_shards_) tracer_.ReleaseShard(shard);
-    loop_shards_.clear();
   }
   // Every producer is gone: the final drain flushes all captured traces
   // to the slow-query log before the file closes.
@@ -292,8 +283,7 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
 
   Request r;
   RequestTrace& trace = r.trace;
-  const int shard = loop_shards_[conn.loop];
-  if (shard >= 0) tracer_.StartRequest(&trace);
+  tracer_.StartRequest(&trace);
   if (meta.first_frame) {
     // The first request's accept stage: accept(2) return to the loop
     // starting to wait for this connection's bytes.
@@ -348,7 +338,7 @@ bool QueryServer::OnFrame(const ConnRef& conn, std::string&& body,
   trace.status = static_cast<uint8_t>(status);
   pool_->Send(conn, EncodeReply(&r));  // false if the connection died
   trace.RecordStage(TraceStage::kReplyWrite, reply_start_ns, trace.NowNs());
-  if (shard >= 0) tracer_.Finish(shard, &trace);
+  tracer_.Finish(conn.loop, &trace);
   return true;
 }
 

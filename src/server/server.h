@@ -56,7 +56,6 @@ struct ServerOptions {
   uint64_t trace_sample_every = 0;  // head sampling, 1-in-N (0 = off)
   uint64_t trace_slow_us = kTraceSlowDisabled;  // tail capture threshold
   std::string trace_out;            // JSONL slow-query log ("" = no export)
-  size_t trace_ring_capacity = 256;  // per-connection trace ring slots
   uint64_t trace_seed = 1;           // trace-id stream seed
 };
 
@@ -194,9 +193,6 @@ class QueryServer : private FrameHandler {
 
   uint16_t port_ = 0;
   std::unique_ptr<EventLoopPool> pool_;
-  // Tracer shard of each event loop (the loop thread is its shard's only
-  // producer); acquired in Start, released in Shutdown.
-  std::vector<int> loop_shards_;
   bool started_ = false;
 
   // Lifecycle. draining_ gates admission (connections and requests);

@@ -1,7 +1,7 @@
-// EventLoopPool in isolation: backpressure pause/resume, cross-thread
-// Post/Send, idle reaping, and the connection gauges — driven by a toy
-// FrameHandler so the tests see the loop mechanics without a
-// QueryServer in the way.
+// EventLoopPool in isolation: backpressure pause/resume, the
+// StopAccepting drain barrier, idle reaping, and the connection gauges —
+// driven by toy FrameHandlers so the tests see the loop mechanics
+// without a QueryServer in the way.
 
 #include "server/event_loop.h"
 
@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -23,6 +24,15 @@
 namespace roadnet {
 namespace {
 
+// Connects a fresh socket to 127.0.0.1:port; returns connect(2)'s result.
+int ConnectLoopback(int fd, uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+}
+
 // Connects to 127.0.0.1:port, optionally pinning SO_RCVBUF before the
 // handshake so the advertised window stays small (keeps the kernel from
 // absorbing megabytes of replies and hiding the server's write queue).
@@ -32,12 +42,7 @@ ScopedFd RawConnect(uint16_t port, int rcvbuf = 0) {
   if (rcvbuf > 0) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  EXPECT_EQ(ConnectLoopback(fd, port), 0);
   return ScopedFd(fd);
 }
 
@@ -62,34 +67,46 @@ class BigReplyHandler : public FrameHandler {
   std::atomic<uint64_t> frames_{0};
 };
 
-// Banks frames instead of replying; the test thread later Posts the
-// replies — the deferred-completion path for a reply made off the loop.
-class BankingHandler : public FrameHandler {
+// Holds each frame inside OnFrame until the test releases it, then
+// replies "re:<body>". It also records whether the frame was flagged as
+// the connection's first and whether a stale ConnRef could Send.
+class GatedHandler : public FrameHandler {
  public:
   void BindPool(EventLoopPool* pool) { pool_ = pool; }
 
   bool OnFrame(const ConnRef& conn, std::string&& body,
                const FrameMeta& meta) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    banked_.push_back({conn, std::move(body)});
-    first_frame_seen_ = first_frame_seen_ || meta.first_frame;
-    return true;
+    first_frame_ = meta.first_frame;
+    ConnRef stale = conn;
+    stale.generation += 1;
+    stale_sent_ = pool_->Send(stale, "never");
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return pool_->Send(conn, "re:" + body);
   }
 
-  std::vector<std::pair<ConnRef, std::string>> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return std::move(banked_);
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
   }
-  bool SawFirstFrame() {
+  void Release() {
     std::lock_guard<std::mutex> lock(mu_);
-    return first_frame_seen_;
+    released_ = true;
+    cv_.notify_all();
   }
+  bool FirstFrame() const { return first_frame_.load(); }
+  bool StaleSent() const { return stale_sent_.load(); }
 
  private:
   EventLoopPool* pool_ = nullptr;
   std::mutex mu_;
-  std::vector<std::pair<ConnRef, std::string>> banked_;
-  bool first_frame_seen_ = false;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+  std::atomic<bool> first_frame_{false};
+  std::atomic<bool> stale_sent_{false};
 };
 
 TEST(EventLoopPool, BackpressurePausesReadsAndResumesAfterDrain) {
@@ -146,8 +163,8 @@ TEST(EventLoopPool, BackpressurePausesReadsAndResumesAfterDrain) {
   pool.Stop();
 }
 
-TEST(EventLoopPool, PostedClosuresSendFromAnotherThread) {
-  BankingHandler handler;
+TEST(EventLoopPool, StopAcceptingWaitsForTheFrameInHand) {
+  GatedHandler handler;
   EventLoopOptions options;
   options.num_loops = 2;
   EventLoopPool pool(options, &handler);
@@ -160,45 +177,36 @@ TEST(EventLoopPool, PostedClosuresSendFromAnotherThread) {
 
   ScopedFd client = RawConnect(port);
   ASSERT_TRUE(WriteFrame(client.get(), "hello"));
-  ASSERT_TRUE(WriteFrame(client.get(), "world"));
+  handler.WaitEntered();
+  const uint64_t accepted = pool.Stats().accepted;
+  EXPECT_EQ(accepted, 1u);
 
-  std::vector<std::pair<ConnRef, std::string>> banked;
-  for (int spin = 0; spin < 400 && banked.size() < 2; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    auto more = handler.Take();
-    banked.insert(banked.end(), more.begin(), more.end());
-  }
-  ASSERT_EQ(banked.size(), 2u);
-  EXPECT_EQ(banked[0].second, "hello");
-  EXPECT_EQ(banked[1].second, "world");
-  EXPECT_TRUE(handler.SawFirstFrame());
+  // While a loop is still inside OnFrame, StopAccepting must not return.
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&pool, &stopped] {
+    pool.StopAccepting();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(stopped.load());
 
-  // Reply from this (non-loop) thread via Post: the closure runs on the
-  // owning loop and may touch the connection.
-  for (auto& [conn, body] : banked) {
-    std::string reply = "re:" + body;
-    pool.Post(conn.loop, [&pool, conn, reply] { pool.Send(conn, reply); });
-  }
+  // Once released, the frame is answered and StopAccepting returns.
+  handler.Release();
+  stopper.join();
+  EXPECT_TRUE(stopped.load());
   std::string reply;
   bool clean_eof = false;
   ASSERT_TRUE(ReadFrame(client.get(), &reply, 1024, &clean_eof));
   EXPECT_EQ(reply, "re:hello");
-  ASSERT_TRUE(ReadFrame(client.get(), &reply, 1024, &clean_eof));
-  EXPECT_EQ(reply, "re:world");
+  EXPECT_TRUE(handler.FirstFrame());
+  EXPECT_FALSE(handler.StaleSent());
 
-  // A ConnRef with a stale generation must fail Send harmlessly.
-  ConnRef stale = banked[0].first;
-  stale.generation += 1;
-  std::atomic<bool> sent{true};
-  pool.Post(stale.loop, [&pool, stale, &sent] {
-    sent.store(pool.Send(stale, "never"));
-  });
-  for (int spin = 0; spin < 200 && sent.load(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(sent.load());
+  // The listening socket is closed: a new connect is refused, and no
+  // loop accepted anything.
+  ScopedFd late(::socket(AF_INET, SOCK_STREAM, 0));
+  EXPECT_NE(ConnectLoopback(late.get(), port), 0);
+  EXPECT_EQ(pool.Stats().accepted, accepted);
 
-  pool.StopAccepting();
   pool.Stop();
 }
 

@@ -1,12 +1,11 @@
 // Request-tracing subsystem (obs/trace.h): the SPSC ring, the
 // deterministic head sampler, the tail (slow) capture, the JSONL
 // writer, concurrent multi-shard recording against a live exporter
-// (the configuration the TSan stage runs), the engine's per-query
-// execute stamps, and the RAII span-balance assertion.
+// (the configuration the TSan stage runs), and the engine's per-query
+// execute stamps.
 
 #include "obs/trace.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -125,9 +124,7 @@ TEST(TracerTest, RuntimeOffSkipsRequestsEntirely) {
   trace.RecordStage(TraceStage::kExecute, 1, 2);
   EXPECT_FALSE(trace.stages[static_cast<size_t>(TraceStage::kExecute)]
                    .Present());
-  const int shard = tracer.AcquireShard();
-  tracer.Finish(shard, &trace);  // no-op for inactive traces
-  tracer.ReleaseShard(shard);
+  tracer.Finish(0, &trace);  // no-op for inactive traces
   EXPECT_EQ(tracer.GetSnapshot().finished, 0u);
 }
 
@@ -161,8 +158,6 @@ TEST(TracerTest, SlowThresholdZeroCapturesUnsampledRequests) {
   options.slow_micros = 0;   // ...but everything counts as slow
   options.shards = 1;
   Tracer tracer(options);
-  const int shard = tracer.AcquireShard();
-  ASSERT_EQ(shard, 0);
 
   for (int i = 0; i < 10; ++i) {
     RequestTrace trace;
@@ -171,10 +166,9 @@ TEST(TracerTest, SlowThresholdZeroCapturesUnsampledRequests) {
     EXPECT_FALSE(trace.head_sampled);
     const uint64_t now = trace.NowNs();
     trace.RecordStage(TraceStage::kExecute, now, now + 1000);
-    tracer.Finish(shard, &trace);
+    tracer.Finish(0, &trace);
     EXPECT_TRUE(trace.slow);
   }
-  tracer.ReleaseShard(shard);
 
   const Tracer::Snapshot snap = tracer.GetSnapshot();
   EXPECT_EQ(snap.finished, 10u);
@@ -193,17 +187,15 @@ TEST(TracerTest, SlowThresholdSeparatesFastFromSlow) {
   options.slow_micros = 10;  // 10us threshold
   options.shards = 1;
   Tracer tracer(options);
-  const int shard = tracer.AcquireShard();
 
   RequestTrace fast = MakeFinishedTrace(100, 100 + 9 * 1000);
-  tracer.Finish(shard, &fast);
+  tracer.Finish(0, &fast);
   EXPECT_FALSE(fast.slow);
   EXPECT_EQ(fast.total_ns, 9000u);
 
   RequestTrace slow = MakeFinishedTrace(100, 100 + 11 * 1000);
-  tracer.Finish(shard, &slow);
+  tracer.Finish(0, &slow);
   EXPECT_TRUE(slow.slow);
-  tracer.ReleaseShard(shard);
 
   const Tracer::Snapshot snap = tracer.GetSnapshot();
   EXPECT_EQ(snap.finished, 2u);
@@ -283,33 +275,21 @@ TEST(TracerTest, ConcurrentShardsRecordCleanlyWithLiveExporter) {
   std::string error;
   ASSERT_TRUE(tracer.StartExporter(path, &error)) << error;
 
-  // Acquire every shard up front so the threads provably hold distinct
-  // shards for the whole run (the server's shape: one shard per live
-  // connection). With a quick-exiting thread, release-then-reacquire
-  // could funnel several threads' traces into one ring.
-  std::vector<int> shards(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    shards[t] = tracer.AcquireShard();
-    ASSERT_GE(shards[t], 0);
-  }
-  EXPECT_EQ(tracer.AcquireShard(), -1);  // pool exhausted
-
+  // Thread t is the only producer into shard t (the server's shape: one
+  // shard per event loop).
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, shard = shards[t]] {
+    threads.emplace_back([&tracer, shard = t] {
       for (size_t i = 0; i < kPerThread; ++i) {
         RequestTrace trace;
         tracer.StartRequest(&trace);
-        {
-          TraceSpan span(&trace, TraceStage::kExecute);
-          std::atomic_signal_fence(std::memory_order_seq_cst);
-        }
+        const uint64_t start_ns = trace.NowNs();
+        trace.RecordStage(TraceStage::kExecute, start_ns, trace.NowNs());
         tracer.Finish(shard, &trace);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  for (int shard : shards) tracer.ReleaseShard(shard);
   tracer.StopExporter();
 
   const Tracer::Snapshot snap = tracer.GetSnapshot();
@@ -401,24 +381,6 @@ TEST(TracerTest, ConcurrentStopExporterJoinsExactlyOnce) {
     ASSERT_TRUE(tracer.StartExporter(path, &error)) << error;
     tracer.StopExporter();
   }
-}
-
-TEST(TraceDeathTest, FinishWithOpenSpanDies) {
-  if constexpr (!kTracingCompiledIn) GTEST_SKIP();
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        TracerOptions options;
-        options.sample_every = 1;
-        options.shards = 1;
-        Tracer tracer(options);
-        const int shard = tracer.AcquireShard();
-        RequestTrace trace;
-        tracer.StartRequest(&trace);
-        TraceSpan span(&trace, TraceStage::kExecute);
-        tracer.Finish(shard, &trace);  // span still open: must abort
-      },
-      "open_spans");
 }
 
 }  // namespace

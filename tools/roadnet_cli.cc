@@ -31,7 +31,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -102,6 +101,12 @@ int Usage() {
   return 2;
 }
 
+// A malformed numeric flag (util/flags.h NumericFlag) is a usage error.
+int BadFlag(const std::string& error) {
+  std::fprintf(stderr, "roadnet_cli: %s\n", error.c_str());
+  return Usage();
+}
+
 std::optional<Graph> LoadGraph(
     const std::map<std::string, std::string>& flags) {
   auto it = flags.find("graph");
@@ -117,16 +122,14 @@ std::optional<Graph> LoadGraph(
 
 int Generate(const std::map<std::string, std::string>& flags) {
   GeneratorConfig config;
-  if (auto it = flags.find("vertices"); it != flags.end()) {
-    config.target_vertices = std::stoul(it->second);
-  }
-  if (auto it = flags.find("seed"); it != flags.end()) {
-    config.seed = std::stoull(it->second);
+  std::string error;
+  if (!NumericFlag(flags, "vertices", &config.target_vertices, &error) ||
+      !NumericFlag(flags, "seed", &config.seed, &error)) {
+    return BadFlag(error);
   }
   auto out = flags.find("out");
   if (out == flags.end()) return Usage();
   Graph g = GenerateRoadNetwork(config);
-  std::string error;
   if (!WriteGraphFile(g, out->second, &error)) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
@@ -199,22 +202,20 @@ int Preprocess(const std::map<std::string, std::string>& flags) {
 int Poi(const std::map<std::string, std::string>& flags) {
   auto out = flags.find("out");
   if (out == flags.end()) return Usage();
+  PoiConfig config;
+  std::string error;
+  if (!NumericFlag(flags, "seed", &config.seed, &error)) return BadFlag(error);
   auto g = LoadGraph(flags);
   if (!g.has_value()) return 1;
-  PoiConfig config;
   // Default sweep mirrors the paper's R-set selectivities: one dense and
   // one sparse category per power of ten.
   std::string spec = "restaurant:0.01,fuel:0.001,hotel:0.0001";
   if (auto it = flags.find("categories"); it != flags.end()) {
     spec = it->second;
   }
-  std::string error;
   if (!ParsePoiCategories(spec, &config.categories, &error)) {
     std::fprintf(stderr, "--categories: %s\n", error.c_str());
     return 1;
-  }
-  if (auto it = flags.find("seed"); it != flags.end()) {
-    config.seed = std::stoull(it->second);
   }
   const PoiSet pois = PoiSet::Generate(*g, config);
   if (!pois.SerializeToFile(out->second, &error)) {
@@ -255,22 +256,24 @@ int Stats(const std::map<std::string, std::string>& flags) {
 
 int Query(const std::map<std::string, std::string>& flags) {
   auto index_flag = flags.find("index");
-  auto from = flags.find("from");
-  auto to = flags.find("to");
-  if (index_flag == flags.end() || from == flags.end() || to == flags.end()) {
+  if (index_flag == flags.end() || flags.count("from") == 0 ||
+      flags.count("to") == 0) {
     return Usage();
+  }
+  VertexId s = 0, t = 0;
+  std::string error;
+  if (!NumericFlag(flags, "from", &s, &error) ||
+      !NumericFlag(flags, "to", &t, &error)) {
+    return BadFlag(error);
   }
   auto g = LoadGraph(flags);
   if (!g.has_value()) return 1;
   std::ifstream file(index_flag->second, std::ios::binary);
-  std::string error;
   auto ch = ChIndex::Deserialize(*g, file, &error);
   if (ch == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const VertexId s = static_cast<VertexId>(std::stoul(from->second));
-  const VertexId t = static_cast<VertexId>(std::stoul(to->second));
   if (s >= g->NumVertices() || t >= g->NumVertices()) {
     std::fprintf(stderr, "vertex ids must be < %u\n", g->NumVertices());
     return 1;
@@ -317,10 +320,17 @@ int Query(const std::map<std::string, std::string>& flags) {
 int BatchQuery(const std::map<std::string, std::string>& flags) {
   auto index_flag = flags.find("index");
   if (index_flag == flags.end()) return Usage();
+  uint64_t seed = 1;
+  size_t count = 0, threads = 1;
+  std::string error;
+  if (!NumericFlag(flags, "seed", &seed, &error) ||
+      !NumericFlag(flags, "random", &count, &error) ||
+      !NumericFlag(flags, "threads", &threads, &error)) {
+    return BadFlag(error);
+  }
   auto g = LoadGraph(flags);
   if (!g.has_value()) return 1;
   std::ifstream file(index_flag->second, std::ios::binary);
-  std::string error;
   auto ch = ChIndex::Deserialize(*g, file, &error);
   if (ch == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -349,13 +359,8 @@ int BatchQuery(const std::map<std::string, std::string>& flags) {
                    it->second.c_str(), queries.size());
       return 1;
     }
-  } else if (auto rnd = flags.find("random"); rnd != flags.end()) {
-    uint64_t seed = 1;
-    if (auto sit = flags.find("seed"); sit != flags.end()) {
-      seed = std::stoull(sit->second);
-    }
+  } else if (flags.count("random") > 0) {
     Rng rng(seed);
-    const size_t count = std::stoul(rnd->second);
     queries.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       queries.emplace_back(
@@ -370,10 +375,6 @@ int BatchQuery(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
-  size_t threads = 1;
-  if (auto it = flags.find("threads"); it != flags.end()) {
-    threads = std::stoul(it->second);
-  }
   BatchOptions options;
   options.collect_paths = flags.count("paths") > 0;
 
@@ -429,13 +430,34 @@ volatile std::sig_atomic_t g_interrupted = 0;
 
 void HandleSigint(int) { g_interrupted = 1; }
 
-uint64_t FlagOr(const FlagMap& flags, const std::string& name,
-                uint64_t fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
 int Serve(const FlagMap& flags) {
+  // Event-loop front end: --loops shards connections across that many
+  // epoll threads, each answering its own requests; --idle-timeout-ms
+  // reaps silent connections; the write caps bound per-connection reply
+  // queues (soft = pause reads, hard = shed with OVERLOADED). Tracing:
+  // --trace-sample N captures every Nth request, --slow-us T
+  // additionally captures anything slower than T microseconds (0 =
+  // everything), --trace-out appends captured traces as JSONL.
+  ServerOptions options;
+  std::string error;
+  if (!NumericFlag(flags, "port", &options.port, &error) ||
+      !NumericFlag(flags, "max-conns", &options.max_connections, &error) ||
+      !NumericFlag(flags, "loops", &options.num_loops, &error) ||
+      !NumericFlag(flags, "idle-timeout-ms", &options.idle_timeout_ms,
+                   &error) ||
+      !NumericFlag(flags, "write-soft-cap", &options.write_queue_soft_cap,
+                   &error) ||
+      !NumericFlag(flags, "write-hard-cap", &options.write_queue_hard_cap,
+                   &error) ||
+      !NumericFlag(flags, "trace-sample", &options.trace_sample_every,
+                   &error) ||
+      !NumericFlag(flags, "slow-us", &options.trace_slow_us, &error) ||
+      !NumericFlag(flags, "trace-seed", &options.trace_seed, &error)) {
+    return BadFlag(error);
+  }
+  if (auto it = flags.find("trace-out"); it != flags.end()) {
+    options.trace_out = it->second;
+  }
   auto g = LoadGraph(flags);
   if (!g.has_value()) return 1;
   std::string technique = "ch";
@@ -446,7 +468,6 @@ int Serve(const FlagMap& flags) {
   if (auto it = flags.find("index"); it != flags.end()) {
     index_path = it->second;
   }
-  std::string error;
   Timer build_timer;
   auto index = server::MakeIndex(technique, *g, index_path, &error);
   if (index == nullptr) {
@@ -492,29 +513,6 @@ int Serve(const FlagMap& flags) {
                     (1024.0 * 1024.0));
   }
 
-  ServerOptions options;
-  options.port = static_cast<uint16_t>(FlagOr(flags, "port", 0));
-  options.max_connections = FlagOr(flags, "max-conns", 64);
-  // Event-loop front end: --loops shards connections across that many
-  // epoll threads, each answering its own requests; --idle-timeout-ms
-  // reaps silent connections; the write caps bound per-connection reply
-  // queues (soft = pause reads, hard = shed with OVERLOADED).
-  options.num_loops = FlagOr(flags, "loops", options.num_loops);
-  options.idle_timeout_ms =
-      FlagOr(flags, "idle-timeout-ms", options.idle_timeout_ms);
-  options.write_queue_soft_cap =
-      FlagOr(flags, "write-soft-cap", options.write_queue_soft_cap);
-  options.write_queue_hard_cap =
-      FlagOr(flags, "write-hard-cap", options.write_queue_hard_cap);
-  // Tracing: --trace-sample N captures every Nth request, --slow-us T
-  // additionally captures anything slower than T microseconds (0 =
-  // everything), --trace-out appends captured traces as JSONL.
-  options.trace_sample_every = FlagOr(flags, "trace-sample", 0);
-  options.trace_slow_us = FlagOr(flags, "slow-us", kTraceSlowDisabled);
-  options.trace_seed = FlagOr(flags, "trace-seed", 1);
-  if (auto it = flags.find("trace-out"); it != flags.end()) {
-    options.trace_out = it->second;
-  }
   QueryServer server(*index, wire::TechniqueId(technique), g->NumVertices(),
                      options, knn);
   if (!server.Start(&error)) {

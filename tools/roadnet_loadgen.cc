@@ -118,18 +118,6 @@ struct KnnWork {
   VertexId source = 0;
 };
 
-uint64_t FlagOr(const FlagMap& flags, const std::string& name,
-                uint64_t fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : std::stoull(it->second);
-}
-
-std::string FlagOr(const FlagMap& flags, const std::string& name,
-                   const std::string& fallback) {
-  auto it = flags.find(name);
-  return it == flags.end() ? fallback : it->second;
-}
-
 // The post-run admin step of both modes: --stats prints the server's
 // STATS snapshot, --shutdown then sends the SHUTDOWN frame. False (after
 // printing why) on any admin failure.
@@ -203,25 +191,37 @@ int main(int argc, char** argv) {
                        "verify-every", "technique", "trace-sample",
                        "slow-us", "rate", "arrival", "pipeline"},
                       {"paths", "stats", "shutdown"}};
-  std::string parse_error;
-  const auto flags = ParseFlags(argc, argv, 1, spec, &parse_error);
-  if (!flags.has_value()) {
-    std::fprintf(stderr, "roadnet_loadgen: %s\n", parse_error.c_str());
+  std::string error;
+  const auto flags = ParseFlags(argc, argv, 1, spec, &error);
+  uint16_t port = 0;
+  size_t connections = 4, total_queries = 1000, pipeline = 16;
+  uint64_t seed = 1, deadline_us = 0, verify_every = 10;
+  uint64_t trace_sample = 0, slow_us = kTraceSlowDisabled;
+  double rate = 0;
+  if (!flags.has_value() || !NumericFlag(*flags, "port", &port, &error) ||
+      !NumericFlag(*flags, "connections", &connections, &error) ||
+      !NumericFlag(*flags, "queries", &total_queries, &error) ||
+      !NumericFlag(*flags, "pipeline", &pipeline, &error) ||
+      !NumericFlag(*flags, "seed", &seed, &error) ||
+      !NumericFlag(*flags, "deadline-us", &deadline_us, &error) ||
+      !NumericFlag(*flags, "verify-every", &verify_every, &error) ||
+      !NumericFlag(*flags, "trace-sample", &trace_sample, &error) ||
+      !NumericFlag(*flags, "slow-us", &slow_us, &error) ||
+      !NumericFlag(*flags, "rate", &rate, &error)) {
+    std::fprintf(stderr, "roadnet_loadgen: %s\n", error.c_str());
     return Usage();
   }
   if (flags->count("port") == 0 || flags->count("graph") == 0) {
     return Usage();
   }
-  const std::string host = FlagOr(*flags, "host", "127.0.0.1");
-  const uint16_t port =
-      static_cast<uint16_t>(std::stoul(flags->at("port")));
-  const size_t connections = FlagOr(*flags, "connections", 4);
-  const size_t total_queries = FlagOr(*flags, "queries", 1000);
-  const std::string workload = FlagOr(*flags, "workload", "random");
-  const uint64_t seed = FlagOr(*flags, "seed", 1);
-  const uint64_t deadline_us = FlagOr(*flags, "deadline-us", 0);
-  const uint64_t verify_every = FlagOr(*flags, "verify-every", 10);
-  const std::string technique = FlagOr(*flags, "technique", "any");
+  const std::string host =
+      flags->count("host") > 0 ? flags->at("host") : "127.0.0.1";
+  const std::string workload =
+      flags->count("workload") > 0 ? flags->at("workload") : "random";
+  const std::string technique =
+      flags->count("technique") > 0 ? flags->at("technique") : "any";
+  const std::string arrival =
+      flags->count("arrival") > 0 ? flags->at("arrival") : "poisson";
   const bool use_paths = flags->count("paths") > 0;
   const bool want_stats = flags->count("stats") > 0;
   const bool want_shutdown = flags->count("shutdown") > 0;
@@ -231,8 +231,6 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const bool open_loop = flags->count("rate") > 0;
-  const std::string arrival = FlagOr(*flags, "arrival", "poisson");
-  const size_t pipeline = FlagOr(*flags, "pipeline", 16);
   if (open_loop) {
     if (workload != "random") {
       std::fprintf(stderr,
@@ -244,10 +242,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown --arrival %s\n", arrival.c_str());
       return Usage();
     }
-    if (pipeline == 0 || std::stod(flags->at("rate")) <= 0) return Usage();
+    if (pipeline == 0 || rate <= 0) return Usage();
   }
 
-  std::string error;
   auto g = ReadGraphFile(flags->at("graph"), &error);
   if (!g.has_value()) {
     std::fprintf(stderr, "%s\n", error.c_str());
@@ -341,12 +338,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     wire::TraceConfigRequest cfg;
-    if (flags->count("trace-sample") > 0) {
-      cfg.sample_every = FlagOr(*flags, "trace-sample", 0);
-    }
-    if (flags->count("slow-us") > 0) {
-      cfg.slow_micros = FlagOr(*flags, "slow-us", kTraceSlowDisabled);
-    }
+    if (flags->count("trace-sample") > 0) cfg.sample_every = trace_sample;
+    if (flags->count("slow-us") > 0) cfg.slow_micros = slow_us;
     wire::TraceConfigResponse effective;
     if (!admin->ConfigureTracing(cfg, &effective, &error)) {
       std::fprintf(stderr, "trace config: %s\n", error.c_str());
@@ -370,7 +363,7 @@ int main(int argc, char** argv) {
     olo.port = port;
     olo.connections = connections;
     olo.pipeline = pipeline;
-    olo.rate = std::stod(flags->at("rate"));
+    olo.rate = rate;
     olo.poisson = arrival == "poisson";
     olo.total_requests = total_queries;
     olo.seed = seed;

@@ -134,14 +134,14 @@ int main(int argc, char** argv) {
   const FlagSpec spec{{"in", "csv", "top"}, {}};
   std::string parse_error;
   const auto flags = ParseFlags(argc, argv, 1, spec, &parse_error);
-  if (!flags.has_value()) {
+  uint64_t top_n = 0;
+  if (!flags.has_value() ||
+      !NumericFlag(*flags, "top", &top_n, &parse_error)) {
     std::fprintf(stderr, "roadnet_trace: %s\n", parse_error.c_str());
     return Usage();
   }
   if (flags->count("in") == 0) return Usage();
   const std::string path = flags->at("in");
-  const uint64_t top_n =
-      flags->count("top") > 0 ? std::stoull(flags->at("top")) : 0;
 
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) {
