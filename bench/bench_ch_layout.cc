@@ -88,8 +88,7 @@ class LegacyChIndex : public PathIndex {
 
   Path PathQuery(QueryContext* raw_ctx, VertexId s, VertexId t) const override {
     Context* ctx = static_cast<Context*>(raw_ctx);
-    Distance d = kInfDistance;
-    VertexId meet = Search(ctx, s, t, &d);
+    const VertexId meet = Search(ctx, s, t, &ctx->path_distance);
     if (meet == kInvalidVertex) return {};
     if (s == t) return {s};
     std::vector<VertexId> up_path;

@@ -63,8 +63,20 @@ stage_smoke() {
     --out "$SMOKE/g.ch" >/dev/null
   build/tools/roadnet_cli batch-query --graph "$SMOKE/g.bin" \
     --index "$SMOKE/g.ch" --random 500 --seed 7 --threads 2 \
-    --metrics-out "$SMOKE/metrics.jsonl" >/dev/null
+    --metrics-out "$SMOKE/metrics.jsonl" >"$SMOKE/batch_dist.txt"
   python3 scripts/validate_metrics.py "$SMOKE/metrics.jsonl"
+  # The same queries as a path batch, whose distances come from the path
+  # queries alone: it must report the distance batch's reachable count.
+  build/tools/roadnet_cli batch-query --graph "$SMOKE/g.bin" \
+    --index "$SMOKE/g.ch" --random 500 --seed 7 --threads 2 --paths \
+    >"$SMOKE/batch_paths.txt"
+  local dist_reach path_reach
+  dist_reach="$(grep '^queries:' "$SMOKE/batch_dist.txt")"
+  path_reach="$(grep '^queries:' "$SMOKE/batch_paths.txt")"
+  if [[ -z "$dist_reach" || "$dist_reach" != "$path_reach" ]]; then
+    echo "path batch reports '$path_reach', distance batch '$dist_reach'"
+    exit 1
+  fi
   # The bench exits nonzero if the settled-vertex ranking (Dijkstra >= bidi
   # >= CH, TNR in-table == 0) is violated, so this doubles as a counter
   # regression check.

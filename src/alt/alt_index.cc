@@ -112,8 +112,10 @@ Path AltIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                          VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
   ctx->counters.Reset();
+  ctx->path_distance = 0;
   if (s == t) return {s};
-  if (Search(ctx, s, t) == kInfDistance) return {};
+  ctx->path_distance = Search(ctx, s, t);
+  if (ctx->path_distance == kInfDistance) return {};
   Path path;
   for (VertexId cur = t; cur != kInvalidVertex; cur = ctx->parent[cur]) {
     path.push_back(cur);

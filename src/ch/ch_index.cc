@@ -398,34 +398,37 @@ void ChIndex::EmitArc(uint32_t arc, bool down, Path* out,
 Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                         VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
-  Distance d = kInfDistance;
-  const uint32_t meet = Search(ctx, rank_[s], rank_[t], &d);
+  // The apex's distance is the path's length: nothing below re-derives it.
+  const uint32_t meet =
+      Search(ctx, rank_[s], rank_[t], &ctx->path_distance);
   if (meet == kInvalidVertex) return {};
   if (s == t) return {s};
 
   // The parent arcs give the augmented up-down path directly: the forward
   // tree's arcs are traversed upward (source -> target), the backward
   // tree's downward, and each hop's far vertex comes from ArcSource — no
-  // parent-vertex array, no edge lookups anywhere on this path.
-  std::vector<uint32_t> up_arcs;
+  // parent-vertex array, no edge lookups anywhere on this path. Both
+  // buffers are the context's, so only the returned copy allocates.
+  std::vector<uint32_t>& up_arcs = ctx->up_arcs;
+  up_arcs.clear();
   for (uint32_t arc = ctx->forward.aux[meet].parent_arc;
        arc != kOriginalArc;
        arc = ctx->forward.aux[ArcSource(arc)].parent_arc) {
     up_arcs.push_back(arc);
   }
-  std::reverse(up_arcs.begin(), up_arcs.end());
 
-  Path path;
+  Path& path = ctx->path;
+  path.clear();
   path.push_back(s);
-  for (uint32_t arc : up_arcs) {
-    EmitArc(arc, /*down=*/false, &path, &ctx->counters);
+  for (auto arc = up_arcs.rbegin(); arc != up_arcs.rend(); ++arc) {
+    EmitArc(*arc, /*down=*/false, &path, &ctx->counters);
   }
   for (uint32_t arc = ctx->backward.aux[meet].parent_arc;
        arc != kOriginalArc;
        arc = ctx->backward.aux[ArcSource(arc)].parent_arc) {
     EmitArc(arc, /*down=*/true, &path, &ctx->counters);
   }
-  return path;
+  return Path(path.begin(), path.end());
 }
 
 void ChIndex::UpwardSearchSpace(

@@ -244,6 +244,11 @@ class ChIndex : public PathIndex {
 
     SearchSide forward;
     SearchSide backward;
+    // PathQuery's unpacking scratch, reused across queries so a path
+    // query allocates only the exact-size Path it returns: the forward
+    // tree's arcs from the apex down to s, and the unpacked vertices.
+    std::vector<uint32_t> up_arcs;
+    Path path;
   };
 
   // Builds the rank-space arrays from a contraction run.

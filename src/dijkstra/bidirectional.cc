@@ -106,8 +106,7 @@ Distance BidirectionalDijkstra::DistanceQuery(QueryContext* ctx, VertexId s,
 Path BidirectionalDijkstra::PathQuery(QueryContext* raw_ctx, VertexId s,
                                       VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
-  Distance d = kInfDistance;
-  VertexId meet = Search(ctx, s, t, &d);
+  const VertexId meet = Search(ctx, s, t, &ctx->path_distance);
   if (meet == kInvalidVertex) return {};
 
   // Forward half: meet back to s, reversed.

@@ -67,16 +67,16 @@ void QueryEngine::RunChunk(size_t worker_id, Batch* batch, size_t begin,
     }
     Timer timer;
     const auto [s, t] = batch->queries[i];
-    (*batch->distances)[i] = index_.DistanceQuery(ctx, s, t);
+    if (batch->paths != nullptr) {
+      // A path batch answers both of Section 2's queries with one search:
+      // the path query leaves its length in the context.
+      (*batch->paths)[i] = index_.PathQuery(ctx, s, t);
+      (*batch->distances)[i] = ctx->path_distance;
+    } else {
+      (*batch->distances)[i] = index_.DistanceQuery(ctx, s, t);
+    }
     if (counted) worker.counters += ctx->counters;
     if (traced) (*batch->query_counters)[i] = ctx->counters;
-    if (batch->paths != nullptr) {
-      // A path batch answers both query types (Section 2's two queries);
-      // the reported latency covers the pair.
-      (*batch->paths)[i] = index_.PathQuery(ctx, s, t);
-      if (counted) worker.counters += ctx->counters;
-      if (traced) (*batch->query_counters)[i] += ctx->counters;
-    }
     if (timed) worker.histogram.Record(timer.ElapsedNanos());
     if (traced) {
       (*batch->query_end_ns)[i] = static_cast<uint64_t>(

@@ -47,8 +47,8 @@ struct BatchStats {
 };
 
 struct BatchOptions {
-  // Also materialize every shortest path (PathQuery) instead of distances
-  // only (DistanceQuery).
+  // Answer each query with PathQuery, which yields the path and its
+  // distance from one search, instead of DistanceQuery (distances only).
   bool collect_paths = false;
   // Time every query individually for the latency percentiles. Costs two
   // clock reads plus one histogram add per query; disable for
@@ -71,7 +71,8 @@ struct BatchOptions {
 };
 
 struct BatchResult {
-  // distances[i] answers queries[i] (kInfDistance if unreachable).
+  // distances[i] answers queries[i] (kInfDistance if unreachable); in a
+  // path batch it is the length of paths[i], from the same search.
   std::vector<Distance> distances;
   // paths[i] answers queries[i]; empty unless BatchOptions::collect_paths.
   std::vector<Path> paths;
@@ -81,7 +82,8 @@ struct BatchResult {
   Histogram latency;
   // Per-query execute windows (nanoseconds since BatchOptions::trace_epoch)
   // and counters snapshots, indexed like `queries`; empty unless
-  // BatchOptions::record_per_query.
+  // BatchOptions::record_per_query. query_counters[i] is the one query
+  // run for queries[i] (PathQuery in a path batch, else DistanceQuery).
   std::vector<uint64_t> query_start_ns;
   std::vector<uint64_t> query_end_ns;
   std::vector<QueryCounters> query_counters;

@@ -182,8 +182,10 @@ Path PartitionOverlayIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                                       VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
   ctx->counters.Reset();
+  ctx->path_distance = 0;
   if (s == t) return {s};
-  if (Search(ctx, s, t) == kInfDistance) return {};
+  ctx->path_distance = Search(ctx, s, t);
+  if (ctx->path_distance == kInfDistance) return {};
 
   // Overlay path (may contain clique hops), t back to s.
   std::vector<std::pair<VertexId, bool>> overlay;  // (vertex, via clique)

@@ -153,11 +153,12 @@ Distance HlIndex::DistanceQuery(QueryContext* ctx, VertexId s,
 
 Path HlIndex::PathQuery(QueryContext* ctx, VertexId s, VertexId t) const {
   // Labels hold distances, not parents: expansion reuses the CH, whose
-  // unpacking already emits original-graph vertices. The counters are
-  // the CH query's counters — that is the work this query did.
+  // unpacking already emits original-graph vertices. The counters and
+  // the distance are the CH query's — that is the work this query did.
   Context* hl_ctx = static_cast<Context*>(ctx);
   Path path = ch_->PathQuery(hl_ctx->ch_ctx.get(), s, t);
   hl_ctx->counters = hl_ctx->ch_ctx->counters;
+  hl_ctx->path_distance = hl_ctx->ch_ctx->path_distance;
   return path;
 }
 

@@ -244,24 +244,19 @@ void PcpdIndex::AppendPath(VertexId s, VertexId t, Path* out,
 Path PcpdIndex::PathQuery(QueryContext* ctx, VertexId s, VertexId t) const {
   ctx->counters.Reset();
   Path path{s};
-  if (s == t) return path;
   AppendPath(s, t, &path, &ctx->counters);
+  // The decomposition yields vertices only; the length is their edge
+  // weights' sum (kInfDistance for the empty unreachable path).
+  ctx->path_distance = PathWeight(graph_, path);
   return path;
 }
 
 Distance PcpdIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                   VertexId t) const {
-  ctx->counters.Reset();
-  if (s == t) return 0;
   // PCPD answers distance queries by materializing the path and summing
   // its edge weights (Section 3.5).
-  Path path = PathQuery(ctx, s, t);
-  if (path.empty()) return kInfDistance;
-  Distance total = 0;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    total += *graph_.EdgeWeight(path[i], path[i + 1]);
-  }
-  return total;
+  PathQuery(ctx, s, t);
+  return ctx->path_distance;
 }
 
 size_t PcpdIndex::IndexBytes() const {

@@ -141,8 +141,7 @@ Distance ReachIndex::DistanceQuery(QueryContext* ctx, VertexId s,
 Path ReachIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                            VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
-  Distance d = kInfDistance;
-  VertexId meet = Search(ctx, s, t, &d);
+  const VertexId meet = Search(ctx, s, t, &ctx->path_distance);
   if (meet == kInvalidVertex) return {};
   Path path;
   for (VertexId cur = meet; cur != kInvalidVertex;

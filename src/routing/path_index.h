@@ -30,6 +30,14 @@ class QueryContext {
   // search-space size (the paper's Section 4 explanation of the latency
   // ordering). Batch callers accumulate across queries with operator+=.
   QueryCounters counters;
+
+  // Length of the path the most recent PathQuery on this context
+  // returned: kInfDistance with an empty path, 0 with {s}. Every
+  // PathQuery sets it from the search or walk that built the path, so a
+  // caller wanting both of Section 2's answers for one pair makes one
+  // PathQuery call and reads the distance here. DistanceQuery may leave
+  // it stale.
+  Distance path_distance = kInfDistance;
 };
 
 // Common interface of every technique the paper evaluates (Section 3):
@@ -58,7 +66,8 @@ class PathIndex {
                                  VertexId t) const = 0;
 
   // Shortest path query (Section 2): the path as a vertex sequence
-  // (empty if unreachable).
+  // (empty if unreachable). Also sets ctx->path_distance to the path's
+  // length, so one call answers both query types for (s, t).
   virtual Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const = 0;
 
   // Bytes of precomputed structures held beyond the input graph; the

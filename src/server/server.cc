@@ -195,12 +195,14 @@ wire::Status QueryServer::Execute(Request* r, LoopScratch* scratch) {
   if (r->family == Request::Family::kPoint) {
     QueryContext* ctx = scratch->ctx.get();
     const wire::QueryRequest& q = r->req;
-    r->resp.distance = index_.DistanceQuery(ctx, q.source, q.target);
-    counters = ctx->counters;
     if (q.kind == wire::QueryKind::kPath) {
+      // One search answers both: the path query leaves its length in ctx.
       r->resp.path = index_.PathQuery(ctx, q.source, q.target);
-      counters += ctx->counters;
+      r->resp.distance = ctx->path_distance;
+    } else {
+      r->resp.distance = index_.DistanceQuery(ctx, q.source, q.target);
     }
+    counters = ctx->counters;
   } else {
     std::vector<KnnResult>& out = scratch->knn_out;
     if (r->family == Request::Family::kOneToMany) {

@@ -54,58 +54,60 @@ SilcIndex::SilcIndex(const Graph& g) : graph_(g), space_(g) {
   }
 }
 
-VertexId SilcIndex::NextHop(VertexId from, VertexId to) const {
+const Arc* SilcIndex::NextArc(VertexId from, VertexId to) const {
   // Exceptions first (vertices indistinguishable by Morton code).
   for (size_t i = exception_offsets_[from]; i < exception_offsets_[from + 1];
        ++i) {
     if (exceptions_[i].vertex == to) {
       const uint32_t c = exceptions_[i].color;
-      if (c >= kColorUnreachable) return kInvalidVertex;
-      return graph_.Neighbors(from)[c].to;
+      if (c >= kColorUnreachable) return nullptr;
+      return &graph_.Neighbors(from)[c];
     }
   }
   const auto ivs = IntervalsOf(from);
   const uint32_t color =
       LookupColor(ivs.data(), ivs.data() + ivs.size(), space_.CodeOf(to));
-  if (color >= kColorUnreachable) return kInvalidVertex;
-  return graph_.Neighbors(from)[color].to;
+  if (color >= kColorUnreachable) return nullptr;
+  return &graph_.Neighbors(from)[color];
 }
 
-Path SilcIndex::PathQuery(QueryContext* ctx, VertexId s, VertexId t) const {
+VertexId SilcIndex::NextHop(VertexId from, VertexId to) const {
+  const Arc* hop = NextArc(from, to);
+  return hop == nullptr ? kInvalidVertex : hop->to;
+}
+
+Distance SilcIndex::Walk(QueryContext* ctx, VertexId s, VertexId t,
+                         Path* path) const {
   ctx->counters.Reset();
-  Path path{s};
-  if (s == t) return path;
+  if (s == t) return 0;
+  Distance total = 0;
   VertexId cur = s;
   // Every hop strictly shrinks the remaining distance, so the walk ends
   // after at most n - 1 steps; the bound is a corruption guard.
   for (uint32_t step = 0; step < graph_.NumVertices(); ++step) {
     ctx->counters.TreeLookup();
-    const VertexId next = NextHop(cur, t);
-    if (next == kInvalidVertex) return {};
-    path.push_back(next);
-    if (next == t) return path;
-    cur = next;
+    const Arc* hop = NextArc(cur, t);
+    if (hop == nullptr) return kInfDistance;
+    // The colour indexes cur's adjacency directly, so the hop's weight is
+    // one array access (no edge search needed).
+    total += hop->weight;
+    if (path != nullptr) path->push_back(hop->to);
+    if (hop->to == t) return total;
+    cur = hop->to;
   }
-  return {};
+  return kInfDistance;
+}
+
+Path SilcIndex::PathQuery(QueryContext* ctx, VertexId s, VertexId t) const {
+  Path path{s};
+  ctx->path_distance = Walk(ctx, s, t, &path);
+  if (ctx->path_distance == kInfDistance) return {};
+  return path;
 }
 
 Distance SilcIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                   VertexId t) const {
-  ctx->counters.Reset();
-  if (s == t) return 0;
-  Distance total = 0;
-  VertexId cur = s;
-  for (uint32_t step = 0; step < graph_.NumVertices(); ++step) {
-    ctx->counters.TreeLookup();
-    const VertexId next = NextHop(cur, t);
-    if (next == kInvalidVertex) return kInfDistance;
-    // The colour indexes cur's adjacency directly, so the hop's weight is
-    // one array access (no edge search needed).
-    total += *graph_.EdgeWeight(cur, next);
-    if (next == t) return total;
-    cur = next;
-  }
-  return kInfDistance;
+  return Walk(ctx, s, t, nullptr);
 }
 
 size_t SilcIndex::IndexBytes() const {

@@ -51,6 +51,15 @@ class SilcIndex : public PathIndex {
   size_t NumIntervals() const { return intervals_.size(); }
 
  private:
+  // NextHop's arc in from's adjacency (nullptr where NextHop gives
+  // kInvalidVertex), so the walk reads each hop's weight with its target.
+  const Arc* NextArc(VertexId from, VertexId to) const;
+
+  // The path walk both queries share: returns dist(s, t) (kInfDistance if
+  // unreachable) and, if `path` is non-null, appends every vertex after s
+  // to it.
+  Distance Walk(QueryContext* ctx, VertexId s, VertexId t, Path* path) const;
+
   std::span<const ColorInterval> IntervalsOf(VertexId v) const {
     return {intervals_.data() + interval_offsets_[v],
             interval_offsets_[v + 1] - interval_offsets_[v]};

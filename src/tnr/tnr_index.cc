@@ -232,6 +232,7 @@ Path TnrIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                          VertexId t) const {
   Context* ctx = static_cast<Context*>(raw_ctx);
   ctx->counters.Reset();
+  ctx->path_distance = 0;
   if (s == t) return {s};
   const int32_t cheb =
       CellChebyshev(coarse_.grid.CellOf(s), coarse_.grid.CellOf(t));
@@ -239,6 +240,7 @@ Path TnrIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
     ++ctx->stats.fallback_answered;
     Path p = fallback_->PathQuery(ctx->fallback.get(), s, t);
     ctx->counters += ctx->fallback->counters;
+    ctx->path_distance = ctx->fallback->path_distance;
     return p;
   }
 
@@ -249,6 +251,7 @@ Path TnrIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
   ++ctx->stats.coarse_table_answered;
   Path path{s};
   VertexId cur = s;
+  Distance walked = 0;
   const size_t step_limit = graph_.NumVertices();  // loop guard
   while (path.size() <= step_limit) {
     if (CellChebyshev(coarse_.grid.CellOf(cur), coarse_.grid.CellOf(t)) <
@@ -256,6 +259,7 @@ Path TnrIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
       break;
     }
     VertexId best_v = kInvalidVertex;
+    Weight best_w = 0;
     Distance best_total = kInfDistance;
     bool all_applicable = true;
     for (const Arc& a : graph_.Neighbors(cur)) {
@@ -271,16 +275,22 @@ Path TnrIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
       if (total < best_total) {
         best_total = total;
         best_v = a.to;
+        best_w = a.weight;
       }
     }
     if (!all_applicable || best_v == kInvalidVertex) break;
     path.push_back(best_v);
+    walked += best_w;
     cur = best_v;
   }
 
   Path tail = fallback_->PathQuery(ctx->fallback.get(), cur, t);
   ctx->counters += ctx->fallback->counters;
-  if (tail.empty()) return {};
+  if (tail.empty()) {
+    ctx->path_distance = kInfDistance;
+    return {};
+  }
+  ctx->path_distance = walked + ctx->fallback->path_distance;
   path.insert(path.end(), tail.begin() + 1, tail.end());
   return path;
 }

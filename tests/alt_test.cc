@@ -109,7 +109,9 @@ TEST(AltIndex, UnreachablePair) {
   AltIndex alt(g);
   const auto ctx = alt.NewContext();
   EXPECT_EQ(alt.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  ctx->path_distance = kPoisonDistance;
   EXPECT_TRUE(alt.PathQuery(ctx.get(), 0, 3).empty());
+  EXPECT_EQ(ctx->path_distance, kInfDistance);
 }
 
 }  // namespace

@@ -64,10 +64,20 @@ void RunDifferential(uint32_t target_vertices, uint64_t graph_seed,
         continue;
       }
       // Path queries cost an order of magnitude more than distance
-      // queries; sample them, but check the sampled ones fully: a real
-      // path in g whose weight equals the distance the index reported.
+      // queries; sample them, but check the sampled ones fully: the
+      // distance the path query reported, then a real path in g whose
+      // weight equals it.
       if (qi % 16 != 0) continue;
+      ctx->path_distance = kPoisonDistance;
       const Path path = index->PathQuery(ctx, s, t);
+      if (ctx->path_distance != truth) {
+        mismatches.push_back(
+            {s, t,
+             index->Name() + " path distance " +
+                 std::to_string(ctx->path_distance) + " != oracle " +
+                 std::to_string(truth)});
+        continue;
+      }
       if (truth == kInfDistance) {
         if (!path.empty()) {
           mismatches.push_back(

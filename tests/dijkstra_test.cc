@@ -131,7 +131,9 @@ TEST(BidirectionalDijkstra, UnreachablePair) {
   BidirectionalDijkstra bidi(g);
   const auto ctx = bidi.NewContext();
   EXPECT_EQ(bidi.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  ctx->path_distance = kPoisonDistance;
   EXPECT_TRUE(bidi.PathQuery(ctx.get(), 0, 3).empty());
+  EXPECT_EQ(ctx->path_distance, kInfDistance);
 }
 
 }  // namespace

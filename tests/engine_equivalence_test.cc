@@ -147,6 +147,34 @@ TEST(EngineEquivalence, BatchStatsDeriveFromMergedHistogramAndCounters) {
   }
 }
 
+TEST(EngineEquivalence, PathBatchRunsOneSearchPerQuery) {
+  // A path batch answers each query with one PathQuery, whose search
+  // settles exactly what the distance query's does: the batch totals
+  // match a distance batch's, and every per-query snapshot is that one
+  // path query's counters.
+  EngineFixture f(/*seed=*/707);
+  const auto queries = RandomPairs(f.g, 120, /*seed=*/905);
+  QueryEngine engine(f.ch, 2);
+  const BatchResult dist = engine.Run(queries);
+  BatchOptions options;
+  options.collect_paths = true;
+  options.record_per_query = true;
+  const BatchResult path = engine.Run(queries, options);
+
+  EXPECT_GT(dist.stats.counters.vertices_settled, 0u);
+  EXPECT_EQ(path.stats.counters.vertices_settled,
+            dist.stats.counters.vertices_settled);
+  EXPECT_EQ(path.distances, dist.distances);
+  ASSERT_EQ(path.query_counters.size(), queries.size());
+  auto ctx = f.ch.NewContext();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [s, t] = queries[i];
+    f.ch.PathQuery(ctx.get(), s, t);
+    EXPECT_EQ(path.query_counters[i], ctx->counters)
+        << "s=" << s << " t=" << t;
+  }
+}
+
 TEST(EngineEquivalence, RecordingTogglesZeroTheStats) {
   EngineFixture f(/*seed=*/606);
   const auto queries = RandomPairs(f.g, 60, /*seed=*/904);

@@ -32,7 +32,7 @@ class BlockingIndex : public PathIndex {
     return 0;
   }
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override {
-    DistanceQuery(ctx, s, t);
+    ctx->path_distance = DistanceQuery(ctx, s, t);
     return {s, t};
   }
   size_t IndexBytes() const override { return 0; }

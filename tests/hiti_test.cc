@@ -88,7 +88,9 @@ TEST(PartitionOverlay, UnreachablePair) {
   PartitionOverlayIndex hiti(g);
   const auto ctx = hiti.NewContext();
   EXPECT_EQ(hiti.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  ctx->path_distance = kPoisonDistance;
   EXPECT_TRUE(hiti.PathQuery(ctx.get(), 0, 3).empty());
+  EXPECT_EQ(ctx->path_distance, kInfDistance);
 }
 
 }  // namespace

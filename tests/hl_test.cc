@@ -167,7 +167,9 @@ TEST(HubLabel, UnreachableAcrossComponentsIsInfinity) {
     for (VertexId t = 3; t < 6; ++t) {
       EXPECT_EQ(hl.DistanceQuery(ctx.get(), s, t), kInfDistance);
       EXPECT_EQ(hl.DistanceQuery(ctx.get(), t, s), kInfDistance);
+      ctx->path_distance = kPoisonDistance;
       EXPECT_TRUE(hl.PathQuery(ctx.get(), s, t).empty());
+      EXPECT_EQ(ctx->path_distance, kInfDistance);
     }
   }
   EXPECT_EQ(hl.DistanceQuery(ctx.get(), 0, 2), 1u);

@@ -78,7 +78,9 @@ TEST(ReachIndex, UnreachablePair) {
   ReachIndex re(g);
   const auto ctx = re.NewContext();
   EXPECT_EQ(re.DistanceQuery(ctx.get(), 0, 3), kInfDistance);
+  ctx->path_distance = kPoisonDistance;
   EXPECT_TRUE(re.PathQuery(ctx.get(), 0, 3).empty());
+  EXPECT_EQ(ctx->path_distance, kInfDistance);
 }
 
 TEST(ReachIndex, ChainGraphReaches) {

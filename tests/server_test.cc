@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -745,6 +746,66 @@ TEST(QueryServer, TracedRunWritesJsonlAndServesStageStats) {
     ++records;
   }
   EXPECT_GE(records, 25u);
+}
+
+// Reads one counter out of a trace JSONL record's "counters" object.
+uint64_t TraceCounter(const std::string& record, const char* name) {
+  const std::string key = std::string("\"") + name + "\":";
+  const size_t at = record.find(key, record.find("\"counters\":"));
+  EXPECT_NE(at, std::string::npos) << name << " in " << record;
+  if (at == std::string::npos) return 0;
+  return std::strtoull(record.c_str() + at + key.size(), nullptr, 10);
+}
+
+TEST(QueryServer, PathRequestRunsOneSearch) {
+  // A QUERY2 path request is answered by one PathQuery: its traced
+  // counters are exactly a standalone CH path query's, and the reply's
+  // distance is the one that query reported.
+  if constexpr (!kTracingCompiledIn) GTEST_SKIP();
+  const Graph g = TestNetwork(400, 3);
+  ChIndex ch(g);
+  const auto ctx = ch.NewContext();
+  VertexId s = 0, t = 0;
+  for (const auto& [a, b] : RandomPairs(g, 20, 29)) {
+    ch.PathQuery(ctx.get(), a, b);
+    if (ctx->counters.shortcuts_unpacked > 0) {
+      s = a;
+      t = b;
+      break;
+    }
+  }
+  const Path expected = ch.PathQuery(ctx.get(), s, t);
+  ASSERT_GT(ctx->counters.shortcuts_unpacked, 0u);
+
+  ServerOptions options;
+  options.trace_sample_every = 1;
+  options.trace_out = testing::TempDir() + "/server_path_traces.jsonl";
+  QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  auto client = MustConnect(server.Port());
+  ASSERT_NE(client, nullptr);
+  wire::QueryRequest req;
+  req.kind = wire::QueryKind::kPath;
+  req.source = s;
+  req.target = t;
+  wire::QueryResponse resp;
+  ASSERT_TRUE(client->Query(req, &resp, &error)) << error;
+  EXPECT_EQ(resp.status, wire::Status::kOk);
+  EXPECT_EQ(resp.path, expected);
+  EXPECT_EQ(resp.distance, ctx->path_distance);
+  client.reset();
+  server.Shutdown();  // stops the exporter: the file is complete
+
+  std::ifstream in(options.trace_out);
+  std::string record;
+  ASSERT_TRUE(std::getline(in, record));
+  std::remove(options.trace_out.c_str());
+  EXPECT_EQ(TraceCounter(record, "vertices_settled"),
+            ctx->counters.vertices_settled);
+  EXPECT_EQ(TraceCounter(record, "heap_pops"), ctx->counters.heap_pops);
+  EXPECT_EQ(TraceCounter(record, "shortcuts_unpacked"),
+            ctx->counters.shortcuts_unpacked);
 }
 
 TEST(QueryServer, TraceConfigOverWireTakesEffect) {

@@ -69,9 +69,15 @@ inline std::vector<std::pair<VertexId, VertexId>> RandomPairs(
   return pairs;
 }
 
+// Planted in ctx->path_distance before a PathQuery under test. No real
+// distance equals it and it is not kInfDistance, so a PathQuery that
+// returns without setting the field fails the check that follows.
+inline constexpr Distance kPoisonDistance = kInfDistance - 1;
+
 // Checks an index against Dijkstra ground truth on random queries: the
-// distance must match exactly and the path must be a real path in g whose
-// weight equals the distance.
+// distance must match exactly, the path must be a real path in g whose
+// weight equals the distance, and PathQuery must report that distance in
+// ctx->path_distance. Ends with one s == t query: the path {s}, length 0.
 inline void ExpectIndexCorrect(const Graph& g, const PathIndex* index,
                                size_t num_queries, uint64_t seed) {
   Dijkstra reference(g);
@@ -80,7 +86,11 @@ inline void ExpectIndexCorrect(const Graph& g, const PathIndex* index,
     const Distance truth = reference.Run(s, t);
     EXPECT_EQ(index->DistanceQuery(ctx.get(), s, t), truth)
         << index->Name() << " distance mismatch for s=" << s << " t=" << t;
+    ctx->path_distance = kPoisonDistance;
     Path path = index->PathQuery(ctx.get(), s, t);
+    EXPECT_EQ(ctx->path_distance, truth)
+        << index->Name() << " path distance mismatch for s=" << s
+        << " t=" << t;
     if (truth == kInfDistance) {
       EXPECT_TRUE(path.empty());
       continue;
@@ -95,6 +105,10 @@ inline void ExpectIndexCorrect(const Graph& g, const PathIndex* index,
     EXPECT_EQ(PathWeight(g, path), truth)
         << index->Name() << " path weight mismatch, s=" << s << " t=" << t;
   }
+  const VertexId v = static_cast<VertexId>(seed % g.NumVertices());
+  ctx->path_distance = kPoisonDistance;
+  EXPECT_EQ(index->PathQuery(ctx.get(), v, v), Path{v}) << index->Name();
+  EXPECT_EQ(ctx->path_distance, 0u) << index->Name() << " s == t = " << v;
 }
 
 }  // namespace roadnet

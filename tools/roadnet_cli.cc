@@ -279,10 +279,20 @@ int Query(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   const auto ctx = ch->NewContext();
+  const bool want_path = flags.count("path") > 0;
+  // --path answers both queries with one search: PathQuery leaves the
+  // distance in the context.
   Timer timer;
-  const Distance d = ch->DistanceQuery(ctx.get(), s, t);
+  Path path;
+  Distance d = kInfDistance;
+  if (want_path) {
+    path = ch->PathQuery(ctx.get(), s, t);
+    d = ctx->path_distance;
+  } else {
+    d = ch->DistanceQuery(ctx.get(), s, t);
+  }
   const double micros = timer.ElapsedMicros();
-  QueryCounters counters = ctx->counters;
+  const QueryCounters counters = ctx->counters;
   std::printf("distance %u -> %u: ", s, t);
   if (d == kInfDistance) {
     std::printf("unreachable");
@@ -290,9 +300,7 @@ int Query(const std::map<std::string, std::string>& flags) {
     std::printf("%llu", static_cast<unsigned long long>(d));
   }
   std::printf("  (%.1f us)\n", micros);
-  if (flags.count("path") && d != kInfDistance) {
-    const Path path = ch->PathQuery(ctx.get(), s, t);
-    counters += ctx->counters;
+  if (want_path && d != kInfDistance) {
     std::printf("path (%zu vertices):", path.size());
     for (VertexId v : path) std::printf(" %u", v);
     std::printf("\n");
