@@ -55,73 +55,31 @@ Distance AltIndex::LowerBound(VertexId v, VertexId t) const {
 }
 
 std::unique_ptr<QueryContext> AltIndex::NewContext() const {
-  return std::make_unique<Context>(graph_.NumVertices());
+  return std::make_unique<GoalDirectedContext>(graph_.NumVertices());
 }
 
-Distance AltIndex::Search(Context* ctx, VertexId s, VertexId t) const {
-  ++ctx->generation;
-  ctx->heap.Clear();
-  ctx->dist[s] = 0;
-  ctx->parent[s] = kInvalidVertex;
-  ctx->reached[s] = ctx->generation;
-  ctx->heap.Push(s, LowerBound(s, t));
-  ctx->counters.HeapPush();
-  ctx->counters.TableLookup(landmarks_.size());
-
-  while (!ctx->heap.Empty()) {
-    const VertexId u = ctx->heap.PopMin();
-    ctx->counters.HeapPop();
-    ctx->settled[u] = ctx->generation;
-    ctx->counters.Settle();
-    if (u == t) return ctx->dist[t];
-    const Distance du = ctx->dist[u];
-    for (const Arc& a : graph_.Neighbors(u)) {
-      if (ctx->settled[a.to] == ctx->generation) continue;
-      ctx->counters.RelaxEdge();
-      const Distance cand = du + a.weight;
-      if (ctx->reached[a.to] != ctx->generation) {
-        ctx->reached[a.to] = ctx->generation;
-        ctx->dist[a.to] = cand;
-        ctx->parent[a.to] = u;
-        ctx->heap.Push(a.to, cand + LowerBound(a.to, t));
-        ctx->counters.HeapPush();
-        ctx->counters.TableLookup(landmarks_.size());
-      } else if (cand < ctx->dist[a.to]) {
-        // The potential is consistent, so keys only ever decrease with
-        // the tentative distance.
-        const Distance key = cand + LowerBound(a.to, t);
-        ctx->dist[a.to] = cand;
-        ctx->parent[a.to] = u;
-        ctx->heap.DecreaseKey(a.to, key);
-        ctx->counters.HeapPush();
-        ctx->counters.TableLookup(landmarks_.size());
-      }
-    }
-  }
-  return kInfDistance;
+Distance AltIndex::Search(GoalDirectedContext* ctx, VertexId s,
+                          VertexId t) const {
+  // The potential is consistent, so a vertex's key only ever decreases
+  // with its tentative distance.
+  auto potential = [&](VertexId v) {
+    ctx->counters.TableLookup(landmarks_.size());
+    return LowerBound(v, t);
+  };
+  return GoalDirectedSearch(graph_, ctx, s, t, AllArcs{}, potential);
 }
 
 Distance AltIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                  VertexId t) const {
-  ctx->counters.Reset();
-  if (s == t) return 0;
-  return Search(static_cast<Context*>(ctx), s, t);
+  return Search(static_cast<GoalDirectedContext*>(ctx), s, t);
 }
 
 Path AltIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                          VertexId t) const {
-  Context* ctx = static_cast<Context*>(raw_ctx);
-  ctx->counters.Reset();
-  ctx->path_distance = 0;
-  if (s == t) return {s};
+  auto* ctx = static_cast<GoalDirectedContext*>(raw_ctx);
   ctx->path_distance = Search(ctx, s, t);
   if (ctx->path_distance == kInfDistance) return {};
-  Path path;
-  for (VertexId cur = t; cur != kInvalidVertex; cur = ctx->parent[cur]) {
-    path.push_back(cur);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return s == t ? Path{s} : ctx->search.PathTo(t);
 }
 
 size_t AltIndex::IndexBytes() const {

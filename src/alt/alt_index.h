@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "dijkstra/search.h"
 #include "graph/graph.h"
-#include "pq/indexed_heap.h"
 #include "routing/path_index.h"
 
 namespace roadnet {
@@ -52,28 +52,14 @@ class AltIndex : public PathIndex {
   Distance LowerBound(VertexId v, VertexId t) const;
 
  private:
-  // Query scratch (generation-stamped).
-  struct Context : QueryContext {
-    explicit Context(uint32_t n)
-        : heap(n), dist(n, 0), parent(n, kInvalidVertex), reached(n, 0),
-          settled(n, 0) {}
-
-    IndexedHeap<Distance> heap;
-    std::vector<Distance> dist;
-    std::vector<VertexId> parent;
-    std::vector<uint32_t> reached;
-    std::vector<uint32_t> settled;
-    uint32_t generation = 0;
-  };
-
   // dist(landmarks_[i], v) at landmark_dist_[i * n + v].
   Distance LandmarkDistance(uint32_t i, VertexId v) const {
     return landmark_dist_[static_cast<size_t>(i) * graph_.NumVertices() + v];
   }
 
-  // Runs the A* search; returns dist (kInfDistance if unreachable) and
-  // leaves the parent tree in the context for path extraction.
-  Distance Search(Context* ctx, VertexId s, VertexId t) const;
+  // Runs the A* search (GoalDirectedSearch under LowerBound); returns
+  // dist (kInfDistance if unreachable) and leaves the tree in the context.
+  Distance Search(GoalDirectedContext* ctx, VertexId s, VertexId t) const;
 
   const Graph& graph_;
   std::vector<VertexId> landmarks_;

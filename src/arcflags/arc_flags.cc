@@ -70,70 +70,27 @@ ArcFlagsIndex::ArcFlagsIndex(const Graph& g, const ArcFlagsConfig& config)
 }
 
 std::unique_ptr<QueryContext> ArcFlagsIndex::NewContext() const {
-  return std::make_unique<Context>(graph_.NumVertices());
+  return std::make_unique<GoalDirectedContext>(graph_.NumVertices());
 }
 
-Distance ArcFlagsIndex::Search(Context* ctx, VertexId s, VertexId t) const {
+Distance ArcFlagsIndex::Search(GoalDirectedContext* ctx, VertexId s,
+                               VertexId t) const {
   const uint32_t target_region = region_of_[t];
-  ++ctx->generation;
-  ctx->heap.Clear();
-  ctx->dist[s] = 0;
-  ctx->parent[s] = kInvalidVertex;
-  ctx->reached[s] = ctx->generation;
-  ctx->heap.Push(s, 0);
-  ctx->counters.HeapPush();
-  while (!ctx->heap.Empty()) {
-    const VertexId u = ctx->heap.PopMin();
-    ctx->counters.HeapPop();
-    ctx->settled[u] = ctx->generation;
-    ctx->counters.Settle();
-    if (u == t) return ctx->dist[t];
-    const Distance du = ctx->dist[u];
-    size_t idx = arc_offsets_[u];
-    for (const Arc& a : graph_.Neighbors(u)) {
-      const size_t arc_index = idx++;
-      if (!ArcFlag(arc_index, target_region)) continue;  // pruned
-      if (ctx->settled[a.to] == ctx->generation) continue;
-      ctx->counters.RelaxEdge();
-      const Distance cand = du + a.weight;
-      if (ctx->reached[a.to] != ctx->generation) {
-        ctx->reached[a.to] = ctx->generation;
-        ctx->dist[a.to] = cand;
-        ctx->parent[a.to] = u;
-        ctx->heap.Push(a.to, cand);
-        ctx->counters.HeapPush();
-      } else if (cand < ctx->dist[a.to]) {
-        ctx->dist[a.to] = cand;
-        ctx->parent[a.to] = u;
-        ctx->heap.DecreaseKey(a.to, cand);
-        ctx->counters.HeapPush();
-      }
-    }
-  }
-  return kInfDistance;
+  auto flagged = [&](size_t arc) { return ArcFlag(arc, target_region); };
+  return GoalDirectedSearch(graph_, ctx, s, t, flagged, ZeroPotential{});
 }
 
 Distance ArcFlagsIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                       VertexId t) const {
-  ctx->counters.Reset();
-  if (s == t) return 0;
-  return Search(static_cast<Context*>(ctx), s, t);
+  return Search(static_cast<GoalDirectedContext*>(ctx), s, t);
 }
 
 Path ArcFlagsIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                               VertexId t) const {
-  Context* ctx = static_cast<Context*>(raw_ctx);
-  ctx->counters.Reset();
-  ctx->path_distance = 0;
-  if (s == t) return {s};
+  auto* ctx = static_cast<GoalDirectedContext*>(raw_ctx);
   ctx->path_distance = Search(ctx, s, t);
   if (ctx->path_distance == kInfDistance) return {};
-  Path path;
-  for (VertexId cur = t; cur != kInvalidVertex; cur = ctx->parent[cur]) {
-    path.push_back(cur);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return s == t ? Path{s} : ctx->search.PathTo(t);
 }
 
 size_t ArcFlagsIndex::IndexBytes() const {

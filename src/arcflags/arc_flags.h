@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "dijkstra/search.h"
 #include "graph/graph.h"
-#include "pq/indexed_heap.h"
 #include "routing/path_index.h"
 #include "tnr/cell_grid.h"
 
@@ -60,28 +60,14 @@ class ArcFlagsIndex : public PathIndex {
   }
 
  private:
-  // Query scratch.
-  struct Context : QueryContext {
-    explicit Context(uint32_t n)
-        : heap(n), dist(n, 0), parent(n, kInvalidVertex), reached(n, 0),
-          settled(n, 0) {}
-
-    IndexedHeap<Distance> heap;
-    std::vector<Distance> dist;
-    std::vector<VertexId> parent;
-    std::vector<uint32_t> reached;
-    std::vector<uint32_t> settled;
-    uint32_t generation = 0;
-  };
-
   void SetFlag(size_t arc_index, uint32_t region) {
     flags_[arc_index * words_per_arc_ + region / 64] |=
         uint64_t{1} << (region % 64);
   }
 
-  // Runs the pruned Dijkstra toward t; returns the distance and leaves
-  // the parent tree in the context for path extraction.
-  Distance Search(Context* ctx, VertexId s, VertexId t) const;
+  // Runs the flag-pruned Dijkstra toward t (GoalDirectedSearch under
+  // ArcFlag); returns the distance and leaves the tree in the context.
+  Distance Search(GoalDirectedContext* ctx, VertexId s, VertexId t) const;
 
   const Graph& graph_;
   uint32_t num_regions_ = 0;

@@ -1,13 +1,10 @@
 #ifndef ROADNET_DIJKSTRA_BIDIRECTIONAL_H_
 #define ROADNET_DIJKSTRA_BIDIRECTIONAL_H_
 
-#include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "pq/indexed_heap.h"
 #include "routing/path.h"
 #include "routing/path_index.h"
 
@@ -19,9 +16,10 @@ namespace roadnet {
 // no better meeting point exists, and the answer is the best
 // dist(s, u) + dist(u, t) seen over all doubly-reached vertices u.
 //
-// Implements PathIndex with zero preprocessing and zero index space; all
-// search state lives in the QueryContext, so one instance serves any
-// number of threads.
+// Implements PathIndex with zero preprocessing and zero index space; the
+// search is BidirectionalSearch (search.h) with no pruning, and all of its
+// state lives in the QueryContext, so one instance serves any number of
+// threads.
 class BidirectionalDijkstra : public PathIndex {
  public:
   explicit BidirectionalDijkstra(const Graph& g);
@@ -34,43 +32,6 @@ class BidirectionalDijkstra : public PathIndex {
   size_t IndexBytes() const override { return 0; }
 
  private:
-  // One of the two search directions; 0 = forward from s, 1 = backward
-  // from t (identical on an undirected graph, kept separate for clarity).
-  struct Side {
-    IndexedHeap<Distance> heap;
-    std::vector<Distance> dist;
-    std::vector<VertexId> parent;
-    std::vector<uint32_t> reached;
-    std::vector<uint32_t> settled;
-
-    explicit Side(uint32_t n)
-        : heap(n), dist(n, 0), parent(n, kInvalidVertex), reached(n, 0),
-          settled(n, 0) {}
-
-    bool Reached(VertexId v, uint32_t gen) const {
-      return reached[v] == gen;
-    }
-  };
-
-  struct Context : QueryContext {
-    explicit Context(uint32_t n) : forward(n), backward(n) {}
-
-    Side forward;
-    Side backward;
-    uint32_t generation = 0;
-  };
-
-  // Runs the full bidirectional search; returns the meeting vertex with
-  // the minimal combined distance (kInvalidVertex if unreachable) and the
-  // distance in *out_dist.
-  VertexId Search(Context* ctx, VertexId s, VertexId t,
-                  Distance* out_dist) const;
-
-  // Settles the minimum of `side`, relaxing edges; updates the best
-  // meeting vertex seen so far.
-  void SettleOne(Context* ctx, Side* side, const Side& other,
-                 VertexId* best_meet, Distance* best_dist) const;
-
   const Graph& graph_;
 };
 

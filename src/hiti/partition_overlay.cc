@@ -43,11 +43,9 @@ PartitionOverlayIndex::PartitionOverlayIndex(
     for (VertexId b : region_boundary[r]) {
       RestrictedSearch(&scratch, b, kInvalidVertex, r);
       for (VertexId other : region_boundary[r]) {
-        if (other == b || scratch.rreached[other] != scratch.rgeneration) {
-          continue;
-        }
+        if (other == b || !scratch.region.Reached(other)) continue;
         clique[b].push_back(
-            CliqueArc{other, static_cast<Weight>(scratch.rdist[other])});
+            CliqueArc{other, static_cast<Weight>(scratch.region.dist[other])});
       }
     }
   }
@@ -71,79 +69,46 @@ Distance PartitionOverlayIndex::RestrictedSearch(Context* ctx,
                                                  VertexId source,
                                                  VertexId target,
                                                  uint32_t region) const {
-  ++ctx->rgeneration;
-  ctx->rheap.Clear();
-  ctx->rdist[source] = 0;
-  ctx->rparent[source] = kInvalidVertex;
-  ctx->rreached[source] = ctx->rgeneration;
-  ctx->rheap.Push(source, 0);
+  SearchState& state = ctx->region;
+  state.Start(source, 0);
   ctx->counters.HeapPush();
-  while (!ctx->rheap.Empty()) {
-    const VertexId u = ctx->rheap.PopMin();
+  while (!state.heap.Empty()) {
+    const VertexId u = state.heap.PopMin();
     ctx->counters.HeapPop();
     if (u == target) break;
-    const Distance du = ctx->rdist[u];
+    const Distance du = state.dist[u];
     for (const Arc& a : graph_.Neighbors(u)) {
       if (region_of_[a.to] != region) continue;  // stay inside the region
       ctx->counters.RelaxEdge();
-      const Distance cand = du + a.weight;
-      if (ctx->rreached[a.to] != ctx->rgeneration) {
-        ctx->rreached[a.to] = ctx->rgeneration;
-        ctx->rdist[a.to] = cand;
-        ctx->rparent[a.to] = u;
-        ctx->rheap.Push(a.to, cand);
-        ctx->counters.HeapPush();
-      } else if (ctx->rheap.Contains(a.to) && cand < ctx->rdist[a.to]) {
-        ctx->rdist[a.to] = cand;
-        ctx->rparent[a.to] = u;
-        ctx->rheap.DecreaseKey(a.to, cand);
-        ctx->counters.HeapPush();
-      }
+      if (state.Relax(u, a.to, du + a.weight)) ctx->counters.HeapPush();
     }
   }
-  if (target == kInvalidVertex) return kInfDistance;
-  return ctx->rreached[target] == ctx->rgeneration ? ctx->rdist[target]
-                                                   : kInfDistance;
+  if (target == kInvalidVertex || !state.Reached(target)) return kInfDistance;
+  return state.dist[target];
 }
 
 Distance PartitionOverlayIndex::Search(Context* ctx, VertexId s,
                                        VertexId t) const {
   const uint32_t rs = region_of_[s];
   const uint32_t rt = region_of_[t];
-  ++ctx->generation;
-  ctx->heap.Clear();
-  ctx->dist[s] = 0;
-  ctx->parent[s] = kInvalidVertex;
+  SearchState& state = ctx->overlay;
+  state.Start(s, 0);
   ctx->via_clique[s] = 0;
-  ctx->reached[s] = ctx->generation;
-  ctx->heap.Push(s, 0);
   ctx->counters.HeapPush();
 
   auto relax = [&](VertexId from, VertexId to, Weight w, bool clique) {
     ctx->counters.RelaxEdge();
-    const Distance cand = ctx->dist[from] + w;
-    if (ctx->reached[to] != ctx->generation) {
-      ctx->reached[to] = ctx->generation;
-      ctx->dist[to] = cand;
-      ctx->parent[to] = from;
+    if (state.Relax(from, to, state.dist[from] + w)) {
       ctx->via_clique[to] = clique ? 1 : 0;
-      ctx->heap.Push(to, cand);
-      ctx->counters.HeapPush();
-    } else if (ctx->settled[to] != ctx->generation && cand < ctx->dist[to]) {
-      ctx->dist[to] = cand;
-      ctx->parent[to] = from;
-      ctx->via_clique[to] = clique ? 1 : 0;
-      ctx->heap.DecreaseKey(to, cand);
       ctx->counters.HeapPush();
     }
   };
 
-  while (!ctx->heap.Empty()) {
-    const VertexId u = ctx->heap.PopMin();
+  while (!state.heap.Empty()) {
+    const VertexId u = state.heap.PopMin();
     ctx->counters.HeapPop();
-    ctx->settled[u] = ctx->generation;
     ctx->counters.Settle();
-    if (u == t) return ctx->dist[t];
+    if (u == t) return state.dist[t];
     const uint32_t ru = region_of_[u];
     if (ru == rs || ru == rt) {
       // Inside the source/target region: ordinary expansion.
@@ -189,9 +154,9 @@ Path PartitionOverlayIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
 
   // Overlay path (may contain clique hops), t back to s.
   std::vector<std::pair<VertexId, bool>> overlay;  // (vertex, via clique)
-  for (VertexId cur = t; cur != kInvalidVertex; cur = ctx->parent[cur]) {
+  for (VertexId cur = t; cur != kInvalidVertex;
+       cur = ctx->overlay.parent[cur]) {
     overlay.emplace_back(cur, ctx->via_clique[cur] != 0);
-    if (cur == s) break;
   }
   std::reverse(overlay.begin(), overlay.end());
 
@@ -206,12 +171,7 @@ Path PartitionOverlayIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
     // Unpack the clique hop with a restricted search inside the region.
     ctx->counters.ShortcutUnpacked();
     RestrictedSearch(ctx, from, to, region_of_[to]);
-    Path segment;
-    for (VertexId cur = to; cur != kInvalidVertex; cur = ctx->rparent[cur]) {
-      segment.push_back(cur);
-      if (cur == from) break;
-    }
-    std::reverse(segment.begin(), segment.end());
+    const Path segment = ctx->region.PathTo(to);
     path.insert(path.end(), segment.begin() + 1, segment.end());
   }
   return path;

@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "dijkstra/search.h"
 #include "graph/graph.h"
-#include "pq/indexed_heap.h"
 #include "routing/path_index.h"
 #include "tnr/cell_grid.h"
 
@@ -68,27 +68,15 @@ class PartitionOverlayIndex : public PathIndex {
   };
 
   struct Context : QueryContext {
-    explicit Context(uint32_t n)
-        : heap(n), dist(n, 0), parent(n, kInvalidVertex), via_clique(n, 0),
-          reached(n, 0), settled(n, 0), rheap(n), rdist(n, 0),
-          rparent(n, kInvalidVertex), rreached(n, 0) {}
+    explicit Context(uint32_t n) : overlay(n), via_clique(n, 0), region(n) {}
 
-    // Overlay query scratch.
-    IndexedHeap<Distance> heap;
-    std::vector<Distance> dist;
-    std::vector<VertexId> parent;
+    // The overlay query search, and per vertex whether its tree arc is a
+    // clique arc (so paths can be unpacked).
+    SearchState overlay;
     std::vector<uint8_t> via_clique;
-    std::vector<uint32_t> reached;
-    std::vector<uint32_t> settled;
-    uint32_t generation = 0;
-
-    // Restricted-search scratch (separate generation; also used for
-    // clique-arc unpacking during path queries).
-    IndexedHeap<Distance> rheap;
-    std::vector<Distance> rdist;
-    std::vector<VertexId> rparent;
-    std::vector<uint32_t> rreached;
-    uint32_t rgeneration = 0;
+    // Region-restricted searches: clique construction and clique-arc
+    // unpacking during path queries.
+    SearchState region;
   };
 
   std::span<const CliqueArc> CliqueArcs(VertexId v) const {
@@ -96,7 +84,7 @@ class PartitionOverlayIndex : public PathIndex {
             clique_offsets_[v + 1] - clique_offsets_[v]};
   }
 
-  // Dijkstra restricted to one region, using the context's r-scratch;
+  // Dijkstra restricted to one region, on the context's `region` state;
   // returns the distance to `target` (kInfDistance if not reachable
   // inside the region).
   Distance RestrictedSearch(Context* ctx, VertexId source, VertexId target,

@@ -10,9 +10,7 @@ RedundancyMeter::RedundancyMeter(const Graph& g)
     : graph_(g),
       dijkstra_(g),
       forbidden_(g.NumVertices(), 0),
-      heap_(g.NumVertices()),
-      dist_(g.NumVertices(), 0),
-      reached_(g.NumVertices(), 0) {}
+      search_(g.NumVertices()) {}
 
 double RedundancyMeter::Ratio(VertexId s, VertexId t) {
   if (s == t) return HUGE_VAL;
@@ -22,34 +20,26 @@ double RedundancyMeter::Ratio(VertexId s, VertexId t) {
 
   // Forbid the interior vertices of P (a core-disjoint path shares no
   // vertex with P except, necessarily, the endpoints).
-  ++generation_;
-  for (size_t i = 1; i + 1 < p.size(); ++i) forbidden_[p[i]] = generation_;
+  for (size_t i = 1; i + 1 < p.size(); ++i) forbidden_[p[i]] = 1;
 
   // Dijkstra on G minus the forbidden vertices.
-  ++search_generation_;
-  heap_.Clear();
-  dist_[s] = 0;
-  reached_[s] = search_generation_;
-  heap_.Push(s, 0);
-  while (!heap_.Empty()) {
-    const VertexId u = heap_.PopMin();
+  Distance detour = kInfDistance;
+  search_.Start(s, 0);
+  while (!search_.heap.Empty()) {
+    const VertexId u = search_.heap.PopMin();
     if (u == t) {
-      return static_cast<double>(dist_[t]) / static_cast<double>(d);
+      detour = search_.dist[t];
+      break;
     }
+    const Distance du = search_.dist[u];
     for (const Arc& a : graph_.Neighbors(u)) {
-      if (forbidden_[a.to] == generation_) continue;
-      const Distance cand = dist_[u] + a.weight;
-      if (reached_[a.to] != search_generation_) {
-        reached_[a.to] = search_generation_;
-        dist_[a.to] = cand;
-        heap_.Push(a.to, cand);
-      } else if (heap_.Contains(a.to) && cand < dist_[a.to]) {
-        dist_[a.to] = cand;
-        heap_.DecreaseKey(a.to, cand);
-      }
+      if (!forbidden_[a.to]) search_.Relax(u, a.to, du + a.weight);
     }
   }
-  return HUGE_VAL;
+
+  for (size_t i = 1; i + 1 < p.size(); ++i) forbidden_[p[i]] = 0;
+  if (detour == kInfDistance) return HUGE_VAL;
+  return static_cast<double>(detour) / static_cast<double>(d);
 }
 
 }  // namespace roadnet

@@ -1,7 +1,11 @@
 #ifndef ROADNET_PCPD_REDUNDANCY_H_
 #define ROADNET_PCPD_REDUNDANCY_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "dijkstra/dijkstra.h"
+#include "dijkstra/search.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 
@@ -29,15 +33,11 @@ class RedundancyMeter {
  private:
   const Graph& graph_;
   Dijkstra dijkstra_;
-  // Interior vertices of the current P, generation-stamped.
-  std::vector<uint32_t> forbidden_;
-  uint32_t generation_ = 0;
-
+  // Marks the interior vertices of the current P; cleared after each
+  // ratio.
+  std::vector<uint8_t> forbidden_;
   // Dijkstra restricted to non-forbidden vertices.
-  IndexedHeap<Distance> heap_;
-  std::vector<Distance> dist_;
-  std::vector<uint32_t> reached_;
-  uint32_t search_generation_ = 0;
+  SearchState search_;
 };
 
 }  // namespace roadnet

@@ -21,7 +21,9 @@ namespace roadnet {
 //
 // The position array is persistent across Clear() calls via a generation
 // counter, so reusing one heap across many queries costs O(1) per query
-// instead of O(capacity).
+// instead of O(capacity). The stamped slot also says whether an item was
+// pushed (Seen) or popped (Popped) since the last Clear(), which is all
+// the reached/settled state a Dijkstra search needs.
 template <typename Key>
 class IndexedHeap {
  public:
@@ -39,8 +41,18 @@ class IndexedHeap {
 
   // True if the item is currently queued.
   bool Contains(uint32_t item) const {
-    const Slot& s = positions_[item];
-    return s.generation == generation_ && s.position != kPopped;
+    return Seen(item) && positions_[item].position != kPopped;
+  }
+
+  // True if the item was pushed since the last Clear(), whether it is
+  // still queued or has been popped.
+  bool Seen(uint32_t item) const {
+    return positions_[item].generation == generation_;
+  }
+
+  // True if the item was pushed and then popped since the last Clear().
+  bool Popped(uint32_t item) const {
+    return Seen(item) && positions_[item].position == kPopped;
   }
 
   // Key of a queued item. Requires Contains(item).

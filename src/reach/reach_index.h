@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "pq/indexed_heap.h"
 #include "routing/path_index.h"
 
 namespace roadnet {
@@ -19,7 +18,8 @@ namespace roadnet {
 // any two vertices s and t, if the reach of v is smaller than both
 // dist(s, v) and dist(v, t), then v cannot be on the shortest path from s
 // to t" — which plugs straight into bidirectional Dijkstra as a pruning
-// rule.
+// rule: queries run BidirectionalSearch (search.h) with the reach test as
+// its per-settle prune.
 //
 // Preprocessing here computes EXACT reaches with one SSSP per source: for
 // a fixed source s, every vertex's contribution is min(dist(s, v),
@@ -42,31 +42,6 @@ class ReachIndex : public PathIndex {
   Distance ReachOf(VertexId v) const { return reach_[v]; }
 
  private:
-  struct Side {
-    IndexedHeap<Distance> heap;
-    std::vector<Distance> dist;
-    std::vector<VertexId> parent;
-    std::vector<uint32_t> reached;
-    std::vector<uint32_t> settled;
-
-    explicit Side(uint32_t n)
-        : heap(n), dist(n, 0), parent(n, kInvalidVertex), reached(n, 0),
-          settled(n, 0) {}
-  };
-
-  struct Context : QueryContext {
-    explicit Context(uint32_t n) : forward(n), backward(n) {}
-
-    Side forward;
-    Side backward;
-    uint32_t generation = 0;
-  };
-
-  VertexId Search(Context* ctx, VertexId s, VertexId t,
-                  Distance* out_dist) const;
-  void SettleOne(Context* ctx, Side* side, const Side& other,
-                 VertexId* best_meet, Distance* best_dist) const;
-
   const Graph& graph_;
   std::vector<Distance> reach_;
 };
