@@ -200,8 +200,10 @@ struct AllArcs {
 // heap by dist(s, v) + potential(v), which must be a consistent lower
 // bound on dist(v, t) (ALT's landmark bound; A*).
 //
-// Resets ctx->counters. Returns dist(s, t) (kInfDistance if unreachable);
-// for s != t the path is ctx->search.PathTo(t).
+// Every arc the filter passes counts as relaxed, settled head or not, as
+// in BidirectionalSearch. Resets ctx->counters. Returns dist(s, t)
+// (kInfDistance if unreachable); for s != t the path is
+// ctx->search.PathTo(t).
 template <typename ArcFilter, typename Potential>
 Distance GoalDirectedSearch(const Graph& g, GoalDirectedContext* ctx,
                             VertexId s, VertexId t, ArcFilter filter,
@@ -222,7 +224,6 @@ Distance GoalDirectedSearch(const Graph& g, GoalDirectedContext* ctx,
     const std::span<const Arc> arcs = g.Neighbors(u);
     for (size_t i = 0; i < arcs.size(); ++i) {
       if (!filter(first + i)) continue;
-      if (state.Settled(arcs[i].to)) continue;
       counters.RelaxEdge();
       if (state.Relax(u, arcs[i].to, du + arcs[i].weight, potential)) {
         counters.HeapPush();

@@ -25,8 +25,9 @@ struct QueryCounters {
   // (forward/backward/upward) searches. TNR in-table queries settle 0.
   uint64_t vertices_settled = 0;
   // Arc relaxation attempts that passed the technique's pruning filter
-  // (arc flags, reach bounds, stall-on-demand, upward-only, ...). This is
-  // the paper's "edges scanned" notion of search work.
+  // (arc flags, reach bounds, stall-on-demand, upward-only, ...), whether
+  // or not the arc's head is already settled. This is the paper's "edges
+  // scanned" notion of search work.
   uint64_t edges_relaxed = 0;
   // All priority-queue inserts / decrease-keys, across every internal
   // search a query runs (including TNR fallback and HiTi restricted

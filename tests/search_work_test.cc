@@ -125,13 +125,13 @@ TEST(SearchWork, PinnedOnDE) {
          408789,
          1006}},
        {"ALT",
-        {{2021, 4283, 3899, 2021, 0, 0, 46788, 0},
-         {2021, 4283, 3899, 2021, 0, 0, 46788, 0},
+        {{2021, 6821, 3899, 2021, 0, 0, 46788, 0},
+         {2021, 6821, 3899, 2021, 0, 0, 46788, 0},
          408789,
          1006}},
        {"ArcFlags",
-        {{2978, 4757, 3972, 2978, 0, 0, 0, 0},
-         {2978, 4757, 3972, 2978, 0, 0, 0, 0},
+        {{2978, 8073, 3972, 2978, 0, 0, 0, 0},
+         {2978, 8073, 3972, 2978, 0, 0, 0, 0},
          408789,
          1006}},
        {"HiTi",
@@ -155,13 +155,13 @@ TEST(SearchWork, PinnedOnNH) {
          634035,
          1320}},
        {"ALT",
-        {{2797, 6151, 5457, 2797, 0, 0, 65484, 0},
-         {2797, 6151, 5457, 2797, 0, 0, 65484, 0},
+        {{2797, 9866, 5457, 2797, 0, 0, 65484, 0},
+         {2797, 9866, 5457, 2797, 0, 0, 65484, 0},
          634035,
          1320}},
        {"ArcFlags",
-        {{4231, 6920, 5586, 4231, 0, 0, 0, 0},
-         {4231, 6920, 5586, 4231, 0, 0, 0, 0},
+        {{4231, 11791, 5586, 4231, 0, 0, 0, 0},
+         {4231, 11791, 5586, 4231, 0, 0, 0, 0},
          634035,
          1320}},
        {"HiTi",
