@@ -33,10 +33,15 @@ class IndexedHeap {
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
 
-  // Removes all items in O(1) amortized.
+  // Removes all items in O(1) amortized. When the generation stamp wraps
+  // (every 2^32 - 1 calls), every slot is reset once, so a slot stamped
+  // before the wrap never reads as pushed after it.
   void Clear() {
     heap_.clear();
-    ++generation_;
+    if (++generation_ == 0) {
+      std::fill(positions_.begin(), positions_.end(), Slot{0, 0});
+      generation_ = 1;
+    }
   }
 
   // True if the item is currently queued.
@@ -159,6 +164,9 @@ class IndexedHeap {
   std::vector<Entry> heap_;
   std::vector<Slot> positions_;
   uint32_t generation_ = 1;
+
+  // Lets tests set the generation near its maximum to reach the wrap.
+  friend class IndexedHeapPeer;
 };
 
 }  // namespace roadnet

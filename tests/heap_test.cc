@@ -1,13 +1,29 @@
 #include "pq/indexed_heap.h"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 #include <vector>
 
+#include "dijkstra/bidirectional.h"
+#include "dijkstra/dijkstra.h"
+#include "dijkstra/search.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 #include "gtest/gtest.h"
 
 namespace roadnet {
+
+// Sets a heap's generation stamp, so tests reach the wrap without 2^32
+// real Clear() calls.
+class IndexedHeapPeer {
+ public:
+  template <typename Key>
+  static void SetGeneration(IndexedHeap<Key>* heap, uint32_t generation) {
+    heap->generation_ = generation;
+  }
+};
+
 namespace {
 
 TEST(IndexedHeap, BasicOrdering) {
@@ -100,6 +116,48 @@ TEST(IndexedHeap, RandomizedAgainstStdPriorityQueue) {
     if (b != ~uint64_t{0}) ++expected;
   }
   EXPECT_EQ(popped, expected);
+}
+
+TEST(IndexedHeap, ClearSurvivesGenerationWrap) {
+  IndexedHeap<uint64_t> heap(8);
+  heap.Push(3, 30);
+  heap.PopMin();
+  IndexedHeapPeer::SetGeneration(&heap,
+                                 std::numeric_limits<uint32_t>::max());
+  heap.Clear();  // the stamp wraps here
+  for (uint32_t item = 0; item < 8; ++item) {
+    EXPECT_FALSE(heap.Contains(item)) << item;
+    EXPECT_FALSE(heap.Seen(item)) << item;
+  }
+  heap.Push(5, 50);
+  heap.Push(3, 20);
+  EXPECT_TRUE(heap.Contains(5));
+  EXPECT_EQ(heap.PopMin(), 3u);
+  EXPECT_TRUE(heap.Popped(3));
+  EXPECT_FALSE(heap.Popped(5));
+  EXPECT_EQ(heap.PopMin(), 5u);
+  EXPECT_TRUE(heap.Empty());
+}
+
+// Every query clears its heaps, so a long-lived context wraps their
+// stamps after 2^32 - 1 queries; the answers must stay exact across it.
+TEST(IndexedHeap, BidirectionalQueriesSurviveGenerationWrap) {
+  const Graph g = TestNetwork(300, 4);
+  BidirectionalDijkstra bidi(g);
+  Dijkstra oracle(g);
+  const auto ctx = bidi.NewContext();
+  const auto pairs = RandomPairs(g, 8, 11);
+  bidi.DistanceQuery(ctx.get(), pairs[0].first, pairs[0].second);
+  auto* sides = static_cast<BidirectionalContext*>(ctx.get());
+  for (SearchState* side : {&sides->forward, &sides->backward}) {
+    IndexedHeapPeer::SetGeneration(&side->heap,
+                                   std::numeric_limits<uint32_t>::max() - 2);
+  }
+  // The third query's Clear() wraps both stamps.
+  for (const auto& [s, t] : pairs) {
+    EXPECT_EQ(bidi.DistanceQuery(ctx.get(), s, t), oracle.Run(s, t))
+        << s << " -> " << t;
+  }
 }
 
 }  // namespace
