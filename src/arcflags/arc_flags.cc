@@ -64,9 +64,6 @@ ArcFlagsIndex::ArcFlagsIndex(const Graph& g, const ArcFlagsConfig& config)
       }
     }
   }
-
-  arc_offsets_.reserve(n);
-  for (VertexId v = 0; v < n; ++v) arc_offsets_.push_back(g.FirstArcIndex(v));
 }
 
 std::unique_ptr<QueryContext> ArcFlagsIndex::NewContext() const {
@@ -94,8 +91,7 @@ Path ArcFlagsIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
 }
 
 size_t ArcFlagsIndex::IndexBytes() const {
-  return VectorBytes(region_of_) + VectorBytes(arc_offsets_) +
-         VectorBytes(flags_);
+  return VectorBytes(region_of_) + VectorBytes(flags_);
 }
 
 }  // namespace roadnet

@@ -51,8 +51,9 @@ class ArcFlagsIndex : public PathIndex {
   uint32_t NumRegions() const { return num_regions_; }
   uint32_t RegionOf(VertexId v) const { return region_of_[v]; }
 
-  // True if the arc at adjacency position `arc_index` (global CSR
-  // position) may lie on a shortest path into `region` (testing).
+  // True if the arc at global CSR position `arc_index`
+  // (Graph::FirstArcIndex(u) + i) may lie on a shortest path into
+  // `region`: the query's arc filter.
   bool ArcFlag(size_t arc_index, uint32_t region) const {
     return (flags_[arc_index * words_per_arc_ + region / 64] >>
             (region % 64)) &
@@ -72,9 +73,8 @@ class ArcFlagsIndex : public PathIndex {
   const Graph& graph_;
   uint32_t num_regions_ = 0;
   uint32_t words_per_arc_ = 0;
-  std::vector<uint32_t> region_of_;      // per vertex
-  std::vector<size_t> arc_offsets_;      // CSR offsets (copy of graph's)
-  std::vector<uint64_t> flags_;          // 2m * words_per_arc_
+  std::vector<uint32_t> region_of_;  // per vertex
+  std::vector<uint64_t> flags_;      // 2m * words_per_arc_
 };
 
 }  // namespace roadnet
