@@ -54,8 +54,9 @@ stage_smoke() {
   echo "==> Metrics schema + search-space smoke (build/)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j"$(nproc)" --target \
-    roadnet_cli roadnet_loadgen bench_searchspace bench_ch_layout bench_hl \
-    quickstart nearest_poi route_service index_advisor offline_preprocessing
+    roadnet_cli roadnet_loadgen bench_searchspace bench_appa_alt \
+    bench_ch_layout bench_hl quickstart nearest_poi route_service \
+    index_advisor offline_preprocessing
   SMOKE="$(mktemp -d)"
   build/tools/roadnet_cli generate --vertices 1500 --seed 5 \
     --out "$SMOKE/g.bin" >/dev/null
@@ -82,6 +83,11 @@ stage_smoke() {
   # regression check.
   ROADNET_BENCH_FAST=1 build/bench/bench_searchspace \
     --out "$SMOKE/searchspace.csv" >/dev/null
+
+  echo "==> Appendix A bench: ALT, Arc Flags, RE, HiTi, bidi vs CH (fast)"
+  # Times the Appendix A queries and exits nonzero, naming each technique,
+  # if any of them answers a distance query differently from CH.
+  ROADNET_BENCH_FAST=1 build/bench/bench_appa_alt >/dev/null
 
   echo "==> CH layout bench: rank-permuted SoA vs legacy AoS (quick gate)"
   # Exits nonzero if the two layouts disagree on any distance or if the
