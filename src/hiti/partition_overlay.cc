@@ -42,10 +42,11 @@ PartitionOverlayIndex::PartitionOverlayIndex(
   for (uint32_t r = 0; r < num_regions_; ++r) {
     for (VertexId b : region_boundary[r]) {
       RestrictedSearch(&scratch, b, kInvalidVertex, r);
+      const SearchState& from_b = scratch.restricted;
       for (VertexId other : region_boundary[r]) {
-        if (other == b || !scratch.region.Reached(other)) continue;
+        if (other == b || !from_b.Reached(other)) continue;
         clique[b].push_back(
-            CliqueArc{other, static_cast<Weight>(scratch.region.dist[other])});
+            CliqueArc{other, static_cast<Weight>(from_b.dist[other])});
       }
     }
   }
@@ -69,7 +70,7 @@ Distance PartitionOverlayIndex::RestrictedSearch(Context* ctx,
                                                  VertexId source,
                                                  VertexId target,
                                                  uint32_t region) const {
-  SearchState& state = ctx->region;
+  SearchState& state = ctx->restricted;
   state.Start(source, 0);
   ctx->counters.HeapPush();
   while (!state.heap.Empty()) {
@@ -171,7 +172,7 @@ Path PartitionOverlayIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
     // Unpack the clique hop with a restricted search inside the region.
     ctx->counters.ShortcutUnpacked();
     RestrictedSearch(ctx, from, to, region_of_[to]);
-    const Path segment = ctx->region.PathTo(to);
+    const Path segment = ctx->restricted.PathTo(to);
     path.insert(path.end(), segment.begin() + 1, segment.end());
   }
   return path;

@@ -68,7 +68,8 @@ class PartitionOverlayIndex : public PathIndex {
   };
 
   struct Context : QueryContext {
-    explicit Context(uint32_t n) : overlay(n), via_clique(n, 0), region(n) {}
+    explicit Context(uint32_t n)
+        : overlay(n), via_clique(n, 0), restricted(n) {}
 
     // The overlay query search, and per vertex whether its tree arc is a
     // clique arc (so paths can be unpacked).
@@ -76,7 +77,7 @@ class PartitionOverlayIndex : public PathIndex {
     std::vector<uint8_t> via_clique;
     // Region-restricted searches: clique construction and clique-arc
     // unpacking during path queries.
-    SearchState region;
+    SearchState restricted;
   };
 
   std::span<const CliqueArc> CliqueArcs(VertexId v) const {
@@ -84,9 +85,9 @@ class PartitionOverlayIndex : public PathIndex {
             clique_offsets_[v + 1] - clique_offsets_[v]};
   }
 
-  // Dijkstra restricted to one region, on the context's `region` state;
-  // returns the distance to `target` (kInfDistance if not reachable
-  // inside the region).
+  // Dijkstra restricted to one region, on ctx->restricted; returns the
+  // distance to `target` (kInfDistance if not reachable inside the
+  // region).
   Distance RestrictedSearch(Context* ctx, VertexId source, VertexId target,
                             uint32_t region) const;
 
