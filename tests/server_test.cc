@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -1067,6 +1068,94 @@ TEST(QueryServer, PipelinedRequestsMatchById) {
     }
   }
 
+  server.Shutdown();
+}
+
+// Raises the soft RLIMIT_NOFILE toward `want`, within the hard limit,
+// and returns the soft limit now in force.
+rlim_t RaiseFdLimit(rlim_t want) {
+  rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return 0;
+  if (rl.rlim_cur >= want) return rl.rlim_cur;
+  rlimit raised = rl;
+  raised.rlim_cur = std::min(want, rl.rlim_max);
+  return ::setrlimit(RLIMIT_NOFILE, &raised) == 0 ? raised.rlim_cur
+                                                  : rl.rlim_cur;
+}
+
+TEST(QueryServer, AnswersEveryRequestOnAThousandConnections) {
+  // Each connection costs two fds in this process (client and server
+  // side); keep 256 for the rest. A host whose hard limit is lower
+  // gets as many connections as it allows.
+  constexpr size_t kWanted = 1000;
+  const rlim_t limit = RaiseFdLimit(2 * kWanted + 256);
+  ASSERT_GT(limit, 256u + 2) << "RLIMIT_NOFILE " << limit;
+  const size_t conns = std::min<size_t>(kWanted, (limit - 256) / 2);
+  if (conns < kWanted) {
+    std::printf("RLIMIT_NOFILE %llu: %zu connections\n",
+                static_cast<unsigned long long>(limit), conns);
+  }
+
+  const Graph g = TestNetwork(400, 67);
+  ChIndex ch(g);
+  ServerOptions options;
+  options.max_connections = conns;
+  QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // Every connection open, from this one thread, before any request.
+  std::vector<std::unique_ptr<BlockingClient>> clients;
+  clients.reserve(conns);
+  for (size_t c = 0; c < conns; ++c) {
+    clients.push_back(MustConnect(server.Port()));
+    ASSERT_NE(clients.back(), nullptr) << "connection " << c;
+  }
+
+  // One request on each, alternating distance and path, before any
+  // reply is read: the server holds them all at once.
+  const auto pairs = RandomPairs(g, conns, 71);
+  for (size_t c = 0; c < conns; ++c) {
+    wire::QueryRequest req;
+    req.request_id = c;
+    req.kind = c % 2 == 0 ? wire::QueryKind::kDistance
+                          : wire::QueryKind::kPath;
+    req.source = pairs[c].first;
+    req.target = pairs[c].second;
+    ASSERT_TRUE(clients[c]->Send(req, &error)) << "connection " << c << ": "
+                                               << error;
+  }
+
+  Dijkstra oracle(g);
+  for (size_t c = 0; c < conns; ++c) {
+    SCOPED_TRACE("connection " + std::to_string(c));
+    wire::QueryResponse resp;
+    ASSERT_TRUE(clients[c]->Recv(&resp, &error)) << error;
+    EXPECT_EQ(resp.request_id, c);
+    const auto [s, t] = pairs[c];
+    const Distance truth = oracle.Run(s, t);
+    if (truth == kInfDistance) {
+      EXPECT_EQ(resp.status, wire::Status::kUnreachable);
+      continue;
+    }
+    ASSERT_EQ(resp.status, wire::Status::kOk);
+    EXPECT_EQ(resp.distance, truth);
+    if (c % 2 == 1) {
+      ASSERT_FALSE(resp.path.empty());
+      EXPECT_EQ(resp.path.front(), s);
+      EXPECT_EQ(resp.path.back(), t);
+      EXPECT_TRUE(IsValidPath(g, resp.path));
+      EXPECT_EQ(PathWeight(g, resp.path), truth);
+    }
+  }
+
+  // All of them were served, and all are still open: none was refused
+  // at the cap or dropped.
+  const wire::StatsResponse stats = server.Stats();
+  EXPECT_EQ(stats.served, conns);
+  EXPECT_EQ(stats.connections_accepted, conns);
+  EXPECT_EQ(stats.connections_rejected, 0u);
+  EXPECT_EQ(stats.open_connections, conns);
   server.Shutdown();
 }
 
