@@ -4,34 +4,31 @@
 //                   [--host 127.0.0.1] [--connections N] [--queries N]
 //                   [--workload random|Q1..Q10|knn] [--seed S] [--paths]
 //                   [--poi pois.bin (required for knn)]
-//                   [--deadline-us D] [--verify-every K]
+//                   [--deadline-us D] [--verify-every K] [--pipeline N]
 //                   [--technique any|bidi|ch|alt|hl] [--stats] [--shutdown]
 //                   [--trace-sample N] [--slow-us T]
-//                   [--rate R] [--arrival poisson|uniform] [--pipeline N]
 //
-// Opens N concurrent connections and drives them closed-loop (each
-// connection keeps exactly one request in flight), replaying either
-// random pairs or one of the paper's Q1..Q10 L-infinity workloads
-// (Section 4.2). Every K-th response is verified against a local
-// Dijkstra oracle — distances must match exactly, and path responses
-// must be real paths of the right weight. Reports achieved qps and
-// client-observed p50/p99, which include the server's queueing — the
-// end-to-end numbers a capacity plan is written against.
-//
-// --rate switches to OPEN-LOOP mode: requests are emitted on a fixed
-// arrival schedule (R requests/second total, Poisson or uniform gaps)
-// over pipelined QUERY2 connections, at most --pipeline outstanding per
-// connection, and latency is measured from the scheduled arrival — so
-// queueing delay under overload shows up instead of being coordinated
-// away by waiting clients. Open loop drives point queries on the random
-// workload only.
+// Opens N concurrent connections and drives them closed-loop, replaying
+// either random pairs or one of the paper's Q1..Q10 L-infinity workloads
+// (Section 4.2). Each connection keeps --pipeline QUERY2 requests in
+// flight (default 1: send, wait for the reply, send the next) and
+// matches every reply to its request by the echoed request_id. Every
+// K-th response is verified against a local Dijkstra oracle — distances
+// must match exactly, and path responses must be real paths of the
+// right weight. Reports achieved qps and client-observed p50/p99 (from
+// a request's send to its reply, so with --pipeline N they include the
+// wait behind the requests ahead of it), which include the server's
+// queueing — the end-to-end numbers a capacity plan is written against.
+// Open-loop latency under a fixed arrival rate is perfbench's job (its
+// open_lo/open_hi classes), not this tool's.
 //
 // --workload knn drives the kNN / one-to-many endpoints instead: it
 // cycles R-set-style buckets — every POI category (the density sweep)
 // x k in {1, 4, 10, 50} x method in {bucket-ch, ier} plus one
 // one-to-many bucket per category — from random sources, and verifies
 // every K-th reply (result set AND distances, vertex-id tie-breaks
-// included) against the expanding-Dijkstra kNN oracle.
+// included) against the expanding-Dijkstra kNN oracle. kNN frames
+// carry no request id, so this workload runs at --pipeline 1 only.
 //
 // --trace-sample / --slow-us retune the server's request tracer over
 // the wire (TRACE_CONFIG frame) before the workload starts, and the
@@ -43,6 +40,7 @@
 // error, 2 on usage errors.
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,7 +54,6 @@
 #include "routing/knn.h"
 #include "routing/path.h"
 #include "server/client.h"
-#include "server/openloop.h"
 #include "server/wire.h"
 #include "util/flags.h"
 #include "util/rng.h"
@@ -67,6 +64,13 @@ namespace {
 
 using namespace roadnet;
 
+// Upper bound on --pipeline. A connection thread sends with blocking
+// writes and reads only once its window is full, so a whole window of
+// request frames (31 bytes each, 31 KiB at this bound) must fit in the
+// loopback socket buffers even while the server has paused reading the
+// connection behind unread replies.
+constexpr size_t kMaxPipeline = 1024;
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -75,10 +79,11 @@ int Usage() {
       "  [--workload random|Q1..Q10|knn] [--seed S] [--paths]\n"
       "  [--poi pois.bin (required for --workload knn)]\n"
       "  [--deadline-us D] [--verify-every K (0=off)]\n"
+      "  [--pipeline N (requests in flight per connection, 1..%zu;"
+      " default 1)]\n"
       "  [--technique any|bidi|ch|alt|hl] [--stats] [--shutdown]\n"
-      "  [--trace-sample N (head-sample 1-in-N)] [--slow-us T (0=all)]\n"
-      "  [--rate R (req/s => open loop)] [--arrival poisson|uniform]\n"
-      "  [--pipeline N (max outstanding per connection, default 16)]\n");
+      "  [--trace-sample N (head-sample 1-in-N)] [--slow-us T (0=all)]\n",
+      kMaxPipeline);
   return 2;
 }
 
@@ -118,9 +123,9 @@ struct KnnWork {
   VertexId source = 0;
 };
 
-// The post-run admin step of both modes: --stats prints the server's
-// STATS snapshot, --shutdown then sends the SHUTDOWN frame. False (after
-// printing why) on any admin failure.
+// The post-run admin step: --stats prints the server's STATS snapshot,
+// --shutdown then sends the SHUTDOWN frame. False (after printing why)
+// on any admin failure.
 bool ReportServer(const std::string& host, uint16_t port, bool stats,
                   bool shutdown) {
   std::string error;
@@ -189,15 +194,14 @@ int main(int argc, char** argv) {
   const FlagSpec spec{{"host", "port", "graph", "connections", "queries",
                        "workload", "seed", "poi", "deadline-us",
                        "verify-every", "technique", "trace-sample",
-                       "slow-us", "rate", "arrival", "pipeline"},
+                       "slow-us", "pipeline"},
                       {"paths", "stats", "shutdown"}};
   std::string error;
   const auto flags = ParseFlags(argc, argv, 1, spec, &error);
   uint16_t port = 0;
-  size_t connections = 4, total_queries = 1000, pipeline = 16;
+  size_t connections = 4, total_queries = 1000, pipeline = 1;
   uint64_t seed = 1, deadline_us = 0, verify_every = 10;
   uint64_t trace_sample = 0, slow_us = kTraceSlowDisabled;
-  double rate = 0;
   if (!flags.has_value() || !NumericFlag(*flags, "port", &port, &error) ||
       !NumericFlag(*flags, "connections", &connections, &error) ||
       !NumericFlag(*flags, "queries", &total_queries, &error) ||
@@ -206,8 +210,7 @@ int main(int argc, char** argv) {
       !NumericFlag(*flags, "deadline-us", &deadline_us, &error) ||
       !NumericFlag(*flags, "verify-every", &verify_every, &error) ||
       !NumericFlag(*flags, "trace-sample", &trace_sample, &error) ||
-      !NumericFlag(*flags, "slow-us", &slow_us, &error) ||
-      !NumericFlag(*flags, "rate", &rate, &error)) {
+      !NumericFlag(*flags, "slow-us", &slow_us, &error)) {
     std::fprintf(stderr, "roadnet_loadgen: %s\n", error.c_str());
     return Usage();
   }
@@ -220,29 +223,23 @@ int main(int argc, char** argv) {
       flags->count("workload") > 0 ? flags->at("workload") : "random";
   const std::string technique =
       flags->count("technique") > 0 ? flags->at("technique") : "any";
-  const std::string arrival =
-      flags->count("arrival") > 0 ? flags->at("arrival") : "poisson";
   const bool use_paths = flags->count("paths") > 0;
   const bool want_stats = flags->count("stats") > 0;
   const bool want_shutdown = flags->count("shutdown") > 0;
-  if (connections == 0 || total_queries == 0) return Usage();
+  if (connections == 0 || total_queries == 0 || pipeline == 0 ||
+      pipeline > kMaxPipeline) {
+    return Usage();
+  }
   if (technique != "any" && wire::TechniqueId(technique) == 0) {
     std::fprintf(stderr, "unknown --technique %s\n", technique.c_str());
     return Usage();
   }
-  const bool open_loop = flags->count("rate") > 0;
-  if (open_loop) {
-    if (workload != "random") {
-      std::fprintf(stderr,
-                   "--rate (open loop) drives point queries on the random"
-                   " workload only\n");
-      return Usage();
-    }
-    if (arrival != "poisson" && arrival != "uniform") {
-      std::fprintf(stderr, "unknown --arrival %s\n", arrival.c_str());
-      return Usage();
-    }
-    if (pipeline == 0 || rate <= 0) return Usage();
+  const bool knn_mode = workload == "knn";
+  if (knn_mode && pipeline > 1) {
+    std::fprintf(stderr,
+                 "--workload knn runs at --pipeline 1: kNN frames carry no"
+                 " request id to match a pipelined reply by\n");
+    return Usage();
   }
 
   auto g = ReadGraphFile(flags->at("graph"), &error);
@@ -254,7 +251,6 @@ int main(int argc, char** argv) {
   // The replayed query stream: random pairs, one of the paper's
   // L-infinity buckets, or the knn bucket sweep. A short bucket is
   // cycled to fill the run.
-  const bool knn_mode = workload == "knn";
   std::vector<std::pair<VertexId, VertexId>> queries;
   std::vector<KnnWork> knn_work;
   std::unique_ptr<PoiSet> pois;
@@ -300,15 +296,12 @@ int main(int argc, char** argv) {
       knn_work.push_back(w);
     }
   } else if (workload == "random") {
-    // Open loop generates its own (seeded) stream inside RunOpenLoop.
-    if (!open_loop) {
-      Rng rng(seed);
-      queries.reserve(total_queries);
-      for (size_t i = 0; i < total_queries; ++i) {
-        queries.emplace_back(
-            static_cast<VertexId>(rng.NextBelow(g->NumVertices())),
-            static_cast<VertexId>(rng.NextBelow(g->NumVertices())));
-      }
+    Rng rng(seed);
+    queries.reserve(total_queries);
+    for (size_t i = 0; i < total_queries; ++i) {
+      queries.emplace_back(
+          static_cast<VertexId>(rng.NextBelow(g->NumVertices())),
+          static_cast<VertexId>(rng.NextBelow(g->NumVertices())));
     }
   } else {
     const auto sets = GenerateLInfQuerySets(*g, total_queries, seed);
@@ -355,102 +348,6 @@ int main(int argc, char** argv) {
             : "slow threshold " + std::to_string(effective.slow_micros) +
                   " us";
     std::printf("tracing:     %s, %s\n", sampling.c_str(), slow.c_str());
-  }
-
-  if (open_loop) {
-    OpenLoopOptions olo;
-    olo.host = host;
-    olo.port = port;
-    olo.connections = connections;
-    olo.pipeline = pipeline;
-    olo.rate = rate;
-    olo.poisson = arrival == "poisson";
-    olo.total_requests = total_queries;
-    olo.seed = seed;
-    olo.num_vertices = g->NumVertices();
-    olo.technique = wire::TechniqueId(technique);
-    olo.kind = use_paths ? wire::QueryKind::kPath
-                         : wire::QueryKind::kDistance;
-    olo.deadline_micros = deadline_us;
-    olo.verify_every = verify_every;
-    const OpenLoopResult res = RunOpenLoop(olo);
-
-    // Oracle-check the recorded samples after the run: verification off
-    // the driver thread keeps the arrival schedule honest.
-    uint64_t verified = 0, mismatches = 0;
-    std::string first_problem = res.error;
-    if (verify_every > 0) {
-      Dijkstra oracle(*g);
-      for (const OpenLoopResult::VerifySample& sample : res.samples) {
-        const auto status = static_cast<wire::Status>(sample.status);
-        if (status != wire::Status::kOk &&
-            status != wire::Status::kUnreachable) {
-          continue;  // shed before execution: nothing to check
-        }
-        ++verified;
-        const Distance truth = oracle.Run(sample.source, sample.target);
-        const Distance got = status == wire::Status::kOk ? sample.distance
-                                                         : kInfDistance;
-        if (got != truth) {
-          ++mismatches;
-          if (first_problem.empty()) {
-            first_problem =
-                "oracle mismatch for " + std::to_string(sample.source) +
-                " -> " + std::to_string(sample.target) + ": server " +
-                std::to_string(got) + ", oracle " + std::to_string(truth);
-          }
-        }
-      }
-    }
-
-    auto count = [&res](wire::Status s) {
-      return res.status_counts[static_cast<uint8_t>(s)];
-    };
-    std::printf("open loop:   %.0f req/s offered (%s), %llu requests over"
-                " %zu connections, pipeline %zu, kind %s\n",
-                res.offered_qps, arrival.c_str(),
-                static_cast<unsigned long long>(res.sent), connections,
-                pipeline, use_paths ? "path" : "distance");
-    std::printf("completed:   %llu (%llu ok, %llu unreachable)\n",
-                static_cast<unsigned long long>(res.received),
-                static_cast<unsigned long long>(count(wire::Status::kOk)),
-                static_cast<unsigned long long>(
-                    count(wire::Status::kUnreachable)));
-    std::printf("shed:        %llu overloaded, %llu deadline, %llu draining,"
-                " %llu bad, %llu connection errors\n",
-                static_cast<unsigned long long>(
-                    count(wire::Status::kOverloaded)),
-                static_cast<unsigned long long>(
-                    count(wire::Status::kDeadlineExceeded)),
-                static_cast<unsigned long long>(
-                    count(wire::Status::kShuttingDown)),
-                static_cast<unsigned long long>(
-                    count(wire::Status::kBadRequest)),
-                static_cast<unsigned long long>(res.connection_errors));
-    std::printf("verified:    %llu against the Dijkstra oracle,"
-                " %llu mismatches\n",
-                static_cast<unsigned long long>(verified),
-                static_cast<unsigned long long>(mismatches));
-    std::printf("throughput:  %.0f achieved req/s (wall %.3f s)\n",
-                res.achieved_qps, res.elapsed_ns * 1e-9);
-    std::printf("latency:     from scheduled arrival p50 %.1f us,"
-                " p99 %.1f us, max %.1f us\n",
-                res.latency.ValueAtQuantile(0.50) * 1e-3,
-                res.latency.ValueAtQuantile(0.99) * 1e-3,
-                res.latency.Max() * 1e-3);
-    // The generator's own lateness, already inside the latency above.
-    std::printf("send lag:    p50 %.1f us, p99 %.1f us\n",
-                res.send_lag.ValueAtQuantile(0.50) * 1e-3,
-                res.send_lag.ValueAtQuantile(0.99) * 1e-3);
-    if (!first_problem.empty()) {
-      std::fprintf(stderr, "problem:     %s\n", first_problem.c_str());
-    }
-
-    if ((want_stats || want_shutdown) &&
-        !ReportServer(host, port, want_stats, want_shutdown)) {
-      return 1;
-    }
-    return (!res.ok || mismatches > 0) ? 1 : 0;
   }
 
   std::vector<WorkerResult> results(connections);
@@ -530,45 +427,72 @@ int main(int argc, char** argv) {
       std::unique_ptr<Dijkstra> oracle;
       if (verify_every > 0) oracle = std::make_unique<Dijkstra>(*g);
 
-      for (size_t i = tid; i < queries.size(); i += connections) {
-        wire::QueryRequest req;
-        req.technique = wire::TechniqueId(technique);
-        req.kind = use_paths ? wire::QueryKind::kPath
-                             : wire::QueryKind::kDistance;
-        req.source = queries[i].first;
-        req.target = queries[i].second;
-        req.deadline_micros = deadline_us;
+      // Up to `pipeline` requests in flight, each tagged with its query
+      // index as request_id and timed from its send; a reply is matched
+      // back to its request by that id, in whatever order it arrives.
+      std::map<uint64_t, Timer> in_flight;
+      size_t next = tid;
+      while (next < queries.size() || !in_flight.empty()) {
+        if (next < queries.size() && in_flight.size() < pipeline) {
+          wire::QueryRequest req;
+          req.request_id = next;
+          req.technique = wire::TechniqueId(technique);
+          req.kind = use_paths ? wire::QueryKind::kPath
+                               : wire::QueryKind::kDistance;
+          req.source = queries[next].first;
+          req.target = queries[next].second;
+          req.deadline_micros = deadline_us;
+          in_flight.emplace(next, Timer());
+          if (!client->Send(req, &err)) {
+            ++r.transport_errors;
+            if (r.first_problem.empty()) r.first_problem = "query: " + err;
+            return;
+          }
+          next += connections;
+          continue;
+        }
         wire::QueryResponse resp;
-        Timer timer;
-        if (!client->Query(req, &resp, &err)) {
+        if (!client->Recv(&resp, &err)) {
           ++r.transport_errors;
           if (r.first_problem.empty()) r.first_problem = "query: " + err;
           return;  // connection is gone (e.g. server drained)
         }
-        r.latency.Record(timer.ElapsedNanos());
+        const auto sent = in_flight.find(resp.request_id);
+        if (sent == in_flight.end()) {
+          ++r.transport_errors;
+          if (r.first_problem.empty()) {
+            r.first_problem = "reply to request_id " +
+                              std::to_string(resp.request_id) +
+                              ", which is not in flight";
+          }
+          return;
+        }
+        r.latency.Record(sent->second.ElapsedNanos());
+        in_flight.erase(sent);
         r.CountStatus(resp.status);
 
+        const size_t i = resp.request_id;
+        const auto [source, target] = queries[i];
         const bool answered = resp.status == wire::Status::kOk ||
                               resp.status == wire::Status::kUnreachable;
         if (oracle != nullptr && answered && i % verify_every == 0) {
           ++r.verified;
-          const Distance truth = oracle->Run(req.source, req.target);
+          const Distance truth = oracle->Run(source, target);
           const Distance got = resp.status == wire::Status::kOk
                                    ? resp.distance
                                    : kInfDistance;
           bool bad = got != truth;
           if (!bad && use_paths && resp.status == wire::Status::kOk) {
             const Path& p = resp.path;
-            bad = p.empty() || p.front() != req.source ||
-                  p.back() != req.target || !IsValidPath(*g, p) ||
-                  PathWeight(*g, p) != truth;
+            bad = p.empty() || p.front() != source || p.back() != target ||
+                  !IsValidPath(*g, p) || PathWeight(*g, p) != truth;
           }
           if (bad) {
             ++r.mismatches;
             if (r.first_problem.empty()) {
               r.first_problem =
-                  "oracle mismatch for " + std::to_string(req.source) +
-                  " -> " + std::to_string(req.target) + ": server " +
+                  "oracle mismatch for " + std::to_string(source) + " -> " +
+                  std::to_string(target) + ": server " +
                   std::to_string(got) + ", oracle " + std::to_string(truth);
             }
           }
@@ -595,9 +519,11 @@ int main(int argc, char** argv) {
   }
   const uint64_t completed = total.latency.Count();
 
-  std::printf("workload:    %s, %zu queries over %zu connections, kind %s\n",
+  std::printf("workload:    %s, %zu queries over %zu connections,"
+              " pipeline %zu, kind %s\n",
               workload.c_str(),
               knn_mode ? knn_work.size() : queries.size(), connections,
+              pipeline,
               knn_mode ? "knn+one_to_many"
                        : (use_paths ? "path" : "distance"));
   std::printf("completed:   %llu (%llu ok, %llu unreachable)\n",
