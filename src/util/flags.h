@@ -2,7 +2,6 @@
 #define ROADNET_UTIL_FLAGS_H_
 
 #include <charconv>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <optional>
@@ -67,28 +66,24 @@ inline std::optional<FlagMap> ParseFlags(int argc, char* const* argv,
 
 // Reads numeric flag `name`, if given, into *out. The whole token must
 // be an unsigned decimal integer within T's range (no sign, blank or
-// suffix), or, for a floating-point T, a finite number. Otherwise it
-// returns false with *error naming the flag and leaves *out alone.
+// suffix). Otherwise it returns false with *error naming the flag and
+// leaves *out alone.
 template <typename T>
 bool NumericFlag(const FlagMap& flags, const std::string& name, T* out,
                  std::string* error) {
-  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  static_assert(std::is_unsigned_v<T>);
   const auto it = flags.find(name);
   if (it == flags.end()) return true;
   const std::string& text = it->second;
   const char* end = text.data() + text.size();
   T value{};
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec == std::errc() && ptr == end &&
-      std::isfinite(static_cast<double>(value))) {
+  if (ec == std::errc() && ptr == end) {
     *out = value;
     return true;
   }
-  *error = "--" + name + ": '" + text + "' is not " +
-           (std::is_floating_point_v<T>
-                ? std::string("a finite number")
-                : "an integer in [0, " +
-                      std::to_string(std::numeric_limits<T>::max()) + "]");
+  *error = "--" + name + ": '" + text + "' is not an integer in [0, " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
   return false;
 }
 

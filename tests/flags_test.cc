@@ -83,23 +83,19 @@ TEST(Flags, EmptyLineParsesToEmptyMap) {
 TEST(Flags, NumericFlagAcceptsWholeValuesInRange) {
   const FlagMap flags = {{"port", "65535"},
                          {"seed", "18446744073709551615"},
-                         {"vertices", "007"},
-                         {"rate", "2.5e3"}};
+                         {"vertices", "007"}};
   std::string error;
   uint16_t port = 0;
   uint64_t seed = 0;
   uint32_t vertices = 0;
-  double rate = 0;
   size_t absent = 7;
   EXPECT_TRUE(NumericFlag(flags, "port", &port, &error)) << error;
   EXPECT_TRUE(NumericFlag(flags, "seed", &seed, &error)) << error;
   EXPECT_TRUE(NumericFlag(flags, "vertices", &vertices, &error)) << error;
-  EXPECT_TRUE(NumericFlag(flags, "rate", &rate, &error)) << error;
   EXPECT_TRUE(NumericFlag(flags, "threads", &absent, &error)) << error;
   EXPECT_EQ(port, 65535u);
   EXPECT_EQ(seed, ~uint64_t{0});
   EXPECT_EQ(vertices, 7u);
-  EXPECT_EQ(rate, 2500.0);
   EXPECT_EQ(absent, 7u);  // an absent flag keeps the caller's default
 }
 
@@ -120,13 +116,6 @@ TEST(Flags, NumericFlagRejectsMalformedOrOutOfRangeValues) {
   std::string error;
   EXPECT_FALSE(NumericFlag(FlagMap{{"seed", "18446744073709551616"}}, "seed",
                            &seed, &error));
-  for (const char* bad : {"nan", "inf", "-inf", "1e400", "2.5x", "abc", ""}) {
-    double rate = 1;
-    EXPECT_FALSE(NumericFlag(FlagMap{{"rate", bad}}, "rate", &rate, &error))
-        << "'" << bad << "'";
-    EXPECT_EQ(rate, 1.0);
-    EXPECT_NE(error.find("--rate"), std::string::npos) << error;
-  }
 }
 
 }  // namespace
