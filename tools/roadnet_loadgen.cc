@@ -67,7 +67,7 @@ using namespace roadnet;
 // Upper bound on --pipeline. A connection thread sends with blocking
 // writes and reads only once its window is full, so a whole window of
 // request frames (31 bytes each, 31 KiB at this bound) must fit in the
-// loopback socket buffers even while the server has paused reading the
+// socket buffers even while the server has paused reading the
 // connection behind unread replies.
 constexpr size_t kMaxPipeline = 1024;
 
