@@ -253,39 +253,6 @@ class LegacyChIndex : public PathIndex {
   std::vector<UpArc> up_arcs_;
 };
 
-// Paired best-of-three measurement. A single pass over a quick-mode set
-// lasts ~2ms, inside timer/scheduler noise, so each sample repeats the
-// set until it covers at least kMinSampleMicros of wall clock; samples
-// for the two layouts are interleaved so slow machine phases (frequency
-// scaling, noisy neighbours) hit both sides rather than biasing one.
-constexpr double kMinSampleMicros = 20000.0;
-
-struct LayoutTimes {
-  double legacy;
-  double ranked;
-};
-
-LayoutTimes MeasureBoth(const PathIndex* legacy, const PathIndex* ranked,
-                        const QuerySet& set,
-                        double (*pass)(const PathIndex*, const QuerySet&)) {
-  // Warmup passes: first touch and page faults stay out of the samples.
-  const double warm_legacy = pass(legacy, set);
-  const double warm_ranked = pass(ranked, set);
-  const double pass_micros =
-      std::max(warm_legacy, warm_ranked) * static_cast<double>(set.pairs.size());
-  const int reps =
-      std::max(1, static_cast<int>(kMinSampleMicros / (pass_micros + 1) + 1));
-  LayoutTimes best{warm_legacy, warm_ranked};
-  for (int sample = 0; sample < 3; ++sample) {
-    double total_legacy = 0, total_ranked = 0;
-    for (int r = 0; r < reps; ++r) total_legacy += pass(legacy, set);
-    for (int r = 0; r < reps; ++r) total_ranked += pass(ranked, set);
-    best.legacy = std::min(best.legacy, total_legacy / reps);
-    best.ranked = std::min(best.ranked, total_ranked / reps);
-  }
-  return best;
-}
-
 }  // namespace
 }  // namespace roadnet
 
@@ -350,14 +317,15 @@ int main(int argc, char** argv) {
                      spec.name.c_str(), set.name.c_str());
         return 1;
       }
-      const LayoutTimes dist = MeasureBoth(
-          &legacy, &ranked, set, &Experiment::MeasureDistanceQueries);
-      const LayoutTimes path =
-          MeasureBoth(&legacy, &ranked, set, &Experiment::MeasurePathQueries);
-      const double legacy_dist = dist.legacy;
-      const double ranked_dist = dist.ranked;
-      const double legacy_path = path.legacy;
-      const double ranked_path = path.ranked;
+      // The rank-SoA index (named "CH") is each cell's reference.
+      const CellResult dist =
+          Experiment::MeasureCell({{&legacy}, {&ranked}}, set, false);
+      const CellResult path =
+          Experiment::MeasureCell({{&legacy}, {&ranked}}, set, true);
+      const double legacy_dist = dist.techniques[0].median_micros;
+      const double ranked_dist = dist.techniques[1].median_micros;
+      const double legacy_path = path.techniques[0].median_micros;
+      const double ranked_path = path.techniques[1].median_micros;
       const bool high_set = set.name >= "Q6" || set.name == "Q10";
       if (high_set) {
         hi_legacy_dist += legacy_dist * set.pairs.size();

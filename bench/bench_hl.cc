@@ -15,7 +15,6 @@
 // takes longer than the contraction they start from — the regression
 // gates scripts/check.sh runs.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,43 +30,6 @@
 #include "routing/path_index.h"
 #include "util/bytes.h"
 #include "workload/query_gen.h"
-
-namespace roadnet {
-namespace {
-
-// Paired best-of-three measurement, interleaved so slow machine phases
-// (frequency scaling, noisy neighbours) hit both indexes rather than
-// biasing one; each sample repeats the set until it covers at least
-// kMinSampleMicros of wall clock. Same discipline as bench_ch_layout.
-constexpr double kMinSampleMicros = 20000.0;
-
-struct PairedTimes {
-  double ch;
-  double hl;
-};
-
-PairedTimes MeasureBoth(const PathIndex* ch, const PathIndex* hl,
-                        const QuerySet& set,
-                        double (*pass)(const PathIndex*, const QuerySet&)) {
-  const double warm_ch = pass(ch, set);
-  const double warm_hl = pass(hl, set);
-  const double pass_micros =
-      std::max(warm_ch, warm_hl) * static_cast<double>(set.pairs.size());
-  const int reps =
-      std::max(1, static_cast<int>(kMinSampleMicros / (pass_micros + 1) + 1));
-  PairedTimes best{warm_ch, warm_hl};
-  for (int sample = 0; sample < 3; ++sample) {
-    double total_ch = 0, total_hl = 0;
-    for (int r = 0; r < reps; ++r) total_ch += pass(ch, set);
-    for (int r = 0; r < reps; ++r) total_hl += pass(hl, set);
-    best.ch = std::min(best.ch, total_ch / reps);
-    best.hl = std::min(best.hl, total_hl / reps);
-  }
-  return best;
-}
-
-}  // namespace
-}  // namespace roadnet
 
 int main(int argc, char** argv) {
   using namespace roadnet;
@@ -142,25 +104,30 @@ int main(int argc, char** argv) {
                      spec.name.c_str(), set.name.c_str());
         return 1;
       }
-      const PairedTimes dist =
-          MeasureBoth(&ch, &hl, set, &Experiment::MeasureDistanceQueries);
-      const PairedTimes path =
-          MeasureBoth(&ch, &hl, set, &Experiment::MeasurePathQueries);
+      // CH, entry 0, is each cell's reference.
+      const CellResult dist =
+          Experiment::MeasureCell({{&ch}, {&hl}}, set, false);
+      const CellResult path =
+          Experiment::MeasureCell({{&ch}, {&hl}}, set, true);
+      const double dist_ch = dist.techniques[0].median_micros;
+      const double dist_hl = dist.techniques[1].median_micros;
+      const double path_ch = path.techniques[0].median_micros;
+      const double path_hl = path.techniques[1].median_micros;
       const bool high_set = set.name >= "Q6" || set.name == "Q10";
       if (high_set) {
-        hi_ch_dist += dist.ch * set.pairs.size();
-        hi_hl_dist += dist.hl * set.pairs.size();
+        hi_ch_dist += dist_ch * set.pairs.size();
+        hi_hl_dist += dist_hl * set.pairs.size();
       }
       std::printf("%-5s %8zu  %11.2f %11.2f %7.2fx  %11.2f %11.2f %7.2fx\n",
-                  set.name.c_str(), set.pairs.size(), dist.ch, dist.hl,
-                  dist.ch / dist.hl, path.ch, path.hl, path.ch / path.hl);
+                  set.name.c_str(), set.pairs.size(), dist_ch, dist_hl,
+                  dist_ch / dist_hl, path_ch, path_hl, path_ch / path_hl);
       const std::vector<std::pair<std::string, std::string>> labels = {
           {"dataset", spec.name}, {"set", set.name}};
-      metrics.Add("hl_dist_us", dist.hl, labels);
-      metrics.Add("hl_ch_dist_us", dist.ch, labels);
-      metrics.Add("hl_path_us", path.hl, labels);
-      metrics.Add("hl_ch_path_us", path.ch, labels);
-      metrics.Add("hl_dist_speedup", dist.ch / dist.hl, labels);
+      metrics.Add("hl_dist_us", dist_hl, labels);
+      metrics.Add("hl_ch_dist_us", dist_ch, labels);
+      metrics.Add("hl_path_us", path_hl, labels);
+      metrics.Add("hl_ch_path_us", path_ch, labels);
+      metrics.Add("hl_dist_speedup", dist_ch / dist_hl, labels);
     }
 
     if (hi_hl_dist > 0) {

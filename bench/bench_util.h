@@ -34,6 +34,12 @@ inline size_t SlowMethodQueryCap() { return FastMode() ? 10 : 50; }
 inline uint32_t MaxVerticesForAllPairs() { return FastMode() ? 2500 : 5000; }
 inline uint32_t MaxVerticesForTnr() { return FastMode() ? 5000 : 40000; }
 
+// Wall-clock caps of the Appendix A techniques: all of them, Arc Flags'
+// per-region boundary searches, and RE's exact reaches (all-pairs work).
+inline uint32_t MaxVerticesForAppendixA() { return 40000; }
+inline uint32_t MaxVerticesForArcFlags() { return 22000; }
+inline uint32_t MaxVerticesForReach() { return 5000; }
+
 // Fixed TNR grid resolution for every figure bench: the analogue of the
 // paper's fixed 128x128 grid. Our datasets are ~1:100 the paper's vertex
 // counts (~1:10 linear), and at 32x32 the vertices-per-cell regime and the
@@ -47,15 +53,6 @@ inline std::vector<DatasetSpec> BenchDatasets() {
   const auto& all = PaperDatasets();
   if (FastMode()) return {all.begin(), all.begin() + 4};
   return all;
-}
-
-// First `cap` pairs of a set (for slow methods).
-inline QuerySet Subset(const QuerySet& set, size_t cap) {
-  QuerySet out;
-  out.name = set.name;
-  const size_t k = std::min(cap, set.pairs.size());
-  out.pairs.assign(set.pairs.begin(), set.pairs.begin() + k);
-  return out;
 }
 
 // ---- Table printing helpers (paper-style rows) ----

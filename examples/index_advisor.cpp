@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "ch/ch_index.h"
 #include "core/experiment.h"
@@ -86,15 +87,17 @@ int main(int argc, char** argv) {
   std::unique_ptr<SilcIndex> silc;
   if (g.NumVertices() <= 5000) silc = std::make_unique<SilcIndex>(g);
 
-  auto report = [&](const PathIndex* index) {
-    const double dist_us = Experiment::MeasureDistanceQueries(index, workload);
-    const double path_us = Experiment::MeasurePathQueries(index, workload);
+  std::vector<CellEntry> entries = {{&ch}, {&tnr}};
+  if (silc) entries.push_back({silc.get()});
+  const CellResult dist = Experiment::MeasureCell(entries, workload, false);
+  const CellResult path = Experiment::MeasureCell(entries, workload, true);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const PathIndex* index = entries[i].index;
     std::printf("  %-6s %8.1f MiB   dist %8.2f us   path %8.2f us\n",
                 index->Name().c_str(),
-                index->IndexBytes() / (1024.0 * 1024.0), dist_us, path_us);
-  };
-  report(&ch);
-  report(&tnr);
-  if (silc) report(silc.get());
+                index->IndexBytes() / (1024.0 * 1024.0),
+                dist.techniques[i].median_micros,
+                path.techniques[i].median_micros);
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification: release build + test suite, metrics/serving/example
-# smokes, the request-tracing smoke + overhead gate, the roadnet_lint +
+# smokes, the paper benches' correctness run, the request-tracing smoke +
+# overhead gate, the roadnet_lint +
 # clang-tidy static-analysis gate, the Clang Thread Safety Analysis gate
 # (with a scripted delete-one-annotation negative test), the wire/frame
 # fuzz smoke, an ASan+UBSan build running the complete suite, a
@@ -8,7 +9,7 @@
 # and a flake gate repeating the concurrent suites unpinned and pinned.
 #
 #   scripts/check.sh                 # everything
-#   scripts/check.sh <stage>         # one stage: build smoke trace knn async lint tsa fuzz asan-ubsan tsan flake
+#   scripts/check.sh <stage>         # one stage: build smoke paper trace knn async lint tsa fuzz asan-ubsan tsan flake
 #   scripts/check.sh <ctest-filter>  # everything, regular ctest narrowed to -R filter
 #
 # Each sanitizer gets its own build directory (build-asan-ubsan/,
@@ -54,7 +55,7 @@ stage_smoke() {
   echo "==> Metrics schema + search-space smoke (build/)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j"$(nproc)" --target \
-    roadnet_cli roadnet_loadgen bench_searchspace bench_appa_alt \
+    roadnet_cli roadnet_loadgen bench_searchspace \
     bench_ch_layout bench_hl quickstart nearest_poi route_service \
     index_advisor offline_preprocessing
   SMOKE="$(mktemp -d)"
@@ -83,11 +84,6 @@ stage_smoke() {
   # regression check.
   ROADNET_BENCH_FAST=1 build/bench/bench_searchspace \
     --out "$SMOKE/searchspace.csv" >/dev/null
-
-  echo "==> Appendix A bench: ALT, Arc Flags, RE, HiTi, bidi vs CH (fast)"
-  # Times the Appendix A queries and exits nonzero, naming each technique,
-  # if any of them answers a distance query differently from CH.
-  ROADNET_BENCH_FAST=1 build/bench/bench_appa_alt >/dev/null
 
   echo "==> CH layout bench: rank-permuted SoA vs legacy AoS (quick gate)"
   # Exits nonzero if the two layouts disagree on any distance or if the
@@ -156,6 +152,22 @@ stage_smoke() {
   build/examples/index_advisor --validate >/dev/null
   build/examples/nearest_poi >/dev/null
   build/examples/offline_preprocessing >/dev/null
+}
+
+stage_paper() {
+  echo "==> Paper benches: every table and figure in one pass (fast, build/)"
+  # Exits nonzero, naming the cell, if any timed technique answers
+  # differently from CH on its cell's queries, if an approximate oracle's
+  # error exceeds its epsilon, or if Appendix B's corrected TNR answers
+  # wrong or its flawed TNR never does. The rows must stay schema-valid.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build -j"$(nproc)" --target bench_paper
+  SMOKE="$(mktemp -d)"
+  ROADNET_BENCH_FAST=1 build/bench/bench_paper --out "$SMOKE/paper.jsonl" \
+    >/dev/null
+  python3 scripts/validate_metrics.py "$SMOKE/paper.jsonl"
+  rm -rf "$SMOKE"
+  SMOKE=""
 }
 
 stage_trace() {
@@ -502,6 +514,7 @@ ARG="${1:-}"
 case "$ARG" in
   build)      stage_build ;;
   smoke)      stage_smoke ;;
+  paper)      stage_paper ;;
   trace)      stage_trace ;;
   knn)        stage_knn ;;
   async)      stage_async ;;
@@ -514,6 +527,7 @@ case "$ARG" in
   ""|all)
     stage_build
     stage_smoke
+    stage_paper
     stage_trace
     stage_knn
     stage_async
@@ -528,6 +542,7 @@ case "$ARG" in
     # Back-compat: a non-stage argument narrows the regular ctest run.
     stage_build "$ARG"
     stage_smoke
+    stage_paper
     stage_trace
     stage_knn
     stage_async

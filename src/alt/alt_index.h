@@ -31,8 +31,8 @@ struct AltConfig {
 //   pi_t(v) = max over L of |dist(L, t) - dist(L, v)|,
 // which steers the search toward t. The paper excludes ALT from its main
 // comparison because prior work showed it inferior to CH in both space
-// and query time; bench_appa_alt reproduces that dominance on the
-// synthetic datasets.
+// and query time; bench_paper's Appendix A table compares the two on
+// the synthetic datasets.
 class AltIndex : public PathIndex {
  public:
   AltIndex(const Graph& g, const AltConfig& config);

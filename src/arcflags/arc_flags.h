@@ -34,7 +34,7 @@ struct ArcFlagsConfig {
 // provably cannot lie on a shortest path into that region.
 //
 // Appendix A notes Arc Flags was previously shown inferior to CH in both
-// space and query performance; bench_appa_alt extends to this technique.
+// space and query performance; bench_paper's App. A table compares them.
 class ArcFlagsIndex : public PathIndex {
  public:
   ArcFlagsIndex(const Graph& g, const ArcFlagsConfig& config);

@@ -1,5 +1,10 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+#include <cmath>
+#include <span>
+#include <utility>
+
 #include "util/timer.h"
 
 namespace roadnet {
@@ -7,6 +12,34 @@ namespace roadnet {
 namespace {
 // Discard target that the optimizer must assume is observed.
 volatile uint64_t benchmark_sink_ = 0;
+
+using Pairs = std::span<const std::pair<VertexId, VertexId>>;
+
+// One timed pass over `pairs` on a context made beforehand, in
+// microseconds per query. The sum sink keeps the optimizer from dropping
+// query work.
+double TimedPass(const PathIndex* index, QueryContext* ctx, Pairs pairs,
+                 bool paths) {
+  uint64_t sink = 0;
+  Timer timer;
+  for (const auto& [s, t] : pairs) {
+    sink += paths ? index->PathQuery(ctx, s, t).size()
+                  : index->DistanceQuery(ctx, s, t);
+  }
+  const double micros = timer.ElapsedMicros();
+  benchmark_sink_ = sink;
+  return micros / static_cast<double>(pairs.size());
+}
+
+// Linearly interpolated quantile q in [0, 1] of a non-empty sample.
+double Quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 }  // namespace
 
 BuildResult Experiment::MeasureBuild(
@@ -21,42 +54,67 @@ BuildResult Experiment::MeasureBuild(
   return result;
 }
 
-double Experiment::MeasureDistanceQueries(const PathIndex* index,
-                                          const QuerySet& queries) {
-  if (queries.pairs.empty()) return 0;
-  const auto ctx = index->NewContext();
-  // The sum sink keeps the optimizer from dropping query work.
-  uint64_t sink = 0;
-  Timer timer;
-  for (const auto& [s, t] : queries.pairs) {
-    sink += index->DistanceQuery(ctx.get(), s, t);
+CellResult Experiment::MeasureCell(const std::vector<CellEntry>& entries,
+                                   const QuerySet& set, bool paths) {
+  const size_t m = entries.size();
+  CellResult cell;
+  cell.techniques.resize(m);
+  cell.aa_ratio = cell.aa_iqr = std::nan("");
+  std::vector<Pairs> pairs(m);
+  std::vector<std::unique_ptr<QueryContext>> contexts(m);
+  for (size_t i = 0; i < m; ++i) {
+    const PathIndex* index = entries[i].index;
+    if (index->Name() == "CH" &&
+        entries[cell.reference].index->Name() != "CH") {
+      cell.reference = i;
+    }
+    pairs[i] = Pairs(set.pairs).first(
+        std::min(entries[i].max_queries, set.pairs.size()));
+    contexts[i] = index->NewContext();
+    QueryContext* ctx = contexts[i].get();
+    TechniqueTiming& tech = cell.techniques[i];
+    tech.queries = pairs[i].size();
+    for (const auto& [s, t] : pairs[i]) {
+      if (paths) {
+        index->PathQuery(ctx, s, t);
+        tech.answers.push_back(ctx->path_distance);
+      } else {
+        tech.answers.push_back(index->DistanceQuery(ctx, s, t));
+      }
+      tech.counters += ctx->counters;
+    }
   }
-  benchmark_sink_ = sink;
-  return timer.ElapsedMicros() / static_cast<double>(queries.pairs.size());
-}
+  if (set.pairs.empty()) return cell;
 
-double Experiment::MeasurePathQueries(const PathIndex* index,
-                                      const QuerySet& queries) {
-  if (queries.pairs.empty()) return 0;
-  const auto ctx = index->NewContext();
-  uint64_t sink = 0;
-  Timer timer;
-  for (const auto& [s, t] : queries.pairs) {
-    sink += index->PathQuery(ctx.get(), s, t).size();
+  // Slot m is the control: the reference's second pass of the round.
+  // Round r runs the zig-zag order 0, 1, M-1, 2, M-2, ... of the M = m + 1
+  // slots with every slot shifted by r (a Williams design).
+  const size_t slots = m + 1;
+  std::vector<std::vector<double>> micros(slots);
+  for (int round = 0; round < kCellRounds; ++round) {
+    for (size_t k = 0; k < slots; ++k) {
+      const size_t base = k == 0 ? 0 : k % 2 == 1 ? (k + 1) / 2 : slots - k / 2;
+      const size_t slot = (base + static_cast<size_t>(round)) % slots;
+      const size_t i = slot == m ? cell.reference : slot;
+      micros[slot].push_back(
+          TimedPass(entries[i].index, contexts[i].get(), pairs[i], paths));
+    }
   }
-  benchmark_sink_ = sink;
-  return timer.ElapsedMicros() / static_cast<double>(queries.pairs.size());
-}
-
-QueryResult Experiment::MeasureQueries(const PathIndex* index,
-                                       const QuerySet& queries) {
-  QueryResult result;
-  result.method = index->Name();
-  result.query_set = queries.name;
-  result.num_queries = queries.pairs.size();
-  result.avg_distance_micros = MeasureDistanceQueries(index, queries);
-  result.avg_path_micros = MeasurePathQueries(index, queries);
-  return result;
+  for (size_t i = 0; i < m; ++i) {
+    TechniqueTiming& tech = cell.techniques[i];
+    tech.median_micros = Quantile(micros[i], 0.5);
+    tech.iqr_micros = Quantile(micros[i], 0.75) - Quantile(micros[i], 0.25);
+  }
+  std::vector<double> ratios;
+  for (int round = 0; round < kCellRounds; ++round) {
+    const double first = micros[cell.reference][round];
+    if (first > 0) ratios.push_back(micros[m][round] / first);
+  }
+  if (!ratios.empty()) {
+    cell.aa_ratio = Quantile(ratios, 0.5);
+    cell.aa_iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
+  }
+  return cell;
 }
 
 size_t Experiment::CountDistanceMismatches(const PathIndex* a,

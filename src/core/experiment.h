@@ -1,13 +1,15 @@
 #ifndef ROADNET_CORE_EXPERIMENT_H_
 #define ROADNET_CORE_EXPERIMENT_H_
 
+#include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/types.h"
+#include "obs/query_counters.h"
 #include "routing/path_index.h"
 #include "workload/query_gen.h"
 
@@ -22,14 +24,38 @@ struct BuildResult {
   std::unique_ptr<PathIndex> index;
 };
 
-// Average per-query latencies of one (method, query set) combination —
-// the paper reports microseconds per query throughout Figures 7-11.
-struct QueryResult {
-  std::string method;
-  std::string query_set;
-  size_t num_queries = 0;
-  double avg_distance_micros = 0;
-  double avg_path_micros = 0;
+// One technique of a timed cell. Slow baselines (bidirectional Dijkstra
+// on large inputs) time only the first `max_queries` pairs of the set.
+struct CellEntry {
+  const PathIndex* index = nullptr;
+  size_t max_queries = std::numeric_limits<size_t>::max();
+};
+
+// One technique's share of a timed cell.
+struct TechniqueTiming {
+  size_t queries = 0;
+  // Microseconds per query (the paper's unit): the median over the rounds
+  // and the upper minus the lower quartile. Both 0 for an empty set.
+  double median_micros = 0;
+  double iqr_micros = 0;
+  // One untimed pass: its counter totals, and per query the distance (for
+  // path cells the length PathQuery reported).
+  QueryCounters counters;
+  std::vector<Distance> answers;
+};
+
+// A timed cell: every technique on one query set, one query kind.
+struct CellResult {
+  std::vector<TechniqueTiming> techniques;  // in entry order
+  // The entry timed twice per round: the first whose index is named "CH",
+  // otherwise entry 0.
+  size_t reference = 0;
+  // A/A control: the median and IQR over the rounds of the reference's
+  // second pass over its first. A difference between two techniques of
+  // this cell below that IQR is not resolved by the run. NaN for an empty
+  // set.
+  double aa_ratio = 0;
+  double aa_iqr = 0;
 };
 
 // The experiment framework of Section 4: builds indexes under a space
@@ -37,29 +63,30 @@ struct QueryResult {
 // less than 24 GB" rule, scaled) and measures query latencies.
 class Experiment {
  public:
+  // Rounds per timed cell.
+  static constexpr int kCellRounds = 11;
+
   // Times `factory` and wraps the result. `factory` may return null to
   // signal "not applicable" (e.g. method cannot index this input).
   static BuildResult MeasureBuild(
       const std::string& method,
       const std::function<std::unique_ptr<PathIndex>()>& factory);
 
-  // Average distance-query latency over the set (microseconds). The query
-  // context is created before the timer starts, so only queries are timed.
-  static double MeasureDistanceQueries(const PathIndex* index,
-                                       const QuerySet& queries);
-
-  // Average shortest-path-query latency over the set (microseconds), timed
-  // the same way.
-  static double MeasurePathQueries(const PathIndex* index,
-                                   const QuerySet& queries);
-
-  // Both metrics for one (index, set) pair.
-  static QueryResult MeasureQueries(const PathIndex* index,
-                                    const QuerySet& queries);
+  // Times distance (or, with `paths`, shortest-path) queries of every
+  // entry over `set`, the one way every figure's cells are timed. Each
+  // entry gets one query context, made before any timer starts. First an
+  // untimed pass of each entry, in entry order, records its counters and
+  // answers. Then kCellRounds rounds each time one pass per entry plus a
+  // second pass of the reference (the control), in an order rotated every
+  // round: over any M = entries + 1 consecutive rounds every entry, and
+  // the control, takes every position once, and with M even every one
+  // follows every other once, so neither a position nor a predecessor
+  // favours a technique. Up to kCellRounds - 1 entries get a full cycle.
+  static CellResult MeasureCell(const std::vector<CellEntry>& entries,
+                                const QuerySet& set, bool paths);
 
   // Verifies that two indexes agree on distances over a query set;
-  // returns the number of mismatches (0 = agreement). Benches use this to
-  // guard measured numbers with correctness.
+  // returns the number of mismatches (0 = agreement).
   static size_t CountDistanceMismatches(const PathIndex* a,
                                         const PathIndex* b,
                                         const QuerySet& queries);

@@ -65,7 +65,7 @@ class MetricsRegistry {
 std::string JsonEscape(const std::string& s);
 
 // CSV field quoting (doubles embedded quotes, wraps when the field
-// contains a comma, quote, or newline). Shared with core/report.
+// contains a comma, quote, or newline).
 std::string CsvEscape(const std::string& field);
 
 }  // namespace roadnet

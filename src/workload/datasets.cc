@@ -21,11 +21,6 @@ const std::vector<DatasetSpec>& PaperDatasets() {
   return *kDatasets;
 }
 
-std::vector<DatasetSpec> SmallDatasets() {
-  const auto& all = PaperDatasets();
-  return {all.begin(), all.begin() + 4};
-}
-
 Graph BuildDataset(const DatasetSpec& spec) {
   GeneratorConfig config;
   config.target_vertices = spec.target_vertices;

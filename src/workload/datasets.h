@@ -22,10 +22,6 @@ struct DatasetSpec {
 // The ten dataset analogues, smallest to largest (DE' .. US').
 const std::vector<DatasetSpec>& PaperDatasets();
 
-// The four smallest datasets — the only ones SILC/PCPD can index, exactly
-// as in the paper (Section 4.3 reports SILC/PCPD on DE, NH, ME, CO only).
-std::vector<DatasetSpec> SmallDatasets();
-
 // Builds the synthetic road network for a spec (deterministic).
 Graph BuildDataset(const DatasetSpec& spec);
 

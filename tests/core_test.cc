@@ -1,9 +1,15 @@
 #include "core/experiment.h"
 #include "core/guidelines.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "ch/ch_index.h"
 #include "dijkstra/bidirectional.h"
@@ -26,11 +32,124 @@ TEST(Experiment, MeasuresBuildAndQueries) {
   QuerySet set;
   set.name = "test";
   set.pairs = RandomPairs(g, 50, 5);
-  QueryResult q = Experiment::MeasureQueries(build.index.get(), set);
-  EXPECT_EQ(q.method, "CH");
-  EXPECT_EQ(q.num_queries, 50u);
-  EXPECT_GT(q.avg_distance_micros, 0);
-  EXPECT_GT(q.avg_path_micros, 0);
+  for (bool paths : {false, true}) {
+    const CellResult cell =
+        Experiment::MeasureCell({{build.index.get()}}, set, paths);
+    ASSERT_EQ(cell.techniques.size(), 1u);
+    const TechniqueTiming& t = cell.techniques[0];
+    EXPECT_EQ(t.queries, 50u);
+    EXPECT_GT(t.median_micros, 0);
+    EXPECT_GE(t.iqr_micros, 0);
+    EXPECT_GT(t.counters.vertices_settled, 0u);
+    EXPECT_EQ(t.answers.size(), 50u);
+    EXPECT_GT(cell.aa_ratio, 0);
+    EXPECT_GE(cell.aa_iqr, 0);
+  }
+}
+
+// An index that logs which of several instances ran each query, and
+// answers s + t + offset.
+class LoggingIndex : public PathIndex {
+ public:
+  LoggingIndex(std::string name, int id, std::vector<int>* log,
+               Distance offset = 0)
+      : name_(std::move(name)), id_(id), log_(log), offset_(offset) {}
+  std::string Name() const override { return name_; }
+  std::unique_ptr<QueryContext> NewContext() const override {
+    return std::make_unique<QueryContext>();
+  }
+  Distance DistanceQuery(QueryContext*, VertexId s,
+                         VertexId t) const override {
+    log_->push_back(id_);
+    return s + t + offset_;
+  }
+  Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override {
+    log_->push_back(id_);
+    ctx->path_distance = s + t + offset_;
+    return {s, t};
+  }
+  size_t IndexBytes() const override { return 0; }
+
+ private:
+  std::string name_;
+  int id_;
+  std::vector<int>* log_;
+  Distance offset_;
+};
+
+TEST(Experiment, CellRotatesOrderAndTimesTheControlTwicePerRound) {
+  std::vector<int> log;
+  LoggingIndex a("A", 0, &log), ch("CH", 1, &log), b("B", 2, &log, 7);
+  QuerySet set;
+  set.name = "one";
+  set.pairs = {{3, 4}};  // one query per pass: the log is the pass order
+  const CellResult cell =
+      Experiment::MeasureCell({{&a}, {&ch}, {&b}}, set, false);
+  EXPECT_EQ(cell.reference, 1u);  // CH, though not the first entry
+  EXPECT_EQ(cell.techniques[2].answers, std::vector<Distance>{14});
+
+  // The untimed pass, in entry order, then rounds of 4 passes.
+  constexpr int kSlots = 4;
+  ASSERT_EQ(log.size(), 3u + Experiment::kCellRounds * kSlots);
+  EXPECT_EQ(std::vector<int>(log.begin(), log.begin() + 3),
+            (std::vector<int>{0, 1, 2}));
+  std::set<int> positions[3];
+  for (int round = 0; round < Experiment::kCellRounds; ++round) {
+    const auto begin = log.begin() + 3 + round * kSlots;
+    const std::vector<int> order(begin, begin + kSlots);
+    EXPECT_EQ(std::count(order.begin(), order.end(), 1), 2)
+        << "the control (CH) runs twice in round " << round;
+    EXPECT_EQ(std::count(order.begin(), order.end(), 0), 1);
+    EXPECT_EQ(std::count(order.begin(), order.end(), 2), 1);
+    for (int pos = 0; pos < kSlots; ++pos) positions[order[pos]].insert(pos);
+  }
+  for (int id = 0; id < 3; ++id) {
+    EXPECT_EQ(positions[id].size(), static_cast<size_t>(kSlots))
+        << "technique " << id << " missed a position";
+  }
+}
+
+TEST(Experiment, CellWithoutChUsesTheFirstEntryAsReference) {
+  std::vector<int> log;
+  LoggingIndex a("A", 0, &log), b("B", 1, &log);
+  QuerySet set;
+  set.name = "one";
+  set.pairs = {{1, 2}};
+  const CellResult cell = Experiment::MeasureCell({{&a}, {&b}}, set, true);
+  EXPECT_EQ(cell.reference, 0u);
+  EXPECT_EQ(std::count(log.begin(), log.end(), 0),
+            1 + 2 * Experiment::kCellRounds);
+  EXPECT_EQ(cell.techniques[1].answers, std::vector<Distance>{3});
+}
+
+TEST(Experiment, CellCapsSlowEntries) {
+  std::vector<int> log;
+  LoggingIndex a("CH", 0, &log), slow("Dijkstra", 1, &log);
+  QuerySet set;
+  set.name = "five";
+  for (VertexId i = 0; i < 5; ++i) set.pairs.emplace_back(i, i);
+  const CellResult cell =
+      Experiment::MeasureCell({{&a}, {&slow, 2}}, set, false);
+  EXPECT_EQ(cell.techniques[0].queries, 5u);
+  EXPECT_EQ(cell.techniques[1].queries, 2u);
+  EXPECT_EQ(cell.techniques[1].answers, (std::vector<Distance>{0, 2}));
+  EXPECT_EQ(std::count(log.begin(), log.end(), 1),
+            2 * (1 + Experiment::kCellRounds));
+}
+
+TEST(Experiment, EmptySetYieldsZeroQueryRows) {
+  std::vector<int> log;
+  LoggingIndex ch("CH", 0, &log);
+  QuerySet empty;
+  empty.name = "empty";
+  const CellResult cell = Experiment::MeasureCell({{&ch}}, empty, false);
+  ASSERT_EQ(cell.techniques.size(), 1u);
+  EXPECT_EQ(cell.techniques[0].queries, 0u);
+  EXPECT_EQ(cell.techniques[0].median_micros, 0);
+  EXPECT_EQ(cell.techniques[0].iqr_micros, 0);
+  EXPECT_TRUE(cell.techniques[0].answers.empty());
+  EXPECT_TRUE(std::isnan(cell.aa_ratio));
+  EXPECT_TRUE(log.empty());
 }
 
 // An index whose contexts take 20 ms to make and whose queries return at
@@ -60,9 +179,15 @@ TEST(Experiment, TimesQueriesNotContextCreation) {
   for (VertexId i = 0; i < 10; ++i) set.pairs.emplace_back(i, i + 1);
   // Fresh instances, so neither measurement finds a context already made.
   SlowContextIndex for_distances;
-  EXPECT_LT(Experiment::MeasureDistanceQueries(&for_distances, set), 1000.0);
+  EXPECT_LT(Experiment::MeasureCell({{&for_distances}}, set, false)
+                .techniques[0]
+                .median_micros,
+            1000.0);
   SlowContextIndex for_paths;
-  EXPECT_LT(Experiment::MeasurePathQueries(&for_paths, set), 1000.0);
+  EXPECT_LT(
+      Experiment::MeasureCell({{&for_paths}}, set, true).techniques[0]
+          .median_micros,
+      1000.0);
 }
 
 TEST(Experiment, NullFactoryMeansNotApplicable) {

@@ -97,10 +97,11 @@ TEST(ApiCorners, ExperimentOnEmptyQuerySet) {
   ChIndex ch(g);
   QuerySet empty;
   empty.name = "empty";
-  QueryResult r = Experiment::MeasureQueries(&ch, empty);
-  EXPECT_EQ(r.num_queries, 0u);
-  EXPECT_EQ(r.avg_distance_micros, 0);
-  EXPECT_EQ(r.avg_path_micros, 0);
+  for (bool paths : {false, true}) {
+    const CellResult r = Experiment::MeasureCell({{&ch}}, empty, paths);
+    EXPECT_EQ(r.techniques[0].queries, 0u);
+    EXPECT_EQ(r.techniques[0].median_micros, 0);
+  }
   EXPECT_EQ(Experiment::CountDistanceMismatches(&ch, &ch, empty), 0u);
 }
 
