@@ -9,14 +9,13 @@
 //
 // Measures distance and path queries across Q1..Q10 per dataset, prints a
 // paper-style table, and writes machine-readable JSONL (validated by
-// scripts/validate_metrics.py). Exits nonzero if any distance disagrees
-// between the layouts or if the new layout is slower than the legacy
-// baseline on the aggregate Q6..Q10 distance workload of the largest
-// dataset — the regression gate scripts/check.sh runs.
+// scripts/validate_metrics.py). Exits nonzero if any distance or path
+// length disagrees between the layouts or if the new layout is slower
+// than the legacy baseline on the aggregate Q6..Q10 distance workload of
+// the largest dataset — the regression gate scripts/check.sh runs.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -259,19 +258,9 @@ class LegacyChIndex : public PathIndex {
 int main(int argc, char** argv) {
   using namespace roadnet;
 
-  bool quick = bench::FastMode();
+  bool quick = false;
   std::string out_path = "BENCH_ch_layout.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_ch_layout [--quick] [--out FILE.json]\n");
-      return 2;
-    }
-  }
+  if (!bench::ParseQuickOut(argc, argv, &quick, &out_path)) return 2;
 
   // Layout effects are cache effects, so the gated (largest) dataset must
   // not fit comfortably in cache: both modes go up to W-US' (62600
@@ -312,16 +301,18 @@ int main(int argc, char** argv) {
     double hi_legacy_dist = 0, hi_ranked_dist = 0;  // Q6..Q10 aggregate
     for (const QuerySet& set : sets) {
       if (set.pairs.empty()) continue;
-      if (Experiment::CountDistanceMismatches(&legacy, &ranked, set) != 0) {
-        std::fprintf(stderr, "FAIL: layouts disagree on %s/%s distances\n",
-                     spec.name.c_str(), set.name.c_str());
-        return 1;
-      }
       // The rank-SoA index (named "CH") is each cell's reference.
       const CellResult dist =
           Experiment::MeasureCell({{&legacy}, {&ranked}}, set, false);
       const CellResult path =
           Experiment::MeasureCell({{&legacy}, {&ranked}}, set, true);
+      if (dist.techniques[0].answers != dist.techniques[1].answers ||
+          path.techniques[0].answers != path.techniques[1].answers) {
+        std::fprintf(stderr,
+                     "FAIL: layouts disagree on %s/%s distances or paths\n",
+                     spec.name.c_str(), set.name.c_str());
+        return 1;
+      }
       const double legacy_dist = dist.techniques[0].median_micros;
       const double ranked_dist = dist.techniques[1].median_micros;
       const double legacy_path = path.techniques[0].median_micros;

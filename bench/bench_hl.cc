@@ -9,15 +9,13 @@
 // Measures distance and path queries across Q1..Q10 per dataset, prints
 // a paper-style table plus a label-size-vs-CH-space summary, and writes
 // machine-readable JSONL (validated by scripts/validate_metrics.py).
-// Exits nonzero if any distance disagrees between HL and CH, if HL is
-// not faster than CH on the aggregate Q6..Q10 distance workload of the
-// largest dataset, or if building the labels of the largest dataset
-// takes longer than the contraction they start from — the regression
-// gates scripts/check.sh runs.
+// Exits nonzero if any distance or path length disagrees between HL and
+// CH, if HL is not faster than CH on the aggregate Q6..Q10 distance
+// workload of the largest dataset, or if building the labels of the
+// largest dataset takes longer than the contraction they start from —
+// the regression gates scripts/check.sh runs.
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,23 +27,15 @@
 #include "obs/metrics.h"
 #include "routing/path_index.h"
 #include "util/bytes.h"
+#include "util/timer.h"
 #include "workload/query_gen.h"
 
 int main(int argc, char** argv) {
   using namespace roadnet;
 
-  bool quick = bench::FastMode();
+  bool quick = false;
   std::string out_path = "BENCH_hl.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_hl [--quick] [--out FILE.json]\n");
-      return 2;
-    }
-  }
+  if (!bench::ParseQuickOut(argc, argv, &quick, &out_path)) return 2;
 
   // The gated (largest) dataset is W-US' in quick mode: big enough that
   // the CH baseline sits at its published 1.1-1.6 µs (BENCH_ch_layout)
@@ -71,15 +61,12 @@ int main(int argc, char** argv) {
     const DatasetSpec& spec = specs[di];
     const bool largest = di + 1 == specs.size();
     Graph g = BuildDataset(spec);
-    const auto contract_start = std::chrono::steady_clock::now();
+    Timer timer;
     ChIndex ch(g);
-    const auto build_start = std::chrono::steady_clock::now();
+    const double contract_seconds = timer.ElapsedSeconds();
+    timer.Reset();
     HlIndex hl(g, ch);
-    const auto build_end = std::chrono::steady_clock::now();
-    const double contract_seconds =
-        std::chrono::duration<double>(build_start - contract_start).count();
-    const double build_seconds =
-        std::chrono::duration<double>(build_end - build_start).count();
+    const double build_seconds = timer.ElapsedSeconds();
 
     const auto sets =
         GenerateLInfQuerySets(g, quick ? 250 : 500, 4300 + spec.seed);
@@ -99,16 +86,18 @@ int main(int argc, char** argv) {
     double hi_ch_dist = 0, hi_hl_dist = 0;  // Q6..Q10 aggregate
     for (const QuerySet& set : sets) {
       if (set.pairs.empty()) continue;
-      if (Experiment::CountDistanceMismatches(&ch, &hl, set) != 0) {
-        std::fprintf(stderr, "FAIL: HL disagrees with CH on %s/%s distances\n",
-                     spec.name.c_str(), set.name.c_str());
-        return 1;
-      }
       // CH, entry 0, is each cell's reference.
       const CellResult dist =
           Experiment::MeasureCell({{&ch}, {&hl}}, set, false);
       const CellResult path =
           Experiment::MeasureCell({{&ch}, {&hl}}, set, true);
+      if (dist.techniques[0].answers != dist.techniques[1].answers ||
+          path.techniques[0].answers != path.techniques[1].answers) {
+        std::fprintf(stderr,
+                     "FAIL: HL disagrees with CH on %s/%s distances or paths\n",
+                     spec.name.c_str(), set.name.c_str());
+        return 1;
+      }
       const double dist_ch = dist.techniques[0].median_micros;
       const double dist_hl = dist.techniques[1].median_micros;
       const double path_ch = path.techniques[0].median_micros;

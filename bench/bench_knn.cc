@@ -17,9 +17,7 @@
 // toward a linear scan and that is expected, not a regression).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +31,7 @@
 #include "routing/knn.h"
 #include "util/bytes.h"
 #include "util/rng.h"
+#include "util/timer.h"
 #include "workload/datasets.h"
 
 namespace roadnet {
@@ -40,22 +39,15 @@ namespace {
 
 constexpr uint32_t kSweepK[] = {1, 4, 10, 50};
 
-double Now() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Average microseconds per query, best of three passes (the same
-// discipline as bench_hl; callers interleave methods so slow machine
-// phases hit all of them).
+// Average microseconds per query, best of three passes (callers
+// interleave methods so slow machine phases hit all of them).
 template <typename Pass>
 double MeasureAvg(size_t queries, const Pass& pass) {
   double best = -1;
   for (int sample = 0; sample < 3; ++sample) {
-    const double start = Now();
+    Timer timer;
     pass();
-    const double avg = (Now() - start) / static_cast<double>(queries);
+    const double avg = timer.ElapsedMicros() / static_cast<double>(queries);
     if (best < 0 || avg < best) best = avg;
   }
   return best;
@@ -67,18 +59,9 @@ double MeasureAvg(size_t queries, const Pass& pass) {
 int main(int argc, char** argv) {
   using namespace roadnet;
 
-  bool quick = bench::FastMode();
+  bool quick = false;
   std::string out_path = "BENCH_knn.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: bench_knn [--quick] [--out FILE.json]\n");
-      return 2;
-    }
-  }
+  if (!bench::ParseQuickOut(argc, argv, &quick, &out_path)) return 2;
 
   // Quick mode gates on FL' — large enough that the sparse-category
   // Dijkstra expansions dominate the brute-force column the way they do
@@ -118,9 +101,9 @@ int main(int argc, char** argv) {
     poi_config.seed = 9000 + spec.seed;
     const PoiSet pois = PoiSet::Generate(g, poi_config);
 
-    const double bucket_start = Now();
+    const Timer bucket_timer;
     KnnBucketIndex bucket(ch, pois);
-    const double bucket_build_seconds = (Now() - bucket_start) * 1e-6;
+    const double bucket_build_seconds = bucket_timer.ElapsedSeconds();
     IerKnnIndex ier(g, ch, pois);
 
     std::printf("\n(%s)  n=%u, %zu POIs, bucket build %.2fs, "

@@ -70,6 +70,12 @@ class Rows {
     return it == index_.end() ? -1 : it->second;
   }
 
+  // Counter rows, which no table reads: straight to the registry.
+  void AddCounters(const QueryCounters& c, Labels labels, double scale,
+                   const std::string& suffix) {
+    registry_.AddCounters(c, std::move(labels), scale, suffix);
+  }
+
   bool WriteFile(const std::string& path) const {
     return registry_.WriteFile(path);
   }
@@ -279,22 +285,10 @@ void PaperRun::TimeCell(const std::string& cell, const QuerySet& set,
     rows_.Add("us_median", t.median_micros, l);
     rows_.Add("us_iqr", t.iqr_micros, l);
     rows_.Add("rounds", Experiment::kCellRounds, l);
+    rows_.Add("repeats", static_cast<double>(t.repeats), l);
     rows_.Add("queries", static_cast<double>(t.queries), l);
-    const QueryCounters& c = t.counters;
-    const std::pair<const char*, uint64_t> counts[] = {
-        {"vertices_settled", c.vertices_settled},
-        {"edges_relaxed", c.edges_relaxed},
-        {"heap_pushes", c.heap_pushes},
-        {"heap_pops", c.heap_pops},
-        {"shortcuts_unpacked", c.shortcuts_unpacked},
-        {"edge_searches", c.edge_searches},
-        {"table_lookups", c.table_lookups},
-        {"tree_lookups", c.tree_lookups}};
-    for (const auto& [name, count] : counts) {
-      rows_.Add(std::string(name) + "_per_query",
-                static_cast<double>(count) / static_cast<double>(t.queries),
-                l);
-    }
+    rows_.AddCounters(t.counters, l, 1.0 / static_cast<double>(t.queries),
+                      "_per_query");
 
     // Exact techniques must give CH's answers; an oracle must stay within
     // its epsilon of them.
@@ -913,9 +907,11 @@ int PaperRun::Main(const std::string& out_path) {
 
   std::printf(
       "\nEvery timed cell: median and IQR of %d rounds in rotated order, "
-      "with CH timed twice\nper round as the A/A control (rows aa_ratio, "
-      "aa_iqr). Correctness: %zu cells checked\nagainst CH, %zu failures.\n",
-      Experiment::kCellRounds, cells_checked_, failures_.size());
+      "samples of at least\n%.0f us, with CH timed twice per round as the "
+      "A/A control (rows aa_ratio, aa_iqr).\nCorrectness: %zu cells "
+      "checked against CH, %zu failures.\n",
+      Experiment::kCellRounds, Experiment::kMinSampleMicros, cells_checked_,
+      failures_.size());
   if (!out_path.empty()) {
     if (!rows_.WriteFile(out_path)) {
       std::fprintf(stderr, "cannot write %s\n", out_path.c_str());

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -104,19 +103,9 @@ double TracedPass(const ChIndex& index, QueryContext* ctx,
 int main(int argc, char** argv) {
   using namespace roadnet;
 
-  bool quick = bench::FastMode();
+  bool quick = false;
   std::string out_path = "BENCH_trace_overhead.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(
-          stderr, "usage: bench_trace_overhead [--quick] [--out FILE.json]\n");
-      return 2;
-    }
-  }
+  if (!bench::ParseQuickOut(argc, argv, &quick, &out_path)) return 2;
 
   // One dataset suffices: the gate is a ratio on one workload, not a
   // sweep. Quick mode takes FL' (sub-second contraction); the full run

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,27 @@ namespace bench {
 inline bool FastMode() {
   const char* v = std::getenv("ROADNET_BENCH_FAST");
   return v != nullptr && v[0] == '1';
+}
+
+// The command line of the benches that write a BENCH_*.json file,
+// `[--quick] [--out FILE.json]`: --quick (or ROADNET_BENCH_FAST=1) sets
+// `*quick`, --out replaces `*out`. Prints the usage line and returns false
+// on any other argument.
+inline bool ParseQuickOut(int argc, char** argv, bool* quick,
+                          std::string* out) {
+  *quick = FastMode();
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      *quick = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      *out = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick] [--out FILE.json]\n",
+                   argv[0]);
+      return false;
+    }
+  }
+  return true;
 }
 
 // Queries measured per set (the paper uses 10000; scaled for wall clock).

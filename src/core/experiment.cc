@@ -15,20 +15,23 @@ volatile uint64_t benchmark_sink_ = 0;
 
 using Pairs = std::span<const std::pair<VertexId, VertexId>>;
 
-// One timed pass over `pairs` on a context made beforehand, in
-// microseconds per query. The sum sink keeps the optimizer from dropping
-// query work.
-double TimedPass(const PathIndex* index, QueryContext* ctx, Pairs pairs,
-                 bool paths) {
+// `repeats` back-to-back passes over `pairs` on a context made
+// beforehand, timed as one sample, in microseconds per query. The sum
+// sink keeps the optimizer from dropping query work.
+double TimedPasses(const PathIndex* index, QueryContext* ctx, Pairs pairs,
+                   bool paths, size_t repeats) {
+  if (pairs.empty()) return 0;
   uint64_t sink = 0;
   Timer timer;
-  for (const auto& [s, t] : pairs) {
-    sink += paths ? index->PathQuery(ctx, s, t).size()
-                  : index->DistanceQuery(ctx, s, t);
+  for (size_t r = 0; r < repeats; ++r) {
+    for (const auto& [s, t] : pairs) {
+      sink += paths ? index->PathQuery(ctx, s, t).size()
+                    : index->DistanceQuery(ctx, s, t);
+    }
   }
   const double micros = timer.ElapsedMicros();
   benchmark_sink_ = sink;
-  return micros / static_cast<double>(pairs.size());
+  return micros / static_cast<double>(pairs.size() * repeats);
 }
 
 // Linearly interpolated quantile q in [0, 1] of a non-empty sample.
@@ -83,21 +86,32 @@ CellResult Experiment::MeasureCell(const std::vector<CellEntry>& entries,
       }
       tech.counters += ctx->counters;
     }
+    const double pass_micros = TimedPasses(index, ctx, pairs[i], paths, 1) *
+                               static_cast<double>(tech.queries);
+    if (pass_micros > 0) {
+      tech.repeats =
+          static_cast<size_t>(std::ceil(kMinSampleMicros / pass_micros));
+    }
   }
   if (set.pairs.empty()) return cell;
 
-  // Slot m is the control: the reference's second pass of the round.
-  // Round r runs the zig-zag order 0, 1, M-1, 2, M-2, ... of the M = m + 1
-  // slots with every slot shifted by r (a Williams design).
+  // Slot m is the control: the reference's second sample of the round.
+  // Round r runs the zig-zag order 0, 1, M-1, 2, M-2, ... of the M slots
+  // shifted by r, or, with M odd, shifted by r / 2 and backwards on odd r.
   const size_t slots = m + 1;
+  const bool odd = slots % 2 == 1;
   std::vector<std::vector<double>> micros(slots);
   for (int round = 0; round < kCellRounds; ++round) {
-    for (size_t k = 0; k < slots; ++k) {
+    const auto r = static_cast<size_t>(round);
+    const size_t shift = odd ? r / 2 : r;
+    for (size_t j = 0; j < slots; ++j) {
+      const size_t k = odd && r % 2 == 1 ? slots - 1 - j : j;
       const size_t base = k == 0 ? 0 : k % 2 == 1 ? (k + 1) / 2 : slots - k / 2;
-      const size_t slot = (base + static_cast<size_t>(round)) % slots;
+      const size_t slot = (base + shift) % slots;
       const size_t i = slot == m ? cell.reference : slot;
-      micros[slot].push_back(
-          TimedPass(entries[i].index, contexts[i].get(), pairs[i], paths));
+      micros[slot].push_back(TimedPasses(entries[i].index, contexts[i].get(),
+                                         pairs[i], paths,
+                                         cell.techniques[i].repeats));
     }
   }
   for (size_t i = 0; i < m; ++i) {
@@ -115,21 +129,6 @@ CellResult Experiment::MeasureCell(const std::vector<CellEntry>& entries,
     cell.aa_iqr = Quantile(ratios, 0.75) - Quantile(ratios, 0.25);
   }
   return cell;
-}
-
-size_t Experiment::CountDistanceMismatches(const PathIndex* a,
-                                           const PathIndex* b,
-                                           const QuerySet& queries) {
-  const auto ctx_a = a->NewContext();
-  const auto ctx_b = b->NewContext();
-  size_t mismatches = 0;
-  for (const auto& [s, t] : queries.pairs) {
-    if (a->DistanceQuery(ctx_a.get(), s, t) !=
-        b->DistanceQuery(ctx_b.get(), s, t)) {
-      ++mismatches;
-    }
-  }
-  return mismatches;
 }
 
 }  // namespace roadnet

@@ -34,6 +34,9 @@ struct CellEntry {
 // One technique's share of a timed cell.
 struct TechniqueTiming {
   size_t queries = 0;
+  // Back-to-back passes over the queries per timed sample: enough for the
+  // sample to cover Experiment::kMinSampleMicros, from one warm pass.
+  size_t repeats = 1;
   // Microseconds per query (the paper's unit): the median over the rounds
   // and the upper minus the lower quartile. Both 0 for an empty set.
   double median_micros = 0;
@@ -51,9 +54,7 @@ struct CellResult {
   // otherwise entry 0.
   size_t reference = 0;
   // A/A control: the median and IQR over the rounds of the reference's
-  // second pass over its first. A difference between two techniques of
-  // this cell below that IQR is not resolved by the run. NaN for an empty
-  // set.
+  // second sample over its first. NaN for an empty set.
   double aa_ratio = 0;
   double aa_iqr = 0;
 };
@@ -65,6 +66,9 @@ class Experiment {
  public:
   // Rounds per timed cell.
   static constexpr int kCellRounds = 11;
+  // Shortest timed sample: below it the timer and the cache state one
+  // pass inherits from the technique before it weigh on the reading.
+  static constexpr double kMinSampleMicros = 1000;
 
   // Times `factory` and wraps the result. `factory` may return null to
   // signal "not applicable" (e.g. method cannot index this input).
@@ -74,22 +78,20 @@ class Experiment {
 
   // Times distance (or, with `paths`, shortest-path) queries of every
   // entry over `set`, the one way every figure's cells are timed. Each
-  // entry gets one query context, made before any timer starts. First an
-  // untimed pass of each entry, in entry order, records its counters and
-  // answers. Then kCellRounds rounds each time one pass per entry plus a
-  // second pass of the reference (the control), in an order rotated every
-  // round: over any M = entries + 1 consecutive rounds every entry, and
-  // the control, takes every position once, and with M even every one
-  // follows every other once, so neither a position nor a predecessor
-  // favours a technique. Up to kCellRounds - 1 entries get a full cycle.
+  // entry gets one query context, made before any timer starts. First,
+  // entry by entry, an untimed pass records the counters and answers, and
+  // one timed warm pass sets how many passes make up the entry's sample
+  // (at least kMinSampleMicros). Then kCellRounds rounds each time
+  // one sample per entry plus a second sample of the reference (the
+  // control), in an order rotated every round so that no technique is
+  // favoured by the one timed just before it (a Williams design). With
+  // M = entries + 1 even, over M rounds every slot (entry or control)
+  // takes every position once and follows every other slot once; with M
+  // odd, odd rounds run backwards, and over 2M rounds it is twice.
+  // Within kCellRounds rounds, every slot of a cell of up to 9 entries
+  // follows every other at least once.
   static CellResult MeasureCell(const std::vector<CellEntry>& entries,
                                 const QuerySet& set, bool paths);
-
-  // Verifies that two indexes agree on distances over a query set;
-  // returns the number of mismatches (0 = agreement).
-  static size_t CountDistanceMismatches(const PathIndex* a,
-                                        const PathIndex* b,
-                                        const QuerySet& queries);
 };
 
 }  // namespace roadnet

@@ -83,15 +83,20 @@ void MetricsRegistry::Add(
 
 void MetricsRegistry::AddCounters(
     const QueryCounters& c,
-    std::vector<std::pair<std::string, std::string>> labels) {
-  Add("vertices_settled", static_cast<double>(c.vertices_settled), labels);
-  Add("edges_relaxed", static_cast<double>(c.edges_relaxed), labels);
-  Add("heap_pushes", static_cast<double>(c.heap_pushes), labels);
-  Add("heap_pops", static_cast<double>(c.heap_pops), labels);
-  Add("shortcuts_unpacked", static_cast<double>(c.shortcuts_unpacked), labels);
-  Add("edge_searches", static_cast<double>(c.edge_searches), labels);
-  Add("table_lookups", static_cast<double>(c.table_lookups), labels);
-  Add("tree_lookups", static_cast<double>(c.tree_lookups), std::move(labels));
+    std::vector<std::pair<std::string, std::string>> labels, double scale,
+    const std::string& suffix) {
+  const std::pair<const char*, uint64_t> fields[] = {
+      {"vertices_settled", c.vertices_settled},
+      {"edges_relaxed", c.edges_relaxed},
+      {"heap_pushes", c.heap_pushes},
+      {"heap_pops", c.heap_pops},
+      {"shortcuts_unpacked", c.shortcuts_unpacked},
+      {"edge_searches", c.edge_searches},
+      {"table_lookups", c.table_lookups},
+      {"tree_lookups", c.tree_lookups}};
+  for (const auto& [name, count] : fields) {
+    Add(name + suffix, static_cast<double>(count) * scale, labels);
+  }
 }
 
 void MetricsRegistry::AddHistogram(

@@ -29,9 +29,12 @@ class MetricsRegistry {
            std::vector<std::pair<std::string, std::string>> labels = {});
 
   // Emits one point per counter field ("vertices_settled", ...), each
-  // carrying the same label set.
+  // carrying the same label set. `scale` multiplies every count and
+  // `suffix` ends every name (1/queries and "_per_query" give per-query
+  // points).
   void AddCounters(const QueryCounters& counters,
-                   std::vector<std::pair<std::string, std::string>> labels = {});
+                   std::vector<std::pair<std::string, std::string>> labels = {},
+                   double scale = 1.0, const std::string& suffix = "");
 
   // Emits count/min/mean/p50/p90/p99/p999/max points for a histogram.
   // `scale` converts the histogram's unit into the reported one (e.g.

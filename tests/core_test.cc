@@ -14,6 +14,7 @@
 #include "ch/ch_index.h"
 #include "dijkstra/bidirectional.h"
 #include "tests/test_util.h"
+#include "util/timer.h"
 #include "workload/query_gen.h"
 #include "gtest/gtest.h"
 
@@ -48,33 +49,47 @@ TEST(Experiment, MeasuresBuildAndQueries) {
 }
 
 // An index that logs which of several instances ran each query, and
-// answers s + t + offset.
+// answers s + t + offset. Each query busy-waits `query_micros`: by
+// default a whole minimum sample, so every timed sample is one pass.
 class LoggingIndex : public PathIndex {
  public:
   LoggingIndex(std::string name, int id, std::vector<int>* log,
-               Distance offset = 0)
-      : name_(std::move(name)), id_(id), log_(log), offset_(offset) {}
+               Distance offset = 0,
+               double query_micros = Experiment::kMinSampleMicros)
+      : name_(std::move(name)),
+        id_(id),
+        log_(log),
+        offset_(offset),
+        query_micros_(query_micros) {}
   std::string Name() const override { return name_; }
   std::unique_ptr<QueryContext> NewContext() const override {
     return std::make_unique<QueryContext>();
   }
   Distance DistanceQuery(QueryContext*, VertexId s,
                          VertexId t) const override {
-    log_->push_back(id_);
+    Log();
     return s + t + offset_;
   }
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override {
-    log_->push_back(id_);
+    Log();
     ctx->path_distance = s + t + offset_;
     return {s, t};
   }
   size_t IndexBytes() const override { return 0; }
 
  private:
+  void Log() const {
+    log_->push_back(id_);
+    Timer timer;
+    while (timer.ElapsedMicros() < query_micros_) {
+    }
+  }
+
   std::string name_;
   int id_;
   std::vector<int>* log_;
   Distance offset_;
+  double query_micros_;
 };
 
 TEST(Experiment, CellRotatesOrderAndTimesTheControlTwicePerRound) {
@@ -87,15 +102,17 @@ TEST(Experiment, CellRotatesOrderAndTimesTheControlTwicePerRound) {
       Experiment::MeasureCell({{&a}, {&ch}, {&b}}, set, false);
   EXPECT_EQ(cell.reference, 1u);  // CH, though not the first entry
   EXPECT_EQ(cell.techniques[2].answers, std::vector<Distance>{14});
+  for (const TechniqueTiming& t : cell.techniques) EXPECT_EQ(t.repeats, 1u);
 
-  // The untimed pass, in entry order, then rounds of 4 passes.
+  // The untimed pass and the warm pass, entry by entry, then rounds of 4
+  // samples.
   constexpr int kSlots = 4;
-  ASSERT_EQ(log.size(), 3u + Experiment::kCellRounds * kSlots);
-  EXPECT_EQ(std::vector<int>(log.begin(), log.begin() + 3),
-            (std::vector<int>{0, 1, 2}));
+  ASSERT_EQ(log.size(), 6u + Experiment::kCellRounds * kSlots);
+  EXPECT_EQ(std::vector<int>(log.begin(), log.begin() + 6),
+            (std::vector<int>{0, 0, 1, 1, 2, 2}));
   std::set<int> positions[3];
   for (int round = 0; round < Experiment::kCellRounds; ++round) {
-    const auto begin = log.begin() + 3 + round * kSlots;
+    const auto begin = log.begin() + 6 + round * kSlots;
     const std::vector<int> order(begin, begin + kSlots);
     EXPECT_EQ(std::count(order.begin(), order.end(), 1), 2)
         << "the control (CH) runs twice in round " << round;
@@ -109,6 +126,36 @@ TEST(Experiment, CellRotatesOrderAndTimesTheControlTwicePerRound) {
   }
 }
 
+TEST(Experiment, CellWithAnOddSlotCountBalancesPredecessors) {
+  // Four entries and the control: five slots, so odd rounds run the
+  // rotated order backwards and every slot follows every other.
+  std::vector<int> log;
+  LoggingIndex a("A", 0, &log), ch("CH", 1, &log), b("B", 2, &log),
+      c("C", 3, &log);
+  QuerySet set;
+  set.name = "one";
+  set.pairs = {{3, 4}};
+  Experiment::MeasureCell({{&a}, {&ch}, {&b}, {&c}}, set, false);
+  constexpr int kSlots = 5;
+  ASSERT_EQ(log.size(), 8u + Experiment::kCellRounds * kSlots);
+  std::set<std::pair<int, int>> followed;
+  for (int round = 0; round < Experiment::kCellRounds; ++round) {
+    const auto begin = log.begin() + 8 + round * kSlots;
+    EXPECT_EQ(std::count(begin, begin + kSlots, 1), 2);
+    for (int pos = 1; pos < kSlots; ++pos) {
+      followed.emplace(begin[pos - 1], begin[pos]);
+    }
+  }
+  // CH (1) also follows itself: the control after the reference's sample.
+  for (int x = 0; x < 4; ++x) {
+    for (int y = 0; y < 4; ++y) {
+      if (x == y && x != 1) continue;
+      EXPECT_EQ(followed.count({x, y}), 1u)
+          << "technique " << y << " never follows " << x;
+    }
+  }
+}
+
 TEST(Experiment, CellWithoutChUsesTheFirstEntryAsReference) {
   std::vector<int> log;
   LoggingIndex a("A", 0, &log), b("B", 1, &log);
@@ -118,7 +165,7 @@ TEST(Experiment, CellWithoutChUsesTheFirstEntryAsReference) {
   const CellResult cell = Experiment::MeasureCell({{&a}, {&b}}, set, true);
   EXPECT_EQ(cell.reference, 0u);
   EXPECT_EQ(std::count(log.begin(), log.end(), 0),
-            1 + 2 * Experiment::kCellRounds);
+            2 + 2 * Experiment::kCellRounds);
   EXPECT_EQ(cell.techniques[1].answers, std::vector<Distance>{3});
 }
 
@@ -134,7 +181,26 @@ TEST(Experiment, CellCapsSlowEntries) {
   EXPECT_EQ(cell.techniques[1].queries, 2u);
   EXPECT_EQ(cell.techniques[1].answers, (std::vector<Distance>{0, 2}));
   EXPECT_EQ(std::count(log.begin(), log.end(), 1),
-            2 * (1 + Experiment::kCellRounds));
+            2 * (2 + Experiment::kCellRounds));
+}
+
+TEST(Experiment, FastPassesRepeatToTheMinimumSample) {
+  std::vector<int> log;
+  LoggingIndex ch("CH", 0, &log, 0, /*query_micros=*/0),
+      slow("B", 1, &log);
+  QuerySet set;
+  set.name = "three";
+  for (VertexId i = 0; i < 3; ++i) set.pairs.emplace_back(i, i);
+  const CellResult cell = Experiment::MeasureCell({{&ch}, {&slow}}, set, false);
+  // A near-instant pass repeats until its sample covers the minimum; a
+  // pass already that long runs once.
+  const size_t repeats = cell.techniques[0].repeats;
+  EXPECT_GT(repeats, 1u);
+  EXPECT_EQ(cell.techniques[1].repeats, 1u);
+  EXPECT_EQ(static_cast<size_t>(std::count(log.begin(), log.end(), 0)),
+            3 * (2 + repeats * 2 * Experiment::kCellRounds));
+  EXPECT_EQ(std::count(log.begin(), log.end(), 1),
+            3 * (2 + Experiment::kCellRounds));
 }
 
 TEST(Experiment, EmptySetYieldsZeroQueryRows) {
@@ -198,13 +264,21 @@ TEST(Experiment, NullFactoryMeansNotApplicable) {
 }
 
 TEST(Experiment, MismatchCounting) {
+  // A cell's answers are what its techniques are checked on: CH and
+  // bidirectional Dijkstra agree query for query, distances and path
+  // lengths alike.
   Graph g = TestNetwork(400, 7);
   ChIndex ch(g);
   BidirectionalDijkstra bidi(g);
   QuerySet set;
   set.name = "agree";
   set.pairs = RandomPairs(g, 80, 9);
-  EXPECT_EQ(Experiment::CountDistanceMismatches(&ch, &bidi, set), 0u);
+  for (bool paths : {false, true}) {
+    const CellResult cell =
+        Experiment::MeasureCell({{&ch}, {&bidi}}, set, paths);
+    ASSERT_EQ(cell.techniques[0].answers.size(), 80u);
+    EXPECT_EQ(cell.techniques[0].answers, cell.techniques[1].answers);
+  }
 }
 
 TEST(Guidelines, DefaultIsCh) {

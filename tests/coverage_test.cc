@@ -101,8 +101,8 @@ TEST(ApiCorners, ExperimentOnEmptyQuerySet) {
     const CellResult r = Experiment::MeasureCell({{&ch}}, empty, paths);
     EXPECT_EQ(r.techniques[0].queries, 0u);
     EXPECT_EQ(r.techniques[0].median_micros, 0);
+    EXPECT_TRUE(r.techniques[0].answers.empty());
   }
-  EXPECT_EQ(Experiment::CountDistanceMismatches(&ch, &ch, empty), 0u);
 }
 
 TEST(ApiCorners, AdjacentVertexQueries) {

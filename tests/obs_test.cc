@@ -250,6 +250,21 @@ TEST(MetricsRegistry, AddCountersEmitsEveryField) {
   }
 }
 
+TEST(MetricsRegistry, AddCountersScalesAndSuffixesNames) {
+  QueryCounters c;
+  c.Settle(30);
+  c.HeapPush(3);
+  MetricsRegistry m;
+  m.AddCounters(c, {{"set", "Q1"}}, 1.0 / 3, "_per_query");
+  ASSERT_EQ(m.points().size(), 8u);
+  EXPECT_EQ(m.points()[0].name, "vertices_settled_per_query");
+  EXPECT_DOUBLE_EQ(m.points()[0].value, 10.0);
+  EXPECT_EQ(m.points()[2].name, "heap_pushes_per_query");
+  EXPECT_DOUBLE_EQ(m.points()[2].value, 1.0);
+  EXPECT_EQ(m.points()[7].name, "tree_lookups_per_query");
+  EXPECT_EQ(m.points()[7].value, 0.0);
+}
+
 TEST(MetricsRegistry, AddHistogramEmitsSummaryPoints) {
   Histogram h;
   for (uint64_t v = 1; v <= 10; ++v) h.Record(v * 1000);

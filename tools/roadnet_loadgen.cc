@@ -13,13 +13,15 @@
 // (Section 4.2). Each connection keeps --pipeline QUERY2 requests in
 // flight (default 1: send, wait for the reply, send the next) and
 // matches every reply to its request by the echoed request_id. Every
-// K-th response is checked against a local Dijkstra oracle after the
-// timed run, so the oracle adds nothing to the timings — distances must
-// match exactly, and path responses must be real paths of the right
-// weight. Reports achieved qps and client-observed p50/p99 (from
-// a request's send to its reply, so with --pipeline N they include the
-// wait behind the requests ahead of it), which include the server's
-// queueing — the end-to-end numbers a capacity plan is written against.
+// K-th response is kept and checked against a local Dijkstra oracle after
+// the timed run, so the oracle adds nothing to the timings — distances
+// must match exactly, and path responses must be real paths of the right
+// weight. The kept replies (with their paths under --paths) stay in
+// memory until the run ends: --queries / K of them. Reports achieved qps
+// and client-observed p50/p99 (from a request's send to its reply, so
+// with --pipeline N they include the wait behind the requests ahead of
+// it), which include the server's queueing — the end-to-end numbers a
+// capacity plan is written against.
 // Open-loop latency under a fixed arrival rate is perfbench's job (its
 // open_lo/open_hi classes), not this tool's.
 //
@@ -40,6 +42,8 @@
 // Exit status: 0 on success, 1 on any oracle mismatch or transport
 // error, 2 on usage errors.
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -79,7 +83,8 @@ int Usage() {
       "  [--host 127.0.0.1] [--connections N] [--queries N]\n"
       "  [--workload random|Q1..Q10|knn] [--seed S] [--paths]\n"
       "  [--poi pois.bin (required for --workload knn)]\n"
-      "  [--deadline-us D] [--verify-every K (0=off)]\n"
+      "  [--deadline-us D] [--verify-every K (0=off; keeps queries/K"
+      " replies)]\n"
       "  [--pipeline N (requests in flight per connection, 1..%zu;"
       " default 1)]\n"
       "  [--technique any|bidi|ch|alt|hl] [--stats] [--shutdown]\n"
@@ -466,50 +471,60 @@ int main(int argc, char** argv) {
   for (std::thread& t : threads) t.join();
   const double wall_seconds = wall.ElapsedSeconds();
 
-  // The oracle check of the kept replies, now that nothing is timed.
-  Dijkstra oracle(*g);
-  for (WorkerResult& r : results) {
-    for (const auto& [i, resp] : r.knn_samples) {
-      // Exact result-set check: same POIs, same distances, same
-      // (distance, vertex id) order as the expanding-Dijkstra oracle.
-      // One-to-many must equal kNN with k = |category|.
-      const KnnWork& w = knn_work[i];
-      const auto& cat = category_vertices[w.category];
-      const size_t want_k = w.otm ? cat.size() : w.k;
-      const auto truth = KnnByDijkstra(*g, cat, w.source, want_k);
-      bool bad = truth.size() != resp.entries.size();
-      for (size_t j = 0; !bad && j < truth.size(); ++j) {
-        bad = truth[j].poi != resp.entries[j].first ||
-              truth[j].dist != resp.entries[j].second;
+  // The oracle check of the kept replies, now that nothing is timed. Up
+  // to one thread per core, each checking one connection's at a time.
+  std::atomic<size_t> next_result{0};
+  auto verify = [&] {
+    Dijkstra oracle(*g);
+    for (size_t k = next_result++; k < results.size(); k = next_result++) {
+      WorkerResult& r = results[k];
+      for (const auto& [i, resp] : r.knn_samples) {
+        // Exact result-set check: same POIs, same distances, same
+        // (distance, vertex id) order as the expanding-Dijkstra oracle.
+        // One-to-many must equal kNN with k = |category|.
+        const KnnWork& w = knn_work[i];
+        const auto& cat = category_vertices[w.category];
+        const size_t want_k = w.otm ? cat.size() : w.k;
+        const auto truth = KnnByDijkstra(*g, cat, w.source, want_k);
+        bool bad = truth.size() != resp.entries.size();
+        for (size_t j = 0; !bad && j < truth.size(); ++j) {
+          bad = truth[j].poi != resp.entries[j].first ||
+                truth[j].dist != resp.entries[j].second;
+        }
+        if (bad) {
+          r.Mismatch("knn oracle mismatch: category " +
+                     std::to_string(w.category) + ", k " +
+                     std::to_string(want_k) + ", source " +
+                     std::to_string(w.source) + " (" +
+                     std::to_string(resp.entries.size()) + " entries, oracle " +
+                     std::to_string(truth.size()) + ")");
+        }
       }
-      if (bad) {
-        r.Mismatch("knn oracle mismatch: category " +
-                   std::to_string(w.category) + ", k " +
-                   std::to_string(want_k) + ", source " +
-                   std::to_string(w.source) + " (" +
-                   std::to_string(resp.entries.size()) + " entries, oracle " +
-                   std::to_string(truth.size()) + ")");
+      for (const auto& [i, resp] : r.point_samples) {
+        const auto [source, target] = queries[i];
+        const Distance truth = oracle.Run(source, target);
+        const Distance got =
+            resp.status == wire::Status::kOk ? resp.distance : kInfDistance;
+        bool bad = got != truth;
+        if (!bad && use_paths && resp.status == wire::Status::kOk) {
+          const Path& p = resp.path;
+          bad = p.empty() || p.front() != source || p.back() != target ||
+                !IsValidPath(*g, p) || PathWeight(*g, p) != truth;
+        }
+        if (bad) {
+          r.Mismatch("oracle mismatch for " + std::to_string(source) + " -> " +
+                     std::to_string(target) + ": server " +
+                     std::to_string(got) + ", oracle " + std::to_string(truth));
+        }
       }
+      r.verified = r.knn_samples.size() + r.point_samples.size();
     }
-    for (const auto& [i, resp] : r.point_samples) {
-      const auto [source, target] = queries[i];
-      const Distance truth = oracle.Run(source, target);
-      const Distance got =
-          resp.status == wire::Status::kOk ? resp.distance : kInfDistance;
-      bool bad = got != truth;
-      if (!bad && use_paths && resp.status == wire::Status::kOk) {
-        const Path& p = resp.path;
-        bad = p.empty() || p.front() != source || p.back() != target ||
-              !IsValidPath(*g, p) || PathWeight(*g, p) != truth;
-      }
-      if (bad) {
-        r.Mismatch("oracle mismatch for " + std::to_string(source) + " -> " +
-                   std::to_string(target) + ": server " +
-                   std::to_string(got) + ", oracle " + std::to_string(truth));
-      }
-    }
-    r.verified = r.knn_samples.size() + r.point_samples.size();
-  }
+  };
+  const size_t verifiers = std::min<size_t>(
+      results.size(), std::max(1u, std::thread::hardware_concurrency()));
+  threads.clear();
+  for (size_t v = 0; v < verifiers; ++v) threads.emplace_back(verify);
+  for (std::thread& t : threads) t.join();
 
   WorkerResult total;
   for (const WorkerResult& r : results) {
