@@ -11,12 +11,16 @@
 // machine-readable JSONL (validated by scripts/validate_metrics.py).
 // Exits nonzero if any distance or path length disagrees between HL and
 // CH, if HL is not faster than CH on the aggregate Q6..Q10 distance
-// workload of the largest dataset, or if building the labels of the
-// largest dataset takes longer than the contraction they start from —
+// workload of the largest dataset, if building the labels of the
+// largest dataset takes longer than the contraction they start from, or
+// if the serialized hierarchy of FL' or W-US' is not the pinned one —
 // the regression gates scripts/check.sh runs.
 
+#include <cstdint>
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +33,31 @@
 #include "util/bytes.h"
 #include "util/timer.h"
 #include "workload/query_gen.h"
+
+namespace {
+
+// FNV-1a of ChIndex::Serialize's output under the default ChConfig, per
+// dataset. W-US' is the hierarchy the batch benchmark queries; a change
+// to the contraction must reproduce both bit for bit.
+struct PinnedHierarchy {
+  const char* dataset;
+  uint64_t fnv1a;
+};
+constexpr PinnedHierarchy kPinnedHierarchies[] = {
+    {"FL'", 0x407302e4d79695b2ull},
+    {"W-US'", 0x8542ee76888be47full},
+};
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace roadnet;
@@ -57,6 +86,7 @@ int main(int argc, char** argv) {
 
   bool gate_failed = false;
   bool build_gate_failed = false;
+  bool hierarchy_gate_failed = false;
   for (size_t di = 0; di < specs.size(); ++di) {
     const DatasetSpec& spec = specs[di];
     const bool largest = di + 1 == specs.size();
@@ -67,6 +97,20 @@ int main(int argc, char** argv) {
     timer.Reset();
     HlIndex hl(g, ch);
     const double build_seconds = timer.ElapsedSeconds();
+    for (const PinnedHierarchy& pin : kPinnedHierarchies) {
+      if (spec.name != pin.dataset) continue;
+      std::ostringstream serialized;
+      ch.Serialize(serialized);
+      const uint64_t fnv1a = Fnv1a(serialized.view());
+      if (fnv1a != pin.fnv1a) {
+        std::fprintf(stderr,
+                     "FAIL: the %s hierarchy hashes to %016llx, not the "
+                     "pinned %016llx\n",
+                     spec.name.c_str(), static_cast<unsigned long long>(fnv1a),
+                     static_cast<unsigned long long>(pin.fnv1a));
+        hierarchy_gate_failed = true;
+      }
+    }
 
     const auto sets =
         GenerateLInfQuerySets(g, quick ? 250 : 500, 4300 + spec.seed);
@@ -164,5 +208,5 @@ int main(int argc, char** argv) {
                  "FAIL: the label build took longer than the contraction "
                  "on the largest dataset\n");
   }
-  return gate_failed || build_gate_failed ? 1 : 0;
+  return gate_failed || build_gate_failed || hierarchy_gate_failed ? 1 : 0;
 }

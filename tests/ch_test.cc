@@ -115,6 +115,52 @@ TEST(Contraction, OutputIsPinnedUnderTruncatedWitnessSearches) {
   });
 }
 
+// CA' is the dataset the served benchmark builds its hub labels on.
+TEST(Contraction, OutputIsPinnedOnTheServedDataset) {
+  ExpectPinned({
+      {"CA'", OrderingHeuristic::kEdgeDifferenceDeleted, 500,
+       67433, 8464500132661564448ull},
+  });
+}
+
+// A hub joined to every vertex of a 300-vertex ring. Every witness search
+// from a hub neighbour has the other 299 as targets and walks far along
+// the ring, so one search holds far more vertices than the small ones of
+// a road network.
+Graph HubAndRing() {
+  constexpr uint32_t kRing = 300;
+  GraphBuilder b(kRing + 1);
+  for (VertexId i = 0; i < kRing; ++i) {
+    b.AddEdge(i, (i + 1) % kRing, 1 + (i * 7) % 5);
+    b.AddEdge(i, kRing, 40 + (i * 37) % 50);
+  }
+  return std::move(b).Build();
+}
+
+TEST(Contraction, OutputIsPinnedWhenOneWitnessSearchHoldsManyVertices) {
+  const ContractionResult result = ContractGraph(HubAndRing(), ChConfig{});
+  EXPECT_EQ(result.edges.size(), 884u);
+  EXPECT_EQ(Fingerprint(result), 3793629254354688363ull);
+}
+
+TEST(ChIndex, HubAndRingMatchesDijkstraOnAllPairs) {
+  const Graph g = HubAndRing();
+  const ChIndex ch(g);
+  const auto ctx = ch.NewContext();
+  Dijkstra reference(g);
+  for (VertexId s = 0; s < g.NumVertices(); ++s) {
+    reference.RunAll(s);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      const Distance truth = reference.DistanceTo(t);
+      ASSERT_EQ(ch.DistanceQuery(ctx.get(), s, t), truth) << s << "-" << t;
+      const Path path = ch.PathQuery(ctx.get(), s, t);
+      ASSERT_EQ(ctx->path_distance, truth) << s << "-" << t;
+      ASSERT_TRUE(IsValidPath(g, path)) << s << "-" << t;
+      ASSERT_EQ(PathWeight(g, path), truth) << s << "-" << t;
+    }
+  }
+}
+
 // Contracting vertex 1 joins 0 and 2 by a shortcut of 6e9, past what a
 // 32-bit weight holds. Truncated, it would make dist(3, 5) read
 // 1,705,032,706 instead of 6,000,000,002.

@@ -1,6 +1,7 @@
 // Pins the search work of the Dijkstra-family techniques — bidirectional
-// Dijkstra, RE, ALT, Arc Flags and HiTi — and the delta-redundancy
-// meter's ratios on DE' and NH' over seeded Q1..Q10 pairs.
+// Dijkstra, RE, ALT, Arc Flags and HiTi — of CH and of the hub labels
+// built from it, and the delta-redundancy meter's ratios on DE' and NH'
+// over seeded Q1..Q10 pairs.
 //
 // Every QueryCounters field is pinned as a total of its own, for distance
 // and path queries separately, so a change to a search loop that moves
@@ -15,8 +16,10 @@
 
 #include "alt/alt_index.h"
 #include "arcflags/arc_flags.h"
+#include "ch/ch_index.h"
 #include "dijkstra/bidirectional.h"
 #include "hiti/partition_overlay.h"
+#include "hl/hl_index.h"
 #include "pcpd/redundancy.h"
 #include "reach/reach_index.h"
 #include "workload/datasets.h"
@@ -99,12 +102,18 @@ void ExpectDatasetPinned(size_t dataset, uint64_t seed,
   const DatasetSpec& spec = PaperDatasets()[dataset];
   const Graph g = BuildDataset(spec);
   const auto pairs = Pairs(g, seed);
-  ASSERT_EQ(pins.size(), 5u);
+  ASSERT_EQ(pins.size(), 7u);
+  auto ch = std::make_unique<ChIndex>(g);
+  auto hl = std::make_unique<HlIndex>(g, *ch);
+  // Destroyed last to first, so the labels go before their hierarchy.
   const std::unique_ptr<PathIndex> indexes[] = {
       std::make_unique<BidirectionalDijkstra>(g),
-      std::make_unique<ReachIndex>(g), std::make_unique<AltIndex>(g),
+      std::make_unique<ReachIndex>(g),
+      std::make_unique<AltIndex>(g),
       std::make_unique<ArcFlagsIndex>(g),
-      std::make_unique<PartitionOverlayIndex>(g)};
+      std::make_unique<PartitionOverlayIndex>(g),
+      std::move(ch),
+      std::move(hl)};
   for (size_t i = 0; i < pins.size(); ++i) {
     ASSERT_EQ(indexes[i]->Name(), pins[i].technique);
     ExpectPinned(spec.name, *indexes[i], pairs, pins[i].work);
@@ -138,6 +147,16 @@ TEST(SearchWork, PinnedOnDE) {
         {{6850, 47571, 11145, 6850, 0, 0, 0, 0},
          {6850, 52343, 13269, 8450, 103, 0, 0, 0},
          408789,
+         1006}},
+       {"CH",
+        {{1693, 4663, 2436, 1693, 0, 0, 0, 0},
+         {1693, 4663, 2436, 1693, 537, 0, 0, 0},
+         408789,
+         1006}},
+       {"HL",
+        {{0, 0, 0, 0, 0, 0, 2945, 0},
+         {1693, 4663, 2436, 1693, 537, 0, 0, 0},
+         408789,
          1006}}});
 }
 
@@ -167,6 +186,16 @@ TEST(SearchWork, PinnedOnNH) {
        {"HiTi",
         {{12879, 187635, 24174, 12879, 0, 0, 0, 0},
          {12879, 195456, 27785, 15459, 172, 0, 0, 0},
+         634035,
+         1320}},
+       {"CH",
+        {{2070, 6248, 3003, 2070, 0, 0, 0, 0},
+         {2070, 6248, 3003, 2070, 816, 0, 0, 0},
+         634035,
+         1320}},
+       {"HL",
+        {{0, 0, 0, 0, 0, 0, 3368, 0},
+         {2070, 6248, 3003, 2070, 816, 0, 0, 0},
          634035,
          1320}}});
 }
