@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "pq/indexed_heap.h"
@@ -20,77 +21,143 @@ namespace {
 struct OverlayArc {
   VertexId to;
   Weight weight;
-  VertexId middle;  // kInvalidVertex for original edges
 };
 
 // The overlay: the not-yet-contracted part of the road network plus the
 // shortcuts added so far. Keeps at most one arc per vertex pair (minimum
 // weight wins), which matches the semantics of dist() the shortcut weights
 // encode.
+//
+// Every vertex's arcs are one block of a single arena. A block that is
+// full moves to the arena's end at twice its capacity. When the arena
+// has no room left, the blocks slide down over the space that moved and
+// removed blocks left, and the arena grows only if that frees too little.
+// Every edit keeps a list's order (appends at the end, order-preserving
+// erase, weights lowered in place), because that order fixes the order
+// of witness searches and of the shortcuts, and so the hierarchy.
 class Overlay {
  public:
-  explicit Overlay(const Graph& g) : adj_(g.NumVertices()) {
+  explicit Overlay(const Graph& g) : blocks_(g.NumVertices()) {
+    // Room for the shortcuts of the first contractions.
+    arcs_.reserve(3 * g.NumEdges());
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      adj_[v].reserve(g.Degree(v));
+      const uint32_t degree = static_cast<uint32_t>(g.Degree(v));
+      blocks_[v] = Block{static_cast<uint32_t>(arcs_.size()), degree, degree};
       for (const Arc& a : g.Neighbors(v)) {
-        adj_[v].push_back(OverlayArc{a.to, a.weight, kInvalidVertex});
+        arcs_.push_back(OverlayArc{a.to, a.weight});
       }
     }
   }
 
-  const std::vector<OverlayArc>& Neighbors(VertexId v) const {
-    return adj_[v];
+  // Valid until the next AddOrImprove.
+  std::span<const OverlayArc> Neighbors(VertexId v) const {
+    return {arcs_.data() + blocks_[v].first, blocks_[v].count};
   }
 
-  // Inserts the arc pair (u, v) with the given weight/middle, or lowers an
-  // existing arc's weight. Returns true if the overlay changed.
-  bool AddOrImprove(VertexId u, VertexId v, Weight w, VertexId middle) {
+  // Inserts the arc pair (u, v) with the given weight, or lowers an
+  // existing arc's weight.
+  void AddOrImprove(VertexId u, VertexId v, Weight w) {
     OverlayArc* existing = Find(u, v);
     if (existing != nullptr) {
-      if (existing->weight <= w) return false;
+      if (existing->weight <= w) return;
       existing->weight = w;
-      existing->middle = middle;
-      OverlayArc* reverse = Find(v, u);
-      reverse->weight = w;
-      reverse->middle = middle;
-      return true;
+      Find(v, u)->weight = w;
+      return;
     }
-    adj_[u].push_back(OverlayArc{v, w, middle});
-    adj_[v].push_back(OverlayArc{u, w, middle});
-    return true;
+    Append(u, OverlayArc{v, w});
+    Append(v, OverlayArc{u, w});
   }
 
   // Removes v and all its incident arcs.
   void RemoveVertex(VertexId v) {
-    for (const OverlayArc& a : adj_[v]) {
-      std::vector<OverlayArc>& list = adj_[a.to];
-      list.erase(std::remove_if(list.begin(), list.end(),
-                                [v](const OverlayArc& b) { return b.to == v; }),
-                 list.end());
+    for (const OverlayArc& a : Neighbors(v)) {
+      Block& b = blocks_[a.to];
+      OverlayArc* begin = arcs_.data() + b.first;
+      OverlayArc* end = std::remove_if(
+          begin, begin + b.count,
+          [v](const OverlayArc& c) { return c.to == v; });
+      b.count = static_cast<uint32_t>(end - begin);
     }
-    adj_[v].clear();
-    adj_[v].shrink_to_fit();
+    blocks_[v].count = 0;
   }
 
  private:
+  struct Block {
+    uint32_t first;
+    uint32_t count;
+    uint32_t capacity;
+  };
+
   OverlayArc* Find(VertexId u, VertexId v) {
-    for (OverlayArc& a : adj_[u]) {
-      if (a.to == v) return &a;
+    const Block& b = blocks_[u];
+    OverlayArc* begin = arcs_.data() + b.first;
+    for (OverlayArc* a = begin; a != begin + b.count; ++a) {
+      if (a->to == v) return a;
     }
     return nullptr;
   }
 
-  std::vector<std::vector<OverlayArc>> adj_;
+  void Append(VertexId u, OverlayArc arc) {
+    Block& b = blocks_[u];
+    if (b.count == b.capacity) {
+      const uint32_t capacity = std::max<uint32_t>(1, 2 * b.capacity);
+      if (arcs_.size() + capacity > arcs_.capacity()) Compact(capacity);
+      const size_t first = arcs_.size();
+      arcs_.resize(first + capacity);
+      std::copy_n(arcs_.begin() + b.first, b.count, arcs_.begin() + first);
+      b.first = static_cast<uint32_t>(first);
+      b.capacity = capacity;
+    }
+    arcs_[b.first + b.count++] = arc;
+  }
+
+  // Slides every block that holds arcs down to the start of the arena, in
+  // arena order, and drops the others. Grows the arena by half if less
+  // than a quarter of it is then free for the `need` arcs to come.
+  void Compact(size_t need) {
+    std::vector<VertexId> order;
+    for (VertexId v = 0; v < blocks_.size(); ++v) {
+      if (blocks_[v].count > 0) {
+        order.push_back(v);
+      } else {
+        blocks_[v].capacity = 0;
+      }
+    }
+    std::sort(order.begin(), order.end(), [this](VertexId a, VertexId b) {
+      return blocks_[a].first < blocks_[b].first;
+    });
+    uint32_t size = 0;
+    for (const VertexId v : order) {
+      Block& b = blocks_[v];
+      if (b.first != size) {
+        std::copy_n(arcs_.begin() + b.first, b.count, arcs_.begin() + size);
+        b.first = size;
+      }
+      size += b.capacity;
+    }
+    arcs_.resize(size);
+    const size_t used = size + need;
+    if (4 * used > 3 * arcs_.capacity()) arcs_.reserve(used + used / 2);
+  }
+
+  std::vector<OverlayArc> arcs_;
+  std::vector<Block> blocks_;
 };
 
 // Bounded local Dijkstra over the overlay that skips the vertex being
 // contracted; used to find witness paths certifying that a shortcut is
 // unnecessary. Truncation (settle limit) errs on the side of adding
 // redundant shortcuts, never on incorrectness.
+//
+// A search touches a few dozen vertices of the overlay, so its state is
+// sized by what it touches, not by the graph: a hash table gives each
+// vertex the run touches a dense local id, the per-vertex state is held
+// per local id, and the heap is an IndexedHeap over local ids. The heap
+// compares keys only, so a search over renamed items pushes, pops and
+// breaks ties exactly as one over vertex ids.
 class WitnessSearch {
  public:
-  explicit WitnessSearch(uint32_t n)
-      : heap_(n), dist_(n, 0), via_(n, 0), reached_(n, 0), pending_(n, 0) {}
+  WitnessSearch() : heap_(kInitialCapacity) { Resize(kInitialCapacity); }
 
   // Searches from neighbour `i` of `v` in overlay \ {v} until it has
   // decided every pair (i, j > i): whether some path to neighbour j is
@@ -102,9 +169,14 @@ class WitnessSearch {
   // change a decision.
   void Run(const Overlay& overlay, VertexId v, size_t i,
            uint32_t settle_limit) {
-    const std::vector<OverlayArc>& neighbors = overlay.Neighbors(v);
+    const std::span<const OverlayArc> neighbors = overlay.Neighbors(v);
     const OverlayArc& from = neighbors[i];
-    ++generation_;
+    heap_.Clear();
+    local_.clear();
+    if (++generation_ == 0) {
+      std::fill(table_.begin(), table_.end(), TableSlot{});
+      generation_ = 1;
+    }
     Distance bound = 0;
     Distance target_bound = 0;
     uint32_t undecided = 0;
@@ -114,45 +186,46 @@ class WitnessSearch {
       bound = std::max(bound, via);
       if (j < i) continue;
       target_bound = std::max(target_bound, via);
-      via_[neighbors[j].to] = via;
-      pending_[neighbors[j].to] = generation_;
+      LocalState& target = local_[LocalId(neighbors[j].to)];
+      target.via = via;
+      target.pending = true;
       ++undecided;
     }
 
-    heap_.Clear();
-    dist_[from.to] = 0;
-    reached_[from.to] = generation_;
-    heap_.Push(from.to, 0);
+    const uint32_t source = LocalId(from.to);
+    local_[source].dist = 0;
+    heap_.Push(source, 0);
     uint32_t settled = 0;
     // A target is decided once it is reached within its via distance
     // (distances only fall) or popped (its distance is final). Once the
     // heap minimum passes every via distance, no undecided target can
-    // come within its own.
+    // come within its own. A local id is reached once it is pushed.
     while (undecided > 0 && !heap_.Empty() && settled < settle_limit) {
       if (heap_.MinKey() > target_bound) break;
-      VertexId u = heap_.PopMin();
+      const uint32_t u = heap_.PopMin();
       ++settled;
-      if (pending_[u] == generation_) {
-        pending_[u] = 0;
+      if (local_[u].pending) {
+        local_[u].pending = false;
         --undecided;
       }
-      const Distance du = dist_[u];
-      for (const OverlayArc& a : overlay.Neighbors(u)) {
+      const Distance du = local_[u].dist;
+      for (const OverlayArc& a : overlay.Neighbors(local_[u].vertex)) {
         if (a.to == v) continue;
         const Distance cand = du + a.weight;
         if (cand > bound) continue;
-        if (reached_[a.to] != generation_) {
-          reached_[a.to] = generation_;
-          dist_[a.to] = cand;
-          heap_.Push(a.to, cand);
-        } else if (heap_.Contains(a.to) && cand < dist_[a.to]) {
-          dist_[a.to] = cand;
-          heap_.DecreaseKey(a.to, cand);
+        const uint32_t x = LocalId(a.to);
+        LocalState& reached = local_[x];
+        if (!heap_.Seen(x)) {
+          reached.dist = cand;
+          heap_.Push(x, cand);
+        } else if (heap_.Contains(x) && cand < reached.dist) {
+          reached.dist = cand;
+          heap_.DecreaseKey(x, cand);
         } else {
           continue;
         }
-        if (pending_[a.to] == generation_ && cand <= via_[a.to]) {
-          pending_[a.to] = 0;
+        if (reached.pending && cand <= reached.via) {
+          reached.pending = false;
           --undecided;
         }
       }
@@ -161,18 +234,80 @@ class WitnessSearch {
 
   // Best distance found for v by the last Run (kInfDistance if unreached).
   Distance DistanceTo(VertexId v) const {
-    return reached_[v] == generation_ ? dist_[v] : kInfDistance;
+    for (uint32_t s = Home(v);; s = (s + 1) & mask_) {
+      const TableSlot& slot = table_[s];
+      if (slot.generation != generation_) return kInfDistance;
+      if (slot.vertex == v) {
+        return heap_.Seen(slot.local) ? local_[slot.local].dist
+                                      : kInfDistance;
+      }
+    }
   }
 
  private:
+  static constexpr uint32_t kInitialCapacity = 64;
+
+  // One touched vertex of the current run.
+  struct LocalState {
+    VertexId vertex;
+    // True while the vertex is a target whose pair is undecided.
+    bool pending;
+    // Tentative distance; valid once the local id is pushed.
+    Distance dist;
+    // Path length through the contracted vertex, for a target.
+    Distance via;
+  };
+  // Holds a vertex of the current run while generation == generation_.
+  struct TableSlot {
+    uint32_t generation = 0;
+    VertexId vertex = 0;
+    uint32_t local = 0;
+  };
+
+  uint32_t Home(VertexId v) const {
+    return static_cast<uint32_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  // v's local id in this run, assigning the next one if v has none.
+  uint32_t LocalId(VertexId v) {
+    uint32_t s = Home(v);
+    for (; table_[s].generation == generation_; s = (s + 1) & mask_) {
+      if (table_[s].vertex == v) return table_[s].local;
+    }
+    const auto local = static_cast<uint32_t>(local_.size());
+    if (local == capacity_) {
+      Resize(2 * capacity_);
+      return LocalId(v);
+    }
+    table_[s] = TableSlot{generation_, v, local};
+    local_.push_back(LocalState{v, false, 0, 0});
+    return local;
+  }
+
+  // Makes room for `capacity` local ids, keeping those of the current
+  // run. The table stays at most half full.
+  void Resize(uint32_t capacity) {
+    capacity_ = capacity;
+    local_.reserve(capacity);
+    heap_.Grow(capacity);
+    const uint32_t slots = 2 * capacity;
+    table_.assign(slots, TableSlot{});
+    mask_ = slots - 1;
+    shift_ = 64 - std::countr_zero(slots);
+    for (uint32_t local = 0; local < local_.size(); ++local) {
+      uint32_t s = Home(local_[local].vertex);
+      while (table_[s].generation == generation_) s = (s + 1) & mask_;
+      table_[s] = TableSlot{generation_, local_[local].vertex, local};
+    }
+  }
+
   IndexedHeap<Distance> heap_;
-  std::vector<Distance> dist_;
-  // Path length through the contracted vertex, per target of this run.
-  std::vector<Distance> via_;
-  std::vector<uint32_t> reached_;
-  // == generation_ while the vertex is a target whose pair is undecided.
-  std::vector<uint32_t> pending_;
-  uint32_t generation_ = 0;
+  std::vector<LocalState> local_;
+  std::vector<TableSlot> table_;
+  uint32_t capacity_ = 0;
+  uint32_t mask_ = 0;
+  int shift_ = 0;
+  uint32_t generation_ = 1;
 };
 
 // A shortcut the contraction of one vertex would create. The weight is
@@ -210,11 +345,10 @@ class Contractor {
       : graph_(g),
         config_(config),
         overlay_(g),
-        witness_(g.NumVertices()),
         deleted_neighbours_(g.NumVertices(), 0),
-        random_priority_(g.NumVertices(), 0),
         queue_(g.NumVertices()) {
     if (config_.heuristic == OrderingHeuristic::kRandom) {
+      random_priority_.resize(g.NumVertices());
       Rng rng(config_.seed);
       for (auto& p : random_priority_) {
         p = static_cast<int64_t>(rng.NextBelow(1u << 30));
@@ -234,16 +368,19 @@ class Contractor {
       }
     }
 
-    const std::vector<int64_t> initial = InitialPriorities();
-    for (VertexId v = 0; v < n; ++v) queue_.Push(v, initial[v]);
+    {
+      const std::vector<int64_t> initial = InitialPriorities();
+      for (VertexId v = 0; v < n; ++v) queue_.Push(v, initial[v]);
+    }
 
+    WitnessSearch witness;
     std::vector<PlannedShortcut> scratch;
     uint32_t next_rank = 0;
     while (!queue_.Empty()) {
       VertexId v = queue_.PopMin();
       // Lazy re-evaluation: contraction of other vertices may have changed
       // v's priority; contract only if v is still (weakly) minimal.
-      int64_t p = Priority(v, &witness_, &scratch);
+      int64_t p = Priority(v, &witness, &scratch);
       if (!queue_.Empty() && p > queue_.MinKey()) {
         queue_.Push(v, p);
         continue;
@@ -251,7 +388,7 @@ class Contractor {
       // Contract v: `scratch` holds the shortcuts Priority() just planned.
       for (const PlannedShortcut& sc : scratch) {
         const Weight w = ShortcutWeight(sc);
-        overlay_.AddOrImprove(sc.u, sc.v, w, v);
+        overlay_.AddOrImprove(sc.u, sc.v, w);
         result.edges.push_back(TaggedEdge{sc.u, sc.v, w, v});
         ++result.num_shortcuts;
       }
@@ -280,18 +417,11 @@ class Contractor {
         1, std::min<size_t>(std::thread::hardware_concurrency(),
                             (n + kInitialPassVerticesPerThread - 1) /
                                 kInitialPassVerticesPerThread));
-    // Allocated here, not on the workers: a failed allocation surfaces on
-    // this thread, and the memory returns to this thread's heap, where a
-    // worker's allocator arena kept it (4 MiB more peak RSS on W-US').
-    // Thread 0 is this thread and uses witness_.
-    std::vector<WitnessSearch> searches;
-    searches.reserve(num_threads - 1);
-    for (size_t t = 1; t < num_threads; ++t) searches.emplace_back(n);
-
     std::atomic<uint32_t> cursor{0};
     std::vector<std::exception_ptr> failures(num_threads);
-    auto worker = [&](size_t t, WitnessSearch* witness) {
+    auto worker = [&](size_t t) {
       try {
+        WitnessSearch witness;
         std::vector<PlannedShortcut> scratch;
         for (;;) {
           const uint32_t begin =
@@ -299,7 +429,7 @@ class Contractor {
           if (begin >= n) return;
           const uint32_t end = std::min(begin + kInitialPassChunk, n);
           for (VertexId v = begin; v < end; ++v) {
-            priorities[v] = Priority(v, witness, &scratch);
+            priorities[v] = Priority(v, &witness, &scratch);
           }
         }
       } catch (...) {
@@ -308,12 +438,11 @@ class Contractor {
     };
     {
       // jthreads join when the scope ends, also if starting one throws.
+      // Thread 0 is this thread.
       std::vector<std::jthread> threads;
-      threads.reserve(searches.size());
-      for (size_t t = 1; t < num_threads; ++t) {
-        threads.emplace_back(worker, t, &searches[t - 1]);
-      }
-      worker(0, &witness_);
+      threads.reserve(num_threads - 1);
+      for (size_t t = 1; t < num_threads; ++t) threads.emplace_back(worker, t);
+      worker(0);
     }
     for (const std::exception_ptr& failure : failures) {
       if (failure) std::rethrow_exception(failure);
@@ -326,7 +455,7 @@ class Contractor {
   int64_t Priority(VertexId v, WitnessSearch* witness,
                    std::vector<PlannedShortcut>* shortcuts) const {
     shortcuts->clear();
-    const std::vector<OverlayArc>& neighbors = overlay_.Neighbors(v);
+    const std::span<const OverlayArc> neighbors = overlay_.Neighbors(v);
 
     // For each neighbour u, one witness search decides the pairs (u, w)
     // with w after u; the last neighbour has none left to decide.
@@ -377,8 +506,8 @@ class Contractor {
   const Graph& graph_;
   const ChConfig config_;
   Overlay overlay_;
-  WitnessSearch witness_;
   std::vector<uint32_t> deleted_neighbours_;
+  // Drawn once per vertex under kRandom, empty otherwise.
   std::vector<int64_t> random_priority_;
   IndexedHeap<int64_t> queue_;
 };

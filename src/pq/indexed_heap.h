@@ -33,6 +33,12 @@ class IndexedHeap {
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
 
+  // Raises the capacity to `capacity` items; never lowers it. Queued
+  // items and what Seen/Popped report for every item are unchanged.
+  void Grow(uint32_t capacity) {
+    if (capacity > positions_.size()) positions_.resize(capacity, Slot{0, 0});
+  }
+
   // Removes all items in O(1) amortized. When the generation stamp wraps
   // (every 2^32 - 1 calls), every slot is reset once, so a slot stamped
   // before the wrap never reads as pushed after it.

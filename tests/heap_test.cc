@@ -118,6 +118,33 @@ TEST(IndexedHeap, RandomizedAgainstStdPriorityQueue) {
   EXPECT_EQ(popped, expected);
 }
 
+// Growing mid-search keeps every queued item, key and Seen/Popped state,
+// and the new items start unseen.
+TEST(IndexedHeap, GrowKeepsItemsAndAddsUnseenOnes) {
+  IndexedHeap<uint64_t> heap(4);
+  heap.Push(0, 40);
+  heap.Push(1, 10);
+  heap.Push(2, 30);
+  EXPECT_EQ(heap.PopMin(), 1u);
+  heap.Grow(100);
+  heap.Grow(50);  // never shrinks
+  EXPECT_TRUE(heap.Popped(1));
+  EXPECT_TRUE(heap.Contains(0));
+  EXPECT_EQ(heap.KeyOf(2), 30u);
+  EXPECT_FALSE(heap.Seen(3));
+  for (uint32_t item = 4; item < 100; ++item) {
+    EXPECT_FALSE(heap.Seen(item)) << item;
+    heap.Push(item, 1000 - item);
+  }
+  heap.DecreaseKey(0, 5);
+  EXPECT_EQ(heap.PopMin(), 0u);
+  EXPECT_EQ(heap.PopMin(), 2u);
+  for (uint32_t item = 99; item >= 4; --item) EXPECT_EQ(heap.PopMin(), item);
+  EXPECT_TRUE(heap.Empty());
+  heap.Clear();
+  EXPECT_FALSE(heap.Seen(99));
+}
+
 TEST(IndexedHeap, ClearSurvivesGenerationWrap) {
   IndexedHeap<uint64_t> heap(8);
   heap.Push(3, 30);
