@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <utility>
 
@@ -60,6 +62,13 @@ BuildResult Experiment::MeasureBuild(
 CellResult Experiment::MeasureCell(const std::vector<CellEntry>& entries,
                                    const QuerySet& set, bool paths) {
   const size_t m = entries.size();
+  if (m > kMaxCellEntries) {
+    std::fprintf(stderr,
+                 "MeasureCell: %zu entries, more than the %zu whose order "
+                 "%d rounds balance\n",
+                 m, kMaxCellEntries, kCellRounds);
+    std::abort();
+  }
   CellResult cell;
   cell.techniques.resize(m);
   cell.aa_ratio = cell.aa_iqr = std::nan("");

@@ -66,6 +66,9 @@ class Experiment {
  public:
   // Rounds per timed cell.
   static constexpr int kCellRounds = 11;
+  // The most entries a cell may have: within kCellRounds rounds, each of
+  // their slots follows every other at least once.
+  static constexpr size_t kMaxCellEntries = 9;
   // Shortest timed sample: below it the timer and the cache state one
   // pass inherits from the technique before it weigh on the reading.
   static constexpr double kMinSampleMicros = 1000;
@@ -88,8 +91,8 @@ class Experiment {
   // M = entries + 1 even, over M rounds every slot (entry or control)
   // takes every position once and follows every other slot once; with M
   // odd, odd rounds run backwards, and over 2M rounds it is twice.
-  // Within kCellRounds rounds, every slot of a cell of up to 9 entries
-  // follows every other at least once.
+  // Aborts with a message on a cell of more than kMaxCellEntries entries,
+  // whose order kCellRounds rounds cannot balance.
   static CellResult MeasureCell(const std::vector<CellEntry>& entries,
                                 const QuerySet& set, bool paths);
 };

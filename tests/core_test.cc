@@ -156,6 +156,21 @@ TEST(Experiment, CellWithAnOddSlotCountBalancesPredecessors) {
   }
 }
 
+// Ten entries and the control make 11 slots: within 11 rounds some slot
+// would never follow some other.
+TEST(ExperimentDeathTest, CellTooLargeToBalanceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::vector<int> log;
+  LoggingIndex ch("CH", 0, &log);
+  QuerySet set;
+  set.name = "one";
+  set.pairs = {{1, 2}};
+  const std::vector<CellEntry> entries(Experiment::kMaxCellEntries + 1,
+                                       CellEntry{&ch});
+  EXPECT_DEATH(Experiment::MeasureCell(entries, set, false),
+               "10 entries, more than the 9 whose order 11 rounds balance");
+}
+
 TEST(Experiment, CellWithoutChUsesTheFirstEntryAsReference) {
   std::vector<int> log;
   LoggingIndex a("A", 0, &log), b("B", 1, &log);
