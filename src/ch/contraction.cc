@@ -120,7 +120,7 @@ class Overlay {
       if (blocks_[v].count > 0) {
         order.push_back(v);
       } else {
-        blocks_[v].capacity = 0;
+        blocks_[v] = Block{0, 0, 0};
       }
     }
     std::sort(order.begin(), order.end(), [this](VertexId a, VertexId b) {
