@@ -234,14 +234,10 @@ class WitnessSearch {
 
   // Best distance found for v by the last Run (kInfDistance if unreached).
   Distance DistanceTo(VertexId v) const {
-    for (uint32_t s = Home(v);; s = (s + 1) & mask_) {
-      const TableSlot& slot = table_[s];
-      if (slot.generation != generation_) return kInfDistance;
-      if (slot.vertex == v) {
-        return heap_.Seen(slot.local) ? local_[slot.local].dist
-                                      : kInfDistance;
-      }
-    }
+    const TableSlot& slot = table_[SlotOf(v)];
+    return slot.generation == generation_ && heap_.Seen(slot.local)
+               ? local_[slot.local].dist
+               : kInfDistance;
   }
 
  private:
@@ -264,16 +260,19 @@ class WitnessSearch {
     uint32_t local = 0;
   };
 
-  uint32_t Home(VertexId v) const {
-    return static_cast<uint32_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
+  // The slot holding v in this run, or the free slot where v would go.
+  uint32_t SlotOf(VertexId v) const {
+    auto s = static_cast<uint32_t>((v * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (table_[s].generation == generation_ && table_[s].vertex != v) {
+      s = (s + 1) & mask_;
+    }
+    return s;
   }
 
   // v's local id in this run, assigning the next one if v has none.
   uint32_t LocalId(VertexId v) {
-    uint32_t s = Home(v);
-    for (; table_[s].generation == generation_; s = (s + 1) & mask_) {
-      if (table_[s].vertex == v) return table_[s].local;
-    }
+    const uint32_t s = SlotOf(v);
+    if (table_[s].generation == generation_) return table_[s].local;
     const auto local = static_cast<uint32_t>(local_.size());
     if (local == capacity_) {
       Resize(2 * capacity_);
@@ -295,9 +294,8 @@ class WitnessSearch {
     mask_ = slots - 1;
     shift_ = 64 - std::countr_zero(slots);
     for (uint32_t local = 0; local < local_.size(); ++local) {
-      uint32_t s = Home(local_[local].vertex);
-      while (table_[s].generation == generation_) s = (s + 1) & mask_;
-      table_[s] = TableSlot{generation_, local_[local].vertex, local};
+      const VertexId v = local_[local].vertex;
+      table_[SlotOf(v)] = TableSlot{generation_, v, local};
     }
   }
 
