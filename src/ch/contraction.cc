@@ -129,10 +129,10 @@ class Overlay {
     uint32_t size = 0;
     for (const VertexId v : order) {
       Block& b = blocks_[v];
-      if (b.first != size) {
-        std::copy_n(arcs_.begin() + b.first, b.count, arcs_.begin() + size);
-        b.first = size;
-      }
+      // The block moves down or stays, so std::copy may overlap it.
+      const auto from = arcs_.begin() + b.first;
+      std::copy(from, from + b.count, arcs_.begin() + size);
+      b.first = size;
       size += b.capacity;
     }
     arcs_.resize(size);
