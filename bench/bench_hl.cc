@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "ch/ch_index.h"
 #include "core/experiment.h"
 #include "hl/hl_index.h"
+#include "io/crc32.h"
 #include "obs/metrics.h"
 #include "routing/path_index.h"
 #include "util/bytes.h"
@@ -36,26 +36,17 @@
 
 namespace {
 
-// FNV-1a of ChIndex::Serialize's output under the default ChConfig, per
+// CRC-32 of ChIndex::Serialize's output under the default ChConfig, per
 // dataset. W-US' is the hierarchy the batch benchmark queries; a change
 // to the contraction must reproduce both bit for bit.
 struct PinnedHierarchy {
   const char* dataset;
-  uint64_t fnv1a;
+  uint32_t crc;
 };
 constexpr PinnedHierarchy kPinnedHierarchies[] = {
-    {"FL'", 0x407302e4d79695b2ull},
-    {"W-US'", 0x8542ee76888be47full},
+    {"FL'", 0x315ccf14u},
+    {"W-US'", 0x2713025au},
 };
-
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 14695981039346656037ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace
 
@@ -101,13 +92,12 @@ int main(int argc, char** argv) {
       if (spec.name != pin.dataset) continue;
       std::ostringstream serialized;
       ch.Serialize(serialized);
-      const uint64_t fnv1a = Fnv1a(serialized.view());
-      if (fnv1a != pin.fnv1a) {
+      const uint32_t crc = Crc32(serialized.view());
+      if (crc != pin.crc) {
         std::fprintf(stderr,
-                     "FAIL: the %s hierarchy hashes to %016llx, not the "
-                     "pinned %016llx\n",
-                     spec.name.c_str(), static_cast<unsigned long long>(fnv1a),
-                     static_cast<unsigned long long>(pin.fnv1a));
+                     "FAIL: the %s hierarchy's CRC-32 is %08x, not the "
+                     "pinned %08x\n",
+                     spec.name.c_str(), crc, pin.crc);
         hierarchy_gate_failed = true;
       }
     }
