@@ -129,10 +129,12 @@ class Overlay {
     uint32_t size = 0;
     for (const VertexId v : order) {
       Block& b = blocks_[v];
-      // The block moves down or stays, so std::copy may overlap it.
-      const auto from = arcs_.begin() + b.first;
-      std::copy(from, from + b.count, arcs_.begin() + size);
-      b.first = size;
+      if (b.first != size) {
+        // A move down: std::copy allows the ranges to overlap that way.
+        const auto from = arcs_.begin() + b.first;
+        std::copy(from, from + b.count, arcs_.begin() + size);
+        b.first = size;
+      }
       size += b.capacity;
     }
     arcs_.resize(size);
