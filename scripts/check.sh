@@ -496,10 +496,12 @@ stage_tsan() {
 stage_flake() {
   echo "==> Flake gate: concurrent suites x20, unpinned and on one CPU"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  # HubLabelThreads creates each thread's CH context lazily, on its first
+  # path query.
   cmake --build build -j"$(nproc)" --target \
     server_test event_loop_test engine_equivalence_test engine_stress_test \
-    engine_edge_test engine_guard_test trace_test
-  local filter='QueryServer|EventLoopPool|Engine|Trace'
+    engine_edge_test engine_guard_test trace_test hl_test
+  local filter='QueryServer|EventLoopPool|Engine|Trace|HubLabelThreads'
   (cd build && ctest --output-on-failure -j"$(nproc)" \
     --repeat until-fail:20 -R "$filter")
   if command -v taskset >/dev/null 2>&1; then

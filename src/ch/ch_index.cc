@@ -236,12 +236,12 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
   backward.Reset();
 
   forward.dist[s] = 0;
-  forward.aux[s].parent_arc = kOriginalArc;
+  forward.parent_arc[s] = kOriginalArc;
   forward.touched.push_back(s);
   forward.HeapPush(s, 0);
 
   backward.dist[t] = 0;
-  backward.aux[t].parent_arc = kOriginalArc;
+  backward.parent_arc[t] = kOriginalArc;
   backward.touched.push_back(t);
   backward.HeapPush(t, 0);
   ctx->counters.HeapPush(2);
@@ -299,7 +299,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
     const uint32_t arc_begin = up_offsets_[u];
     const uint32_t arc_end = up_offsets_[u + 1];
     Distance* const dist = side->dist.data();
-    NodeAux* const aux = side->aux.data();
+    uint32_t* const parent_arc = side->parent_arc.data();
     uint32_t nbuf = 0;
     if (stall_on_demand_) {
       // Fused stall + relax scan. u is stalled if some target already
@@ -349,7 +349,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
       if (cand < d) {
         const bool fresh = d == kInfDistance;
         d = cand;
-        aux[a.target].parent_arc = arc;
+        parent_arc[a.target] = arc;
         if (fresh) {
           side->touched.push_back(a.target);
           side->HeapPush(a.target, cand);
@@ -411,9 +411,8 @@ Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
   // buffers are the context's, so only the returned copy allocates.
   std::vector<uint32_t>& up_arcs = ctx->up_arcs;
   up_arcs.clear();
-  for (uint32_t arc = ctx->forward.aux[meet].parent_arc;
-       arc != kOriginalArc;
-       arc = ctx->forward.aux[ArcSource(arc)].parent_arc) {
+  for (uint32_t arc = ctx->forward.parent_arc[meet]; arc != kOriginalArc;
+       arc = ctx->forward.parent_arc[ArcSource(arc)]) {
     up_arcs.push_back(arc);
   }
 
@@ -423,9 +422,8 @@ Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
   for (auto arc = up_arcs.rbegin(); arc != up_arcs.rend(); ++arc) {
     EmitArc(*arc, /*down=*/false, &path, &ctx->counters);
   }
-  for (uint32_t arc = ctx->backward.aux[meet].parent_arc;
-       arc != kOriginalArc;
-       arc = ctx->backward.aux[ArcSource(arc)].parent_arc) {
+  for (uint32_t arc = ctx->backward.parent_arc[meet]; arc != kOriginalArc;
+       arc = ctx->backward.parent_arc[ArcSource(arc)]) {
     EmitArc(arc, /*down=*/true, &path, &ctx->counters);
   }
   return Path(path.begin(), path.end());

@@ -1,6 +1,7 @@
 #ifndef ROADNET_CH_CH_INDEX_H_
 #define ROADNET_CH_CH_INDEX_H_
 
+#include <cassert>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -116,24 +117,6 @@ class ChIndex : public PathIndex {
   };
   static constexpr uint32_t kOriginalArc = UINT32_MAX;
 
-  // Write-mostly half of the per-vertex search state. `parent_arc`
-  // replaces the parent vertex — the arc's source is recovered in O(1)
-  // from the cold unpack record (see ArcSource), so no parent array
-  // exists at all. `heap_pos` is the vertex's slot in the side's
-  // frontier heap (the heap is intrusive; see SearchSide); it is only
-  // meaningful while the vertex is queued, and is deliberately left
-  // stale after the pop — a settled distance is final with non-negative
-  // weights, so nothing reads it again. Kept out of the distance array
-  // on purpose: the search's stalls are scattered *loads* of tentative
-  // distances (stall scan, meet check, relaxation), so those pack eight
-  // to a cache line by themselves, while this record is only stored to
-  // on the reach/push path — stores retire through the store buffer
-  // without stalling the search.
-  struct NodeAux {
-    uint32_t parent_arc;  // arc that reached it; kOriginalArc at roots
-    uint32_t heap_pos;    // slot in SearchSide::heap while queued
-  };
-
   // An entry of the frontier heap: the key plus the rank it belongs to.
   struct HeapEntry {
     Distance key;
@@ -144,16 +127,24 @@ class ChIndex : public PathIndex {
   // There is no generation stamp: unreached is encoded as
   // dist == kInfDistance, and each search starts by resetting exactly
   // the entries the previous one touched (`touched`), whose lines are
-  // still warm. Only `dist` needs resetting — `aux` is always written at
-  // first reach before anything reads it. The frontier heap is a 4-ary
-  // indexed min-heap stored inline: entries live in the flat `heap`
-  // vector and each queued vertex's position lives in its NodeAux, so
-  // decrease-key never consults a separate generation-checked position
-  // array.
+  // still warm. Only `dist` needs resetting — `parent_arc` is always
+  // written at first reach before anything reads it. The frontier is a
+  // 4-ary min-heap of {key, rank} entries in the flat `heap` vector; no
+  // per-vertex array records where a queued vertex sits in it, since
+  // decrease-key finds the entry by scanning the heap (see HeapDecrease).
   struct SearchSide {
     std::vector<HeapEntry> heap;
     std::vector<Distance> dist;
-    std::vector<NodeAux> aux;
+    // The arc that reached each rank (kOriginalArc at the roots); it
+    // replaces the parent vertex — the arc's source is recovered in O(1)
+    // from the cold unpack record (see ArcSource), so no parent array
+    // exists at all. Kept out of the distance array on purpose: the
+    // search's stalls are scattered *loads* of tentative distances (stall
+    // scan, meet check, relaxation), so those pack eight to a cache line
+    // by themselves, while this array is only stored to on the reach/push
+    // path — stores retire through the store buffer without stalling the
+    // search.
+    std::vector<uint32_t> parent_arc;
     // Ranks whose dist was written this search, in first-reach order;
     // Reset() restores exactly these entries to kInfDistance.
     std::vector<uint32_t> touched;
@@ -161,7 +152,7 @@ class ChIndex : public PathIndex {
     // stall-and-relax scan, committed only if the vertex is not stalled.
     std::vector<uint32_t> relax_buf;
 
-    explicit SearchSide(uint32_t n) : dist(n, kInfDistance), aux(n) {}
+    explicit SearchSide(uint32_t n) : dist(n, kInfDistance), parent_arc(n) {}
 
     // Prepares the side for a new search. The touched entries' lines are
     // still cached from the search that wrote them, so this is far
@@ -183,17 +174,24 @@ class ChIndex : public PathIndex {
       SiftUp(static_cast<uint32_t>(heap.size() - 1), HeapEntry{key, rank});
     }
 
+    // Lowers the key of a queued rank. The entry is found by a scan: the
+    // frontier of an upward search stays short (13 entries on average at
+    // a decrease over W-US′'s Q1..Q10), so a few compares over lines the
+    // heap already holds in L1 cost less than storing every moved
+    // entry's slot into a per-vertex position array on each sift step,
+    // and the array's 4 bytes per vertex per side are gone.
     void HeapDecrease(uint32_t rank, Distance key) {
-      SiftUp(aux[rank].heap_pos, HeapEntry{key, rank});
+      uint32_t pos = 0;
+      while (heap[pos].rank != rank) {
+        ++pos;
+        assert(pos < heap.size());
+      }
+      SiftUp(pos, HeapEntry{key, rank});
     }
 
     // Returns the popped entry: the key is the vertex's final distance
     // (kept in sync by decrease-key), so the caller never has to load
-    // dist[rank] — one scattered read fewer per settle. The popped
-    // vertex's heap_pos is left stale on purpose: with non-negative
-    // weights a settled distance is final, so no relaxation ever
-    // consults it again, and clearing it would cost a scattered store
-    // per settle.
+    // dist[rank] — one scattered read fewer per settle.
     HeapEntry HeapPopMin() {
       const HeapEntry top = heap.front();
       const HeapEntry last = heap.back();
@@ -210,11 +208,9 @@ class ChIndex : public PathIndex {
         const uint32_t parent = (pos - 1) / kArity;
         if (heap[parent].key <= e.key) break;
         heap[pos] = heap[parent];
-        aux[heap[pos].rank].heap_pos = pos;
         pos = parent;
       }
       heap[pos] = e;
-      aux[e.rank].heap_pos = pos;
     }
 
     void SiftDown(HeapEntry e) {
@@ -231,11 +227,9 @@ class ChIndex : public PathIndex {
         }
         if (heap[best].key >= e.key) break;
         heap[pos] = heap[best];
-        aux[heap[pos].rank].heap_pos = pos;
         pos = best;
       }
       heap[pos] = e;
-      aux[e.rank].heap_pos = pos;
     }
   };
 

@@ -33,10 +33,12 @@ namespace roadnet {
 //
 // A distance query is a single merge-intersection of the two labels —
 // no heap, no graph traversal, no scattered loads: hubs are stored as
-// contraction ranks in strictly ascending order, in one flat array of
-// 8-byte {hub rank, distance} entries addressed by a CSR offset table,
-// so the merge streams two contiguous runs and takes
-// min(d(s,h) + d(h,t)) over common hubs h.
+// contraction ranks in strictly ascending order, each label one
+// contiguous run of 8-byte {hub rank, distance} entries, so the merge
+// streams two runs and takes min(d(s,h) + d(h,t)) over common hubs h.
+// The runs sit in fixed-size blocks that never move (kBlockEntries):
+// construction appends each finished label to the last block once, and
+// an index restored from a file lays its labels out the same way.
 //
 // The index is immutable after construction and holds no query scratch
 // at all; the per-thread HlContext exists to carry QueryCounters and the
@@ -87,52 +89,90 @@ class HlIndex : public PathIndex {
   Path PathQuery(QueryContext* ctx, VertexId s, VertexId t) const override;
   size_t IndexBytes() const override;
 
-  // Bytes of the label arrays alone (the space the technique adds on
-  // top of the CH it was derived from); IndexBytes() additionally
-  // counts an adopted hierarchy.
+  // Bytes of the label storage alone (the space the technique adds on
+  // top of the CH it was derived from): every block at its capacity,
+  // the block table and the per-vertex references. IndexBytes()
+  // additionally counts an adopted hierarchy.
   size_t LabelBytes() const;
 
-  size_t NumLabelEntries() const { return labels_.size(); }
+  size_t NumLabelEntries() const { return num_entries_; }
   double AvgLabelEntries() const {
-    return offsets_.size() <= 1
-               ? 0.0
-               : static_cast<double>(labels_.size()) /
-                     static_cast<double>(offsets_.size() - 1);
+    return refs_.empty() ? 0.0
+                         : static_cast<double>(num_entries_) /
+                               static_cast<double>(refs_.size());
   }
   size_t MaxLabelEntries() const;
 
   // The label of v: {hub rank, distance} entries, hub ranks strictly
   // ascending. Every label contains v itself (dist 0).
   std::span<const HubEntry> Label(VertexId v) const {
-    return {labels_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
+    const LabelRef ref = refs_[v];
+    return {RunStart(ref), ref.length};
   }
+
+  // Entries per label block (64 KiB). Labels are appended highest rank
+  // first; a label that does not fit the room left in the last block
+  // opens a new block, of kBlockEntries or of the label's own length if
+  // that is longer, and the old block's tail stays empty. Blocks never
+  // move, so no label is copied after it is written.
+  static constexpr uint32_t kBlockEntries = uint32_t{1} << 13;
 
   const ChIndex& Hierarchy() const { return *ch_; }
 
  private:
   struct Context : QueryContext {
     // Path queries delegate to the CH (labels cannot reconstruct
-    // vertices); this is the per-thread CH scratch they run on.
+    // vertices); this is the per-thread CH scratch they run on. The first
+    // PathQuery creates it, so a context that only answers distances
+    // never holds the CH's per-vertex search arrays.
     std::unique_ptr<QueryContext> ch_ctx;
   };
+
+  // Where a label lives: `run` packs its block's index (high bits) and
+  // the slot of its first entry in that block (low kBlockBits bits);
+  // `length` counts its entries. 8 bytes per vertex, as a CSR offset
+  // would take.
+  struct LabelRef {
+    uint32_t run;
+    uint32_t length;
+  };
+  static constexpr uint32_t kBlockBits = 13;
+  static_assert(kBlockEntries == uint32_t{1} << kBlockBits);
+  static constexpr size_t kMaxBlocks = size_t{1} << (32 - kBlockBits);
 
   // Deserialization constructor: arrays filled by the factory.
   struct DeserializeTag {};
   HlIndex(const Graph& g, const ChIndex& ch, DeserializeTag);
 
   // Runs label construction (see .cc): the top-down pass over the
-  // hierarchy's upward arcs, then the layout by external id.
+  // hierarchy's upward arcs, then the references by external id.
   void BuildLabels();
+
+  // Reserves room for the next label of `length` entries (see
+  // kBlockEntries) and points *ref at it. Returns false only when the
+  // blocks would outgrow what `run` can name (2^19 blocks).
+  bool NewRun(uint32_t length, LabelRef* ref);
+
+  HubEntry* RunStart(LabelRef ref) const {
+    return blocks_[ref.run >> kBlockBits].get() +
+           (ref.run & (kBlockEntries - 1));
+  }
 
   const Graph& graph_;
   const ChIndex* ch_;
   // Set only by BuildOwning: keeps an adopted hierarchy alive.
   std::unique_ptr<const ChIndex> owned_ch_;
-  // CSR over labels_, indexed by external VertexId (queries arrive in
-  // external ids; one array lookup beats a rank translation here
-  // because the label run is the only thing the query touches).
-  std::vector<uint64_t> offsets_;
-  std::vector<HubEntry> labels_;
+  // Indexed by external VertexId (queries arrive in external ids; one
+  // array lookup beats a rank translation here because the label run is
+  // the only thing the query touches).
+  std::vector<LabelRef> refs_;
+  std::vector<std::unique_ptr<HubEntry[]>> blocks_;
+  // Entries all blocks have room for; the last block's size and its
+  // first free slot.
+  size_t block_entries_ = 0;
+  uint32_t last_block_capacity_ = 0;
+  uint32_t last_block_used_ = 0;
+  size_t num_entries_ = 0;
 };
 
 }  // namespace roadnet

@@ -2,12 +2,14 @@
 #define ROADNET_IO_CRC32_H_
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "io/binary.h"
 
@@ -52,14 +54,50 @@ inline uint32_t Crc32(std::string_view data, uint32_t seed = 0) {
 
 // Checksummed payload block: u64 length, the payload bytes, then the
 // u32 CRC of those bytes. Writers serialize the payload into a buffer
-// first; readers verify the trailer before any parsing, so corrupt input
-// is rejected before it can construct a broken index.
+// first or stream it (ChecksummedPayloadWriter); readers verify the
+// trailer before any parsing, so corrupt input is rejected before it can
+// construct a broken index.
 inline void WriteChecksummedPayload(std::ostream& out,
                                     std::string_view payload) {
   WriteScalar<uint64_t>(out, payload.size());
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   WriteScalar<uint32_t>(out, Crc32(payload));
 }
+
+// Streams the block WriteChecksummedPayload writes, byte for byte,
+// without holding the payload in memory: construct it with the payload's
+// length, Append exactly that many bytes, then Finish to write the CRC.
+class ChecksummedPayloadWriter {
+ public:
+  ChecksummedPayloadWriter(std::ostream& out, uint64_t size)
+      : out_(out), left_(size) {
+    WriteScalar<uint64_t>(out, size);
+  }
+
+  void Append(const void* data, size_t size) {
+    assert(size <= left_);
+    out_.write(static_cast<const char*>(data),
+               static_cast<std::streamsize>(size));
+    crc_ = Crc32(data, size, crc_);
+    left_ -= size;
+  }
+
+  template <typename T>
+  void AppendScalar(T value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Append(&value, sizeof(T));
+  }
+
+  void Finish() {
+    assert(left_ == 0);
+    WriteScalar<uint32_t>(out_, crc_);
+  }
+
+ private:
+  std::ostream& out_;
+  uint64_t left_;
+  uint32_t crc_ = 0;
+};
 
 // Reads a checksummed payload block into *payload. On failure returns
 // false and describes the problem ("truncated", "checksum mismatch") in

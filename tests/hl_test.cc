@@ -8,6 +8,8 @@
 
 #include "ch/ch_index.h"
 #include "dijkstra/dijkstra.h"
+#include "io/binary.h"
+#include "io/crc32.h"
 #include "tests/test_util.h"
 #include "workload/datasets.h"
 #include "gtest/gtest.h"
@@ -205,6 +207,35 @@ TEST(HubLabel, QueryCountsLabelScansOnly) {
   }
 }
 
+// A context answers distances from the labels alone and creates its CH
+// context on the first path query. Distance, path, distance, path on one
+// fresh context: each path query must report CH's path, length and
+// counters, and each distance query only the merge's own work.
+TEST(HubLabel, PathContextIsCreatedOnTheFirstPathQuery) {
+  Graph g = TestNetwork(400, 81);
+  ChIndex ch(g);
+  HlIndex hl(g, ch);
+  const auto ctx = hl.NewContext();
+  const auto ch_ctx = ch.NewContext();
+  const auto fresh = hl.NewContext();
+  for (auto [s, t] : RandomPairs(g, 2, 83)) {
+    const Distance d = hl.DistanceQuery(ctx.get(), s, t);
+    EXPECT_EQ(d, ch.DistanceQuery(ch_ctx.get(), s, t));
+    hl.DistanceQuery(fresh.get(), s, t);
+    EXPECT_EQ(ctx->counters, fresh->counters);
+    EXPECT_GT(ctx->counters.table_lookups, 0u);
+    EXPECT_EQ(ctx->counters.vertices_settled, 0u);
+
+    ctx->path_distance = kPoisonDistance;
+    const Path path = hl.PathQuery(ctx.get(), s, t);
+    EXPECT_EQ(path, ch.PathQuery(ch_ctx.get(), s, t));
+    EXPECT_EQ(ctx->path_distance, ch_ctx->path_distance);
+    EXPECT_EQ(ctx->path_distance, d);
+    EXPECT_EQ(ctx->counters, ch_ctx->counters);
+    EXPECT_GT(ctx->counters.vertices_settled, 0u);
+  }
+}
+
 // The path 0-1-2-3 with weights 3e9, 3e9 and 1 ranks its vertices 0, 2,
 // 3, 1, so vertex 0's label holds vertex 2 at its exact distance 6e9,
 // past what a 32-bit label entry holds. Truncated, dist(0, 2) would read
@@ -278,6 +309,86 @@ TEST(HubLabelSerialization, RoundTripPreservesAnswersAndBytes) {
   ExpectIndexCorrect(g, restored.get(), 60, 63);
 }
 
+// Labels restored from a file fill the same blocks as built ones, over
+// several blocks (CO′ holds about 13).
+TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
+  const DatasetSpec* spec = nullptr;
+  for (const DatasetSpec& s : PaperDatasets()) {
+    if (s.name == "CO'") spec = &s;
+  }
+  ASSERT_NE(spec, nullptr);
+  const Graph g = BuildDataset(*spec);
+  const ChIndex ch(g);
+  const HlIndex built(g, ch);
+  ASSERT_GT(built.NumLabelEntries(), 8 * size_t{HlIndex::kBlockEntries});
+  std::stringstream file;
+  built.Serialize(file);
+  std::string error;
+  const auto restored = HlIndex::Deserialize(g, ch, file, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->LabelBytes(), built.LabelBytes());
+  EXPECT_EQ(Fingerprint(*restored, g.NumVertices()),
+            Fingerprint(built, g.NumVertices()));
+}
+
+// A label longer than a block gets a block of its own length. This file
+// gives a star's centre a label of every vertex at its true distance, 1,
+// and each leaf its built label {leaf, centre}. The labels are exact, so
+// the index must answer right, and it must write back the bytes it read.
+// The hierarchy contracts the leaves first, which needs no shortcut;
+// it is given rather than contracted, since contracting a centre of
+// 8,193 neighbours takes seconds.
+TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
+  const uint32_t n = HlIndex::kBlockEntries + 2;
+  GraphBuilder b(n);
+  b.SetCoord(0, Point{0, 0});
+  ContractionResult star;
+  star.rank.push_back(n - 1);
+  for (VertexId leaf = 1; leaf < n; ++leaf) {
+    b.SetCoord(leaf, Point{static_cast<int32_t>(leaf), 1});
+    b.AddEdge(0, leaf, 1);
+    star.rank.push_back(leaf - 1);
+    star.edges.push_back(TaggedEdge{0, leaf, 1, kInvalidVertex});
+  }
+  const Graph g = std::move(b).Build();
+  const ChIndex ch(g, std::move(star), ChConfig{});
+  const uint32_t centre = ch.RankOf(0);
+  std::vector<uint64_t> offsets = {0};
+  std::vector<HlIndex::HubEntry> entries;
+  for (VertexId v = 0; v < n; ++v) {
+    if (v == 0) {
+      for (uint32_t r = 0; r < n; ++r) {
+        entries.push_back({r, r == centre ? 0u : 1u});
+      }
+    } else {
+      const HlIndex::HubEntry self{ch.RankOf(v), 0};
+      const HlIndex::HubEntry hub{centre, 1};
+      entries.push_back(self.hub < hub.hub ? self : hub);
+      entries.push_back(self.hub < hub.hub ? hub : self);
+    }
+    offsets.push_back(entries.size());
+  }
+  std::ostringstream payload;
+  WriteScalar<uint32_t>(payload, n);
+  WriteVector(payload, offsets);
+  WriteVector(payload, entries);
+  std::ostringstream file;
+  file.write("RNETHLIX", 8);
+  WriteScalar<uint32_t>(file, 1);
+  WriteChecksummedPayload(file, payload.view());
+
+  std::istringstream in(file.str());
+  std::string error;
+  const auto hl = HlIndex::Deserialize(g, ch, in, &error);
+  ASSERT_NE(hl, nullptr) << error;
+  EXPECT_EQ(hl->Label(0).size(), n);
+  EXPECT_EQ(hl->MaxLabelEntries(), n);
+  std::ostringstream again;
+  hl->Serialize(again);
+  EXPECT_EQ(again.str(), file.str());
+  ExpectIndexCorrect(g, hl.get(), 40, 87);
+}
+
 TEST(HubLabelSerialization, RejectsByteFlips) {
   Graph g = TestNetwork(150, 65);
   ChIndex ch(g);
@@ -343,6 +454,50 @@ TEST(HubLabelThreads, EightThreadsShareOneIndex) {
         const Distance got =
             hl.DistanceQuery(ctx.get(), pairs[i].first, pairs[i].second);
         if (got != want[i]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+// Eight threads, each on a fresh context, first answer distances and
+// then paths, so every thread's CH context is created lazily while the
+// others query. Paths and their lengths must match a single-threaded CH
+// pass. Run under TSan and by the flake gate.
+TEST(HubLabelThreads, EachThreadCreatesItsPathContextOnFirstUse) {
+  Graph g = TestNetwork(500, 89);
+  ChIndex ch(g);
+  HlIndex hl(g, ch);
+  const auto pairs = RandomPairs(g, 400, 91);
+  std::vector<Distance> want_dist(pairs.size());
+  std::vector<Path> want_path(pairs.size());
+  {
+    auto ctx = ch.NewContext();
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      want_path[i] = ch.PathQuery(ctx.get(), pairs[i].first, pairs[i].second);
+      want_dist[i] = ctx->path_distance;
+    }
+  }
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto ctx = hl.NewContext();
+      for (size_t i = t; i < pairs.size(); i += kThreads) {
+        if (hl.DistanceQuery(ctx.get(), pairs[i].first, pairs[i].second) !=
+            want_dist[i]) {
+          mismatches.fetch_add(1);
+        }
+      }
+      for (size_t i = t; i < pairs.size(); i += kThreads) {
+        const Path path =
+            hl.PathQuery(ctx.get(), pairs[i].first, pairs[i].second);
+        if (path != want_path[i] || ctx->path_distance != want_dist[i]) {
+          mismatches.fetch_add(1);
+        }
       }
     });
   }
