@@ -176,10 +176,10 @@ class ChIndex : public PathIndex {
 
     // Lowers the key of a queued rank. The entry is found by a scan: the
     // frontier of an upward search stays short (13 entries on average at
-    // a decrease over W-US′'s Q1..Q10), so a few compares over lines the
-    // heap already holds in L1 cost less than storing every moved
-    // entry's slot into a per-vertex position array on each sift step,
-    // and the array's 4 bytes per vertex per side are gone.
+    // a decrease over W-US′'s Q1..Q10), so scanning lines the heap
+    // already holds in L1 costs about what storing each moved entry's
+    // slot into a per-vertex position array did (queries time at
+    // parity), and that array's 4 bytes per vertex per side are gone.
     void HeapDecrease(uint32_t rank, Distance key) {
       uint32_t pos = 0;
       while (heap[pos].rank != rank) {

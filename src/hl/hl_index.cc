@@ -38,84 +38,78 @@ std::unique_ptr<HlIndex> HlIndex::BuildOwning(
 void HlIndex::BuildLabels() {
   const uint32_t n = graph_.NumVertices();
 
-  // Labels in rank space, appended highest rank first.
-  std::vector<LabelRef> by_rank(n);
-  auto rank_label = [&](uint32_t r) {
-    return std::span<const HubEntry>(RunStart(by_rank[r]), by_rank[r].length);
-  };
+  // Labels are built in rank space, highest rank first, and each is
+  // referenced by its external id as soon as it is written.
+  refs_.resize(n);
+  auto rank_label = [&](uint32_t r) { return Label(ch_->VertexAtRank(r)); };
 
-  {
-    // cand[h]: the shortest candidate distance to hub rank h found so
-    // far for the rank being labelled; `touched` lists the hubs it holds.
-    std::vector<Distance> cand(n, kInfDistance);
-    std::vector<uint32_t> touched;
-    std::vector<HubEntry> label;
-    for (uint32_t r = n; r-- > 0;) {
-      // Candidates: r itself, and every finished label of an upward
-      // neighbour shifted by the arc weight. Each is the length of an
-      // upward path; an exact hub arrives at its exact distance through
-      // the first arc of its shortest upward path.
-      touched.clear();
-      cand[r] = 0;
-      touched.push_back(r);
-      for (const ChIndex::HotArc& arc : ch_->UpwardArcs(r)) {
-        for (const HubEntry& e : rank_label(arc.target)) {
-          const Distance d = Distance{e.dist} + arc.weight;
-          Distance& c = cand[e.hub];
-          if (c == kInfDistance) touched.push_back(e.hub);
-          if (d < c) c = d;
-        }
+  // cand[h]: the shortest candidate distance to hub rank h found so far
+  // for the rank being labelled; `touched` lists the hubs it holds.
+  std::vector<Distance> cand(n, kInfDistance);
+  std::vector<uint32_t> touched;
+  std::vector<HubEntry> label;
+  for (uint32_t r = n; r-- > 0;) {
+    // Candidates: r itself, and every finished label of an upward
+    // neighbour shifted by the arc weight. Each is the length of an
+    // upward path; an exact hub arrives at its exact distance through
+    // the first arc of its shortest upward path.
+    touched.clear();
+    cand[r] = 0;
+    touched.push_back(r);
+    for (const ChIndex::HotArc& arc : ch_->UpwardArcs(r)) {
+      for (const HubEntry& e : rank_label(arc.target)) {
+        const Distance d = Distance{e.dist} + arc.weight;
+        Distance& c = cand[e.hub];
+        if (c == kInfDistance) touched.push_back(e.hub);
+        if (d < c) c = d;
       }
-      // Keep a candidate only if no hub g of its own label offers a
-      // shorter way to it: the apex of a shortest r-h path is a
-      // candidate and an entry of L(h), both exact, so this drops
-      // exactly the candidates above their true distance.
-      label.clear();
-      for (const uint32_t h : touched) {
-        const Distance d = cand[h];
-        bool exact = true;
-        if (h != r) {
-          for (const HubEntry& e : rank_label(h)) {
-            const Distance via = cand[e.hub];
-            if (via < d && via + e.dist < d) {
-              exact = false;
-              break;
-            }
+    }
+    // Keep a candidate only if no hub g of its own label offers a
+    // shorter way to it: the apex of a shortest r-h path is a candidate
+    // and an entry of L(h), both exact, so this drops exactly the
+    // candidates above their true distance.
+    label.clear();
+    for (const uint32_t h : touched) {
+      const Distance d = cand[h];
+      bool exact = true;
+      if (h != r) {
+        for (const HubEntry& e : rank_label(h)) {
+          const Distance via = cand[e.hub];
+          if (via < d && via + e.dist < d) {
+            exact = false;
+            break;
           }
         }
-        if (!exact) continue;
-        // Storing a longer distance would truncate it and corrupt every
-        // query through this hub, so this fails in every build.
-        if (d > std::numeric_limits<uint32_t>::max()) {
-          std::fprintf(stderr,
-                       "HlIndex: label of vertex %u holds hub %u at distance "
-                       "%llu, past the 32-bit label-distance limit (%u)\n",
-                       ch_->VertexAtRank(r), ch_->VertexAtRank(h),
-                       static_cast<unsigned long long>(d),
-                       std::numeric_limits<uint32_t>::max());
-          std::abort();
-        }
-        label.push_back(HubEntry{h, static_cast<uint32_t>(d)});
       }
-      for (const uint32_t h : touched) cand[h] = kInfDistance;
-      std::sort(label.begin(), label.end(),
-                [](const HubEntry& a, const HubEntry& b) {
-                  return a.hub < b.hub;
-                });
-      if (!NewRun(static_cast<uint32_t>(label.size()), &by_rank[r])) {
+      if (!exact) continue;
+      // Storing a longer distance would truncate it and corrupt every
+      // query through this hub, so this fails in every build.
+      if (d > std::numeric_limits<uint32_t>::max()) {
         std::fprintf(stderr,
-                     "HlIndex: %zu label entries fill more blocks than a "
-                     "label reference can name\n",
-                     num_entries_);
+                     "HlIndex: label of vertex %u holds hub %u at distance "
+                     "%llu, past the 32-bit label-distance limit (%u)\n",
+                     ch_->VertexAtRank(r), ch_->VertexAtRank(h),
+                     static_cast<unsigned long long>(d),
+                     std::numeric_limits<uint32_t>::max());
         std::abort();
       }
-      std::copy(label.begin(), label.end(), RunStart(by_rank[r]));
+      label.push_back(HubEntry{h, static_cast<uint32_t>(d)});
     }
+    for (const uint32_t h : touched) cand[h] = kInfDistance;
+    std::sort(label.begin(), label.end(),
+              [](const HubEntry& a, const HubEntry& b) {
+                return a.hub < b.hub;
+              });
+    LabelRef& ref = refs_[ch_->VertexAtRank(r)];
+    if (!NewRun(static_cast<uint32_t>(label.size()), &ref)) {
+      std::fprintf(stderr,
+                   "HlIndex: %zu label entries fill more blocks than a label "
+                   "reference can name\n",
+                   num_entries_);
+      std::abort();
+    }
+    std::copy(label.begin(), label.end(), RunStart(ref));
   }
-
-  // Queries address labels by external id.
-  refs_.resize(n);
-  for (VertexId v = 0; v < n; ++v) refs_[v] = by_rank[ch_->RankOf(v)];
 }
 
 bool HlIndex::NewRun(uint32_t length, LabelRef* ref) {
@@ -126,7 +120,7 @@ bool HlIndex::NewRun(uint32_t length, LabelRef* ref) {
     if (blocks_.size() == kMaxBlocks) return false;
     const uint32_t capacity = std::max(kBlockEntries, length);
     blocks_.push_back(std::make_unique_for_overwrite<HubEntry[]>(capacity));
-    block_entries_ += capacity;
+    capacity_ += capacity;
     last_block_capacity_ = capacity;
     last_block_used_ = 0;
   }
@@ -188,7 +182,7 @@ size_t HlIndex::IndexBytes() const {
 
 size_t HlIndex::LabelBytes() const {
   return VectorBytes(refs_) + VectorBytes(blocks_) +
-         block_entries_ * sizeof(HubEntry);
+         capacity_ * sizeof(HubEntry);
 }
 
 size_t HlIndex::MaxLabelEntries() const {

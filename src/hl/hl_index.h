@@ -1,6 +1,7 @@
 #ifndef ROADNET_HL_HL_INDEX_H_
 #define ROADNET_HL_HL_INDEX_H_
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -136,8 +137,7 @@ class HlIndex : public PathIndex {
     uint32_t run;
     uint32_t length;
   };
-  static constexpr uint32_t kBlockBits = 13;
-  static_assert(kBlockEntries == uint32_t{1} << kBlockBits);
+  static constexpr uint32_t kBlockBits = std::countr_zero(kBlockEntries);
   static constexpr size_t kMaxBlocks = size_t{1} << (32 - kBlockBits);
 
   // Deserialization constructor: arrays filled by the factory.
@@ -145,7 +145,7 @@ class HlIndex : public PathIndex {
   HlIndex(const Graph& g, const ChIndex& ch, DeserializeTag);
 
   // Runs label construction (see .cc): the top-down pass over the
-  // hierarchy's upward arcs, then the references by external id.
+  // hierarchy's upward arcs.
   void BuildLabels();
 
   // Reserves room for the next label of `length` entries (see
@@ -169,7 +169,7 @@ class HlIndex : public PathIndex {
   std::vector<std::unique_ptr<HubEntry[]>> blocks_;
   // Entries all blocks have room for; the last block's size and its
   // first free slot.
-  size_t block_entries_ = 0;
+  size_t capacity_ = 0;
   uint32_t last_block_capacity_ = 0;
   uint32_t last_block_used_ = 0;
   size_t num_entries_ = 0;

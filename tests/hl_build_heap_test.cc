@@ -77,13 +77,13 @@ namespace {
 // at most:
 //   - the label entries, 8 bytes each;
 //   - one block, the room the last block may leave;
-//   - the per-vertex arrays, at most 36 bytes per vertex: the candidate
-//     distances (8), the label references by rank and by external id
-//     (8 + 8), the candidate list (4) and the label scratch (8), the last
-//     two at most one slot per vertex.
-// The label scratch and candidate list hold a few hundred entries, far
-// below n, which leaves room for the block table and the tails that
-// full blocks leave empty. Growing one array by doubling and then
+//   - the per-vertex arrays, at most 28 bytes per vertex: the label
+//     references (8), the candidate distances (8), and the candidate
+//     list (4) and label scratch (8), which hold at most one entry per
+//     vertex.
+// The candidate list and label scratch stay at a few hundred entries,
+// far below n, which leaves room for the block table and the tails
+// that full blocks leave empty. Growing one array by doubling and then
 // copying it into an exact-size one peaks near three times the entries.
 TEST(HlBuildHeap, PeakIsTheLabelsPlusOneBlockPlusPerVertexArrays) {
   const DatasetSpec* spec = nullptr;
@@ -102,7 +102,7 @@ TEST(HlBuildHeap, PeakIsTheLabelsPlusOneBlockPlusPerVertexArrays) {
 
   const size_t entries = hl.NumLabelEntries() * sizeof(HlIndex::HubEntry);
   const size_t block = HlIndex::kBlockEntries * sizeof(HlIndex::HubEntry);
-  const size_t per_vertex = n * 36;
+  const size_t per_vertex = n * 28;
   EXPECT_EQ(hl.NumLabelEntries(), 564527u);
   EXPECT_LE(peak, entries + block + per_vertex)
       << "entries " << entries << " B, block " << block << " B, per-vertex "
