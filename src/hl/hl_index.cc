@@ -196,7 +196,7 @@ size_t HlIndex::MaxLabelEntries() const {
 // Format v1 payload: u32 n, the n + 1 u64 CSR offsets of the labels by
 // external id, then the labels in external-id order as one
 // length-prefixed vector of entries. Streamed label by label, so writing
-// a file copies no label.
+// a file holds no copy of the payload in memory.
 void HlIndex::Serialize(std::ostream& out) const {
   WriteMagic(out, kHlMagic);
   WriteScalar<uint32_t>(out, kHlVersion);

@@ -336,8 +336,9 @@ TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
 // and each leaf its built label {leaf, centre}. The labels are exact, so
 // the index must answer right, and it must write back the bytes it read.
 // The hierarchy contracts the leaves first, which needs no shortcut;
-// it is given rather than contracted, since contracting a centre of
-// 8,193 neighbours takes seconds.
+// it is given rather than contracted, since ContractGraph plans every
+// pair of the centre's 8,193 neighbours as a shortcut while it weighs
+// the centre (about 2 s and 1 GB).
 TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
   const uint32_t n = HlIndex::kBlockEntries + 2;
   GraphBuilder b(n);
