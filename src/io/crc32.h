@@ -53,20 +53,12 @@ inline uint32_t Crc32(std::string_view data, uint32_t seed = 0) {
 }
 
 // Checksummed payload block: u64 length, the payload bytes, then the
-// u32 CRC of those bytes. Writers serialize the payload into a buffer
-// first or stream it (ChecksummedPayloadWriter); readers verify the
-// trailer before any parsing, so corrupt input is rejected before it can
-// construct a broken index.
-inline void WriteChecksummedPayload(std::ostream& out,
-                                    std::string_view payload) {
-  WriteScalar<uint64_t>(out, payload.size());
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  WriteScalar<uint32_t>(out, Crc32(payload));
-}
-
-// Streams the block WriteChecksummedPayload writes, byte for byte,
-// without holding the payload in memory: construct it with the payload's
-// length, Append exactly that many bytes, then Finish to write the CRC.
+// u32 CRC of those bytes. Writers stream the payload through this class
+// (its length must be known up front) or serialize it into a buffer
+// first (WriteChecksummedPayload); readers verify the trailer before any
+// parsing, so corrupt input is rejected before it can construct a broken
+// index. Append exactly the announced bytes, then call Finish to write
+// the CRC.
 class ChecksummedPayloadWriter {
  public:
   ChecksummedPayloadWriter(std::ostream& out, uint64_t size)
@@ -98,6 +90,13 @@ class ChecksummedPayloadWriter {
   uint64_t left_;
   uint32_t crc_ = 0;
 };
+
+inline void WriteChecksummedPayload(std::ostream& out,
+                                    std::string_view payload) {
+  ChecksummedPayloadWriter writer(out, payload.size());
+  writer.Append(payload.data(), payload.size());
+  writer.Finish();
+}
 
 // Reads a checksummed payload block into *payload. On failure returns
 // false and describes the problem ("truncated", "checksum mismatch") in

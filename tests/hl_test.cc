@@ -309,8 +309,10 @@ TEST(HubLabelSerialization, RoundTripPreservesAnswersAndBytes) {
   ExpectIndexCorrect(g, restored.get(), 60, 63);
 }
 
-// Labels restored from a file fill the same blocks as built ones, over
-// several blocks (CO′ holds about 13).
+// Labels restored from a file fill the same blocks as built ones: taken
+// highest rank first, each label either follows the previous one in its
+// block or starts a new block, at the same ranks in both indexes (CO′
+// fills 13 blocks).
 TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
   const DatasetSpec* spec = nullptr;
   for (const DatasetSpec& s : PaperDatasets()) {
@@ -320,12 +322,24 @@ TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
   const Graph g = BuildDataset(*spec);
   const ChIndex ch(g);
   const HlIndex built(g, ch);
-  ASSERT_GT(built.NumLabelEntries(), 8 * size_t{HlIndex::kBlockEntries});
   std::stringstream file;
   built.Serialize(file);
   std::string error;
   const auto restored = HlIndex::Deserialize(g, ch, file, &error);
   ASSERT_NE(restored, nullptr) << error;
+  auto block_starts = [&](const HlIndex& hl) {
+    std::vector<uint32_t> ranks;
+    const HlIndex::HubEntry* end = nullptr;
+    for (uint32_t r = g.NumVertices(); r-- > 0;) {
+      const auto label = hl.Label(ch.VertexAtRank(r));
+      if (label.data() != end) ranks.push_back(r);
+      end = label.data() + label.size();
+    }
+    return ranks;
+  };
+  const std::vector<uint32_t> starts = block_starts(built);
+  EXPECT_EQ(starts.size(), 13u);
+  EXPECT_EQ(block_starts(*restored), starts);
   EXPECT_EQ(restored->LabelBytes(), built.LabelBytes());
   EXPECT_EQ(Fingerprint(*restored, g.NumVertices()),
             Fingerprint(built, g.NumVertices()));
