@@ -83,8 +83,9 @@ namespace {
 //     vertex.
 // The candidate list and label scratch stay at a few hundred entries,
 // far below n, which leaves room for the block table and the tails
-// that full blocks leave empty. Growing one array by doubling and then
-// copying it into an exact-size one peaks near three times the entries.
+// that full blocks leave empty. A build that grew one array by doubling
+// and then copied it into an exact-size one would peak near three times
+// the entries.
 TEST(HlBuildHeap, PeakIsTheLabelsPlusOneBlockPlusPerVertexArrays) {
   const DatasetSpec* spec = nullptr;
   for (const DatasetSpec& s : PaperDatasets()) {
