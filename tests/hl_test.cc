@@ -376,10 +376,8 @@ TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
         entries.push_back({r, r == centre ? 0u : 1u});
       }
     } else {
-      const HlIndex::HubEntry self{ch.RankOf(v), 0};
-      const HlIndex::HubEntry hub{centre, 1};
-      entries.push_back(self.hub < hub.hub ? self : hub);
-      entries.push_back(self.hub < hub.hub ? hub : self);
+      entries.push_back({ch.RankOf(v), 0});
+      entries.push_back({centre, 1});
     }
     offsets.push_back(entries.size());
   }
