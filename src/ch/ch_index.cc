@@ -25,6 +25,7 @@ ChIndex::ChIndex(const Graph& g, ContractionResult result,
                  const ChConfig& config)
     : graph_(g), stall_on_demand_(config.stall_on_demand) {
   BuildFrom(std::move(result));
+  ChooseSearchWidth();
 }
 
 void ChIndex::BuildFrom(ContractionResult result) {
@@ -97,6 +98,23 @@ void ChIndex::BuildFrom(ContractionResult result) {
   }
 }
 
+void ChIndex::ChooseSearchWidth() {
+  // The longest upward path, in one pass over the arcs: they lead to
+  // higher ranks, so walking the ranks downward finds each target's
+  // longest path final before any arc into it is read. A path has fewer
+  // than n arcs of under 2^32 each, so no sum wraps.
+  const uint32_t n = static_cast<uint32_t>(order_.size());
+  std::vector<Distance> longest(n, 0);
+  Distance most = 0;
+  for (uint32_t r = n; r-- > 0;) {
+    for (const HotArc& a : UpwardArcs(r)) {
+      longest[r] = std::max(longest[r], a.weight + longest[a.target]);
+    }
+    most = std::max(most, longest[r]);
+  }
+  narrow_ = most < SearchSide<uint32_t>::kUnreached;
+}
+
 uint32_t ChIndex::FindArcIndex(uint32_t src, uint32_t target) const {
   const auto first = arcs_.begin() + up_offsets_[src];
   const auto last = arcs_.begin() + up_offsets_[src + 1];
@@ -118,18 +136,21 @@ constexpr uint32_t kChVersion = 3;
 
 ChIndex::ChIndex(const Graph& g, DeserializeTag) : graph_(g) {}
 
-std::unique_ptr<QueryContext> ChIndex::NewContext() const {
-  auto ctx = std::make_unique<Context>(graph_.NumVertices());
+template <typename D>
+ChIndex::SearchSide<D>::SearchSide(uint32_t n)
+    : dist(n, kUnreached), parent_arc(n) {
   // The settle loops append every freshly reached rank to `touched`.
   // Reserving past any road-network CH search-space size here means a
-  // reused context's queries never grow the vectors mid-search (R11); a
-  // pathological search still grows them, but only once per context.
-  constexpr size_t kTouchedReserve = 4096;
-  ctx->forward.touched.reserve(std::min<size_t>(kTouchedReserve,
-                                                graph_.NumVertices()));
-  ctx->backward.touched.reserve(std::min<size_t>(kTouchedReserve,
-                                                 graph_.NumVertices()));
-  return ctx;
+  // reused context's queries never grow the vector mid-search (R11); a
+  // pathological search still grows it, but only once per context.
+  constexpr uint32_t kTouchedReserve = 4096;
+  touched.reserve(std::min(n, kTouchedReserve));
+}
+
+std::unique_ptr<QueryContext> ChIndex::NewContext() const {
+  const uint32_t n = graph_.NumVertices();
+  if (narrow_) return std::make_unique<Context<uint32_t>>(n);
+  return std::make_unique<Context<Distance>>(n);
 }
 
 void ChIndex::Serialize(std::ostream& out) const {
@@ -217,6 +238,7 @@ std::unique_ptr<ChIndex> ChIndex::Deserialize(const Graph& g,
       }
     }
   }
+  index->ChooseSearchWidth();
   return index;
 }
 
@@ -225,11 +247,12 @@ size_t ChIndex::IndexBytes() const {
          VectorBytes(arcs_) + VectorBytes(unpack_);
 }
 
-uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
+template <typename D>
+uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
                          Distance* out_dist) const {
   ctx->counters.Reset();
-  SearchSide& forward = ctx->forward;
-  SearchSide& backward = ctx->backward;
+  SearchSide<D>& forward = ctx->forward;
+  SearchSide<D>& backward = ctx->backward;
   // Reset at search start, not end: PathQuery reads the parent-arc chains
   // after Search returns, so the previous search's state must survive it.
   forward.Reset();
@@ -249,25 +272,27 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
   Distance best = (s == t) ? 0 : kInfDistance;
   uint32_t meet = (s == t) ? s : kInvalidVertex;
 
-  SearchSide* sides[2] = {&forward, &backward};
+  // Tentative distances are lengths of upward paths, which fit D by
+  // narrow_'s rule; `best` adds two of them and stays 64-bit.
+  SearchSide<D>* sides[2] = {&forward, &backward};
   while (true) {
     // A side stays active until its frontier minimum proves useless. Unlike
     // plain bidirectional Dijkstra, each side must run until its own
     // frontier exceeds the best tentative distance (Section 3.2: "the two
     // traversals may not stop immediately after they meet").
-    SearchSide* side = nullptr;
-    for (SearchSide* cand : sides) {
+    SearchSide<D>* side = nullptr;
+    for (SearchSide<D>* cand : sides) {
       if (cand->HeapEmpty() || cand->MinKey() >= best) continue;
       if (side == nullptr || cand->MinKey() < side->MinKey()) {
         side = cand;
       }
     }
     if (side == nullptr) break;
-    SearchSide* other = (side == &forward) ? &backward : &forward;
+    SearchSide<D>* other = (side == &forward) ? &backward : &forward;
 
-    const HeapEntry top = side->HeapPopMin();
+    const HeapEntry<D> top = side->HeapPopMin();
     const uint32_t u = top.rank;
-    const Distance du = top.key;
+    const D du = top.key;
     ctx->counters.HeapPop();
     ctx->counters.Settle();
     // Overlap the heap bookkeeping of this settle with the memory fetches
@@ -287,9 +312,9 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
     // valid (if suboptimal) meeting candidate, and skipping it here would
     // cost correctness of the bound below.
     {
-      const Distance od = other->dist[u];
-      if (od != kInfDistance) {
-        const Distance total = du + od;
+      const D od = other->dist[u];
+      if (od != SearchSide<D>::kUnreached) {
+        const Distance total = Distance{du} + od;
         if (total < best) {
           best = total;
           meet = u;
@@ -298,7 +323,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
     }
     const uint32_t arc_begin = up_offsets_[u];
     const uint32_t arc_end = up_offsets_[u + 1];
-    Distance* const dist = side->dist.data();
+    D* const dist = side->dist.data();
     uint32_t* const parent_arc = side->parent_arc.data();
     uint32_t nbuf = 0;
     if (stall_on_demand_) {
@@ -311,7 +336,9 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
       // improvements; nothing is committed until the vertex proves
       // non-stalled, so an abort wastes no heap work. The td < du
       // pre-test doubles as the reached check: unreached entries hold
-      // kInfDistance, which wraps if the weight is added blindly.
+      // kUnreached, which wraps if the weight is added blindly. The sum
+      // is taken in 64 bits: td + w is not an upward path, so no bound
+      // keeps it within D.
       if (side->relax_buf.size() < arc_end - arc_begin) {
         side->relax_buf.resize(arc_end - arc_begin);
       }
@@ -319,12 +346,12 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
       bool stalled = false;
       for (uint32_t arc = arc_begin; arc < arc_end; ++arc) {
         const HotArc a = arcs_[arc];
-        const Distance td = dist[a.target];
-        if (td < du && td + a.weight < du) {
+        const D td = dist[a.target];
+        if (td < du && Distance{td} + a.weight < du) {
           stalled = true;
           break;
         }
-        const Distance cand = du + a.weight;
+        const D cand = du + a.weight;
         if (cand < td && cand < best) buf[nbuf++] = arc;
       }
       if (stalled) continue;
@@ -335,7 +362,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
       uint32_t* const buf = side->relax_buf.data();
       for (uint32_t arc = arc_begin; arc < arc_end; ++arc) {
         const HotArc a = arcs_[arc];
-        const Distance cand = du + a.weight;
+        const D cand = du + a.weight;
         if (cand < dist[a.target] && cand < best) buf[nbuf++] = arc;
       }
     }
@@ -343,11 +370,11 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
     for (uint32_t i = 0; i < nbuf; ++i) {
       const uint32_t arc = side->relax_buf[i];
       const HotArc a = arcs_[arc];
-      const Distance cand = du + a.weight;
-      Distance& d = dist[a.target];
+      const D cand = du + a.weight;
+      D& d = dist[a.target];
       // Re-checked: parallel arcs to one target may buffer twice.
       if (cand < d) {
-        const bool fresh = d == kInfDistance;
+        const bool fresh = d == SearchSide<D>::kUnreached;
         d = cand;
         parent_arc[a.target] = arc;
         if (fresh) {
@@ -369,7 +396,7 @@ uint32_t ChIndex::Search(Context* ctx, uint32_t s, uint32_t t,
 Distance ChIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                 VertexId t) const {
   Distance d = kInfDistance;
-  Search(static_cast<Context*>(ctx), rank_[s], rank_[t], &d);
+  WithContext(ctx, [&](auto* c) { Search(c, rank_[s], rank_[t], &d); });
   return d;
 }
 
@@ -397,7 +424,11 @@ void ChIndex::EmitArc(uint32_t arc, bool down, Path* out,
 
 Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
                         VertexId t) const {
-  Context* ctx = static_cast<Context*>(raw_ctx);
+  return WithContext(raw_ctx, [&](auto* ctx) { return PathIn(ctx, s, t); });
+}
+
+template <typename D>
+Path ChIndex::PathIn(Context<D>* ctx, VertexId s, VertexId t) const {
   // The apex's distance is the path's length: nothing below re-derives it.
   const uint32_t meet =
       Search(ctx, rank_[s], rank_[t], &ctx->path_distance);
@@ -432,12 +463,19 @@ Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
 void ChIndex::UpwardSearchSpace(
     QueryContext* raw_ctx, VertexId s,
     std::vector<std::pair<VertexId, Distance>>* out) const {
+  WithContext(raw_ctx,
+              [&](auto* ctx) { UpwardSearchSpaceIn(ctx, s, out); });
+}
+
+template <typename D>
+void ChIndex::UpwardSearchSpaceIn(
+    Context<D>* ctx, VertexId s,
+    std::vector<std::pair<VertexId, Distance>>* out) const {
   // One-directional upward Dijkstra without stalling: every settled vertex
   // carries its exact upward distance, which the many-to-many bucket
   // algorithm requires. Runs in the caller's context so the n calls TNR
   // preprocessing makes stay allocation-free.
-  Context* ctx = static_cast<Context*>(raw_ctx);
-  SearchSide& side = ctx->forward;
+  SearchSide<D>& side = ctx->forward;
   side.Reset();
   const uint32_t start = rank_[s];
   side.dist[start] = 0;
@@ -446,16 +484,16 @@ void ChIndex::UpwardSearchSpace(
 
   out->clear();
   while (!side.HeapEmpty()) {
-    const HeapEntry top = side.HeapPopMin();
+    const HeapEntry<D> top = side.HeapPopMin();
     const uint32_t u = top.rank;
-    const Distance du = top.key;
+    const D du = top.key;
     // roadnet-lint: allow(R11 caller-owned output; its final size is the settled count, unknowable before the search — callers reuse the vector across calls so growth amortizes to zero)
     out->emplace_back(order_[u], du);
     for (const HotArc& a : UpwardArcs(u)) {
-      const Distance cand = du + a.weight;
-      Distance& d = side.dist[a.target];
+      const D cand = du + a.weight;
+      D& d = side.dist[a.target];
       if (cand < d) {
-        const bool fresh = d == kInfDistance;
+        const bool fresh = d == SearchSide<D>::kUnreached;
         // No parent recorded: search spaces only need (vertex, distance).
         d = cand;
         if (fresh) {

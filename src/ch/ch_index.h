@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,7 +37,9 @@ namespace roadnet {
 // touched only by path queries. The search stores the index of the
 // relaxed arc next to the parent vertex, so unpacking walks precomputed
 // arc indices and never performs an edge lookup. External VertexIds are
-// translated to rank space only at the API boundary.
+// translated to rank space only at the API boundary. Search state holds
+// distances in 32 bits whenever the hierarchy's longest upward path
+// leaves room for the 32-bit "unreached" value, and in 64 bits otherwise.
 //
 // The hierarchy is immutable after preprocessing (stall-on-demand is a
 // ChConfig build option, not a setter); all search scratch lives in the
@@ -118,60 +121,67 @@ class ChIndex : public PathIndex {
   static constexpr uint32_t kOriginalArc = UINT32_MAX;
 
   // An entry of the frontier heap: the key plus the rank it belongs to.
+  // 8 bytes with 32-bit distances, 16 with 64-bit ones.
+  template <typename D>
   struct HeapEntry {
-    Distance key;
+    D key;
     uint32_t rank;
   };
 
-  // One direction of the bidirectional upward search, in rank space.
-  // There is no generation stamp: unreached is encoded as
-  // dist == kInfDistance, and each search starts by resetting exactly
+  // One direction of the bidirectional upward search, in rank space,
+  // holding distances as D: uint32_t when every upward path of the
+  // hierarchy is shorter than UINT32_MAX (see narrow_), Distance
+  // otherwise. There is no generation stamp: unreached is encoded as
+  // dist == kUnreached, and each search starts by resetting exactly
   // the entries the previous one touched (`touched`), whose lines are
   // still warm. Only `dist` needs resetting — `parent_arc` is always
   // written at first reach before anything reads it. The frontier is a
   // 4-ary min-heap of {key, rank} entries in the flat `heap` vector; no
   // per-vertex array records where a queued vertex sits in it, since
   // decrease-key finds the entry by scanning the heap (see HeapDecrease).
+  template <typename D>
   struct SearchSide {
-    std::vector<HeapEntry> heap;
-    std::vector<Distance> dist;
+    static constexpr D kUnreached = std::numeric_limits<D>::max();
+
+    std::vector<HeapEntry<D>> heap;
+    std::vector<D> dist;
     // The arc that reached each rank (kOriginalArc at the roots); it
     // replaces the parent vertex — the arc's source is recovered in O(1)
     // from the cold unpack record (see ArcSource), so no parent array
     // exists at all. Kept out of the distance array on purpose: the
     // search's stalls are scattered *loads* of tentative distances (stall
-    // scan, meet check, relaxation), so those pack eight to a cache line
-    // by themselves, while this array is only stored to on the reach/push
-    // path — stores retire through the store buffer without stalling the
-    // search.
+    // scan, meet check, relaxation), so those pack by themselves, sixteen
+    // to a cache line at 32 bits, while this array is only stored to on
+    // the reach/push path — stores retire through the store buffer
+    // without stalling the search.
     std::vector<uint32_t> parent_arc;
     // Ranks whose dist was written this search, in first-reach order;
-    // Reset() restores exactly these entries to kInfDistance.
+    // Reset() restores exactly these entries to kUnreached.
     std::vector<uint32_t> touched;
     // Per-settle scratch: arc indices buffered by the fused
     // stall-and-relax scan, committed only if the vertex is not stalled.
     std::vector<uint32_t> relax_buf;
 
-    explicit SearchSide(uint32_t n) : dist(n, kInfDistance), parent_arc(n) {}
+    explicit SearchSide(uint32_t n);
 
     // Prepares the side for a new search. The touched entries' lines are
     // still cached from the search that wrote them, so this is far
     // cheaper than the O(n) clear it replaces conceptually.
     void Reset() {
       for (uint32_t r : touched) {
-        dist[r] = kInfDistance;
+        dist[r] = kUnreached;
       }
       touched.clear();
       heap.clear();
     }
 
     bool HeapEmpty() const { return heap.empty(); }
-    Distance MinKey() const { return heap.front().key; }
+    D MinKey() const { return heap.front().key; }
     uint32_t MinRank() const { return heap.front().rank; }
 
-    void HeapPush(uint32_t rank, Distance key) {
-      heap.push_back(HeapEntry{key, rank});
-      SiftUp(static_cast<uint32_t>(heap.size() - 1), HeapEntry{key, rank});
+    void HeapPush(uint32_t rank, D key) {
+      heap.push_back(HeapEntry<D>{key, rank});
+      SiftUp(static_cast<uint32_t>(heap.size() - 1), HeapEntry<D>{key, rank});
     }
 
     // Lowers the key of a queued rank. The entry is found by a scan: the
@@ -180,21 +190,21 @@ class ChIndex : public PathIndex {
     // already holds in L1 costs about what storing each moved entry's
     // slot into a per-vertex position array did (queries time at
     // parity), and that array's 4 bytes per vertex per side are gone.
-    void HeapDecrease(uint32_t rank, Distance key) {
+    void HeapDecrease(uint32_t rank, D key) {
       uint32_t pos = 0;
       while (heap[pos].rank != rank) {
         ++pos;
         assert(pos < heap.size());
       }
-      SiftUp(pos, HeapEntry{key, rank});
+      SiftUp(pos, HeapEntry<D>{key, rank});
     }
 
     // Returns the popped entry: the key is the vertex's final distance
     // (kept in sync by decrease-key), so the caller never has to load
     // dist[rank] — one scattered read fewer per settle.
-    HeapEntry HeapPopMin() {
-      const HeapEntry top = heap.front();
-      const HeapEntry last = heap.back();
+    HeapEntry<D> HeapPopMin() {
+      const HeapEntry<D> top = heap.front();
+      const HeapEntry<D> last = heap.back();
       heap.pop_back();
       if (!heap.empty()) SiftDown(last);
       return top;
@@ -203,7 +213,7 @@ class ChIndex : public PathIndex {
    private:
     static constexpr uint32_t kArity = 4;
 
-    void SiftUp(uint32_t pos, HeapEntry e) {
+    void SiftUp(uint32_t pos, HeapEntry<D> e) {
       while (pos > 0) {
         const uint32_t parent = (pos - 1) / kArity;
         if (heap[parent].key <= e.key) break;
@@ -213,7 +223,7 @@ class ChIndex : public PathIndex {
       heap[pos] = e;
     }
 
-    void SiftDown(HeapEntry e) {
+    void SiftDown(HeapEntry<D> e) {
       const uint32_t n = static_cast<uint32_t>(heap.size());
       uint32_t pos = 0;
       while (true) {
@@ -233,11 +243,12 @@ class ChIndex : public PathIndex {
     }
   };
 
+  template <typename D>
   struct Context : QueryContext {
     explicit Context(uint32_t n) : forward(n), backward(n) {}
 
-    SearchSide forward;
-    SearchSide backward;
+    SearchSide<D> forward;
+    SearchSide<D> backward;
     // PathQuery's unpacking scratch, reused across queries so a path
     // query allocates only the exact-size Path it returns: the forward
     // tree's arcs from the apex down to s, and the unpacked vertices.
@@ -245,8 +256,20 @@ class ChIndex : public PathIndex {
     Path path;
   };
 
+  // Calls f with ctx cast to the context type NewContext created for
+  // this index's distance width.
+  template <typename F>
+  decltype(auto) WithContext(QueryContext* ctx, F&& f) const {
+    if (narrow_) return f(static_cast<Context<uint32_t>*>(ctx));
+    return f(static_cast<Context<Distance>*>(ctx));
+  }
+
   // Builds the rank-space arrays from a contraction run.
   void BuildFrom(ContractionResult result);
+
+  // Sets narrow_ from the hierarchy's longest upward path. Every
+  // tentative distance of an upward search is the length of such a path.
+  void ChooseSearchWidth();
 
   // Index of the arc src -> target (both ranks, src < target), or
   // kOriginalArc if absent. Build-time only: queries never search.
@@ -262,8 +285,15 @@ class ChIndex : public PathIndex {
   // Runs the bidirectional upward search between ranks s and t; returns
   // the best meeting rank (kInvalidVertex if unreachable) and its
   // distance in *out_dist.
-  uint32_t Search(Context* ctx, uint32_t s, uint32_t t,
+  template <typename D>
+  uint32_t Search(Context<D>* ctx, uint32_t s, uint32_t t,
                   Distance* out_dist) const;
+  template <typename D>
+  Path PathIn(Context<D>* ctx, VertexId s, VertexId t) const;
+  template <typename D>
+  void UpwardSearchSpaceIn(
+      Context<D>* ctx, VertexId s,
+      std::vector<std::pair<VertexId, Distance>>* out) const;
 
   // Appends the original-graph expansion of the arc to *out as external
   // ids, excluding the entry endpoint. `down` selects the traversal
@@ -279,6 +309,10 @@ class ChIndex : public PathIndex {
 
   const Graph& graph_;
   bool stall_on_demand_ = true;
+  // Whether search state holds distances in 32 bits: set when the
+  // longest upward path is below UINT32_MAX, the 32-bit "unreached".
+  // Otherwise (weights near 2^32) the same search runs on 64-bit state.
+  bool narrow_ = false;
   std::vector<uint32_t> rank_;   // external id -> rank
   std::vector<VertexId> order_;  // rank -> external id
   std::vector<uint32_t> up_offsets_;

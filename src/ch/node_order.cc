@@ -6,8 +6,7 @@ int64_t CombinePriority(OrderingHeuristic heuristic,
                         const PriorityTerms& terms) {
   switch (heuristic) {
     case OrderingHeuristic::kEdgeDifferenceDeleted:
-      return 2 * static_cast<int64_t>(terms.edge_difference) +
-             terms.deleted_neighbours;
+      return 2 * terms.edge_difference + terms.deleted_neighbours;
     case OrderingHeuristic::kEdgeDifference:
       return terms.edge_difference;
     case OrderingHeuristic::kDegree:

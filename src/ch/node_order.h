@@ -43,7 +43,9 @@ struct ChConfig {
 // contraction.
 struct PriorityTerms {
   // shortcuts that contraction would add minus incident edges removed.
-  int32_t edge_difference = 0;
+  // 64-bit: a vertex of degree d can need d(d-1)/2 shortcuts, past 2^31
+  // from about 92,700 neighbours.
+  int64_t edge_difference = 0;
   // neighbours already contracted.
   int32_t deleted_neighbours = 0;
   // current degree in the overlay.

@@ -177,6 +177,22 @@ TEST(ContractionDeathTest, ShortcutBeyondWeightLimitAborts) {
   EXPECT_DEATH(ContractGraph(g, ChConfig{}), "32-bit shortcut-weight limit");
 }
 
+// A vertex of degree d can need d(d - 1)/2 shortcuts. At 100,000
+// neighbours that is an edge difference of 4,999,850,000, past what 32
+// bits hold, and the priority must keep it.
+TEST(CombinePriority, EdgeDifferencePastTwoTo31KeepsItsValue) {
+  constexpr int64_t kDegree = 100000;
+  PriorityTerms terms;
+  terms.edge_difference = kDegree * (kDegree - 1) / 2 - kDegree;
+  terms.deleted_neighbours = 3;
+  terms.degree = static_cast<int32_t>(kDegree);
+  ASSERT_GT(terms.edge_difference, int64_t{1} << 31);
+  EXPECT_EQ(CombinePriority(OrderingHeuristic::kEdgeDifferenceDeleted, terms),
+            2 * int64_t{4999850000} + 3);
+  EXPECT_EQ(CombinePriority(OrderingHeuristic::kEdgeDifference, terms),
+            int64_t{4999850000});
+}
+
 TEST(Contraction, PaperFigure1ProducesValidShortcuts) {
   Graph g = PaperFigure1Graph();
   ChConfig config;

@@ -1,73 +1,14 @@
-// Live heap bytes during one HlIndex build. This binary replaces the
-// global operator new and delete, single and array forms, so it counts
-// every byte the build allocates through them and keeps the high-water
-// mark; it is a binary of its own so no other test runs on the counting
-// allocator.
+// Live heap bytes during one HlIndex build, counted by the replaced
+// global operator new and delete of tests/counting_allocator.h.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 
 #include "ch/ch_index.h"
 #include "hl/hl_index.h"
+#include "tests/counting_allocator.h"
 #include "workload/datasets.h"
 #include "gtest/gtest.h"
-
-namespace {
-
-std::atomic<size_t> g_live_bytes{0};
-std::atomic<size_t> g_peak_bytes{0};
-
-// Each block carries its size in a header, so delete knows what it frees.
-constexpr size_t kHeader = alignof(std::max_align_t);
-
-void* Allocate(size_t size) noexcept {
-  void* block = std::malloc(size + kHeader);
-  if (block == nullptr) return nullptr;
-  *static_cast<size_t*>(block) = size;
-  const size_t live =
-      g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
-  size_t peak = g_peak_bytes.load(std::memory_order_relaxed);
-  while (live > peak && !g_peak_bytes.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-  return static_cast<char*>(block) + kHeader;
-}
-
-void* AllocateOrThrow(size_t size) {
-  void* p = Allocate(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void Release(void* p) noexcept {
-  if (p == nullptr) return;
-  char* block = static_cast<char*>(p) - kHeader;
-  g_live_bytes.fetch_sub(*reinterpret_cast<size_t*>(block),
-                         std::memory_order_relaxed);
-  std::free(block);
-}
-
-}  // namespace
-
-void* operator new(size_t size) { return AllocateOrThrow(size); }
-void* operator new[](size_t size) { return AllocateOrThrow(size); }
-void* operator new(size_t size, const std::nothrow_t&) noexcept {
-  return Allocate(size);
-}
-void* operator new[](size_t size, const std::nothrow_t&) noexcept {
-  return Allocate(size);
-}
-void operator delete(void* p) noexcept { Release(p); }
-void operator delete[](void* p) noexcept { Release(p); }
-void operator delete(void* p, size_t) noexcept { Release(p); }
-void operator delete[](void* p, size_t) noexcept { Release(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { Release(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  Release(p);
-}
 
 namespace roadnet {
 namespace {
@@ -96,10 +37,9 @@ TEST(HlBuildHeap, PeakIsTheLabelsPlusOneBlockPlusPerVertexArrays) {
   const ChIndex ch(g);
   const size_t n = g.NumVertices();
 
-  const size_t before = g_live_bytes.load();
-  g_peak_bytes.store(before);
+  const size_t before = ResetPeakHeapBytes();
   const HlIndex hl(g, ch);
-  const size_t peak = g_peak_bytes.load() - before;
+  const size_t peak = PeakHeapBytes() - before;
 
   const size_t entries = hl.NumLabelEntries() * sizeof(HlIndex::HubEntry);
   const size_t block = HlIndex::kBlockEntries * sizeof(HlIndex::HubEntry);
