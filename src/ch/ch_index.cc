@@ -336,9 +336,8 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
       // improvements; nothing is committed until the vertex proves
       // non-stalled, so an abort wastes no heap work. The td < du
       // pre-test doubles as the reached check: unreached entries hold
-      // kUnreached, which wraps if the weight is added blindly. The sum
-      // is taken in 64 bits: td + w is not an upward path, so no bound
-      // keeps it within D.
+      // kUnreached, which wraps if the weight is added blindly. Past it,
+      // td + w < du + w, an upward path's length, so the sum fits D.
       if (side->relax_buf.size() < arc_end - arc_begin) {
         side->relax_buf.resize(arc_end - arc_begin);
       }
@@ -347,7 +346,7 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
       for (uint32_t arc = arc_begin; arc < arc_end; ++arc) {
         const HotArc a = arcs_[arc];
         const D td = dist[a.target];
-        if (td < du && Distance{td} + a.weight < du) {
+        if (td < du && td + a.weight < du) {
           stalled = true;
           break;
         }

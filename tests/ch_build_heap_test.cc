@@ -99,27 +99,30 @@ TEST(ChBuildHeap, StarBuildStaysLinearInItsDegree) {
               kLeaves, peak, bound);
 }
 
-// The path p0 - p1 - p2 - p3 with weights 2^31, 1 and `last`, contracted
-// in the order p0, p2, p1, p3: contracting p2 joins p1 and p3 by a
-// shortcut of 1 + last. The longest upward path, p0 → p1 → p3 over the
-// shortcut, is 2^31 + 1 + last. It is also dist(p0, p3), so the forward
-// search from p0 stores that very distance.
+// The path p0 - p1 - p2 - p3 - p4 with weights 2^31, 1, `last` and
+// 2^31, contracted in the order p0, p2, p4, p1, p3: contracting p2 joins
+// p1 and p3 by a shortcut of 1 + last. The longest upward path, p0 → p1
+// → p3 over the shortcut, is 2^31 + 1 + last. It is also dist(p0, p3),
+// so the forward search from p0 stores that very distance. The searches
+// between p0 and p4 meet at p3 from both sides, at a sum past 2^32.
 struct Chain {
   Graph graph;
   ContractionResult hierarchy;
 };
 
 Chain ChainOf(Weight last) {
-  constexpr Weight kFirst = Weight{1} << 31;
-  GraphBuilder b(4);
-  b.AddEdge(0, 1, kFirst);
+  constexpr Weight kHalf = Weight{1} << 31;
+  GraphBuilder b(5);
+  b.AddEdge(0, 1, kHalf);
   b.AddEdge(1, 2, 1);
   b.AddEdge(2, 3, last);
+  b.AddEdge(3, 4, kHalf);
   ContractionResult hierarchy;
-  hierarchy.rank = {0, 2, 1, 3};
-  hierarchy.edges = {TaggedEdge{0, 1, kFirst, kInvalidVertex},
+  hierarchy.rank = {0, 3, 1, 4, 2};
+  hierarchy.edges = {TaggedEdge{0, 1, kHalf, kInvalidVertex},
                      TaggedEdge{1, 2, 1, kInvalidVertex},
                      TaggedEdge{2, 3, last, kInvalidVertex},
+                     TaggedEdge{3, 4, kHalf, kInvalidVertex},
                      TaggedEdge{1, 3, 1 + last, 2}};
   hierarchy.num_shortcuts = 1;
   return Chain{std::move(b).Build(), std::move(hierarchy)};
@@ -177,6 +180,8 @@ TEST(ChSearchWidth, BothWidthsAnswerAsDijkstraAfterARoundTrip) {
     const auto ctx = ch.NewContext();
     EXPECT_EQ(ch.DistanceQuery(ctx.get(), 0, 3),
               (Distance{1} << 31) + 1 + last);
+    EXPECT_EQ(ch.DistanceQuery(ctx.get(), 0, 4),
+              (Distance{1} << 32) + 1 + last);
     ExpectAnswersAsDijkstra(chain.graph, ch);
     ExpectAnswersAsDijkstra(chain.graph, *RoundTrip(chain.graph, ch));
   }
