@@ -175,10 +175,8 @@ int main(int argc, char** argv) {
   const double on_us = median(on) / n;
   const double ratio = median(ratios);
 
-  std::printf("trace overhead (%s, %zu Q6..Q10 distance queries, "
-              "tracing %s)\n",
-              spec->name.c_str(), pairs.size(),
-              kTracingCompiledIn ? "compiled in" : "compiled OUT");
+  std::printf("trace overhead (%s, %zu Q6..Q10 distance queries)\n",
+              spec->name.c_str(), pairs.size());
   std::printf("  plain:          %8.3f us/query\n", plain_us);
   std::printf("  traced (idle):  %8.3f us/query  (median of %d paired"
               " ratios %.4f, budget 1.02)\n",

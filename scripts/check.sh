@@ -52,10 +52,10 @@ stage_build() {
 }
 
 stage_smoke() {
-  echo "==> Metrics schema + search-space smoke (build/)"
+  echo "==> Metrics schema smoke (build/)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j"$(nproc)" --target \
-    roadnet_cli roadnet_loadgen bench_searchspace \
+    roadnet_cli roadnet_loadgen \
     bench_ch_layout bench_hl quickstart nearest_poi route_service \
     index_advisor offline_preprocessing
   SMOKE="$(mktemp -d)"
@@ -79,11 +79,6 @@ stage_smoke() {
     echo "path batch reports '$path_reach', distance batch '$dist_reach'"
     exit 1
   fi
-  # The bench exits nonzero if the settled-vertex ranking (Dijkstra >= bidi
-  # >= CH, TNR in-table == 0) is violated, so this doubles as a counter
-  # regression check.
-  ROADNET_BENCH_FAST=1 build/bench/bench_searchspace \
-    --out "$SMOKE/searchspace.csv" >/dev/null
 
   echo "==> CH layout bench: rank-permuted SoA vs legacy AoS (quick gate)"
   # Exits nonzero if the two layouts disagree on any distance or if the
@@ -479,12 +474,10 @@ stage_tsan() {
   cmake --build build-tsan -j"$(nproc)" --target \
     engine_equivalence_test engine_stress_test engine_edge_test \
     ch_test ch_layout_test server_test event_loop_test wire_fuzz_test \
-    hl_test trace_test bench_server
+    hl_test trace_test
+  # QueryServer includes concurrent clients on both event loops.
   (cd build-tsan && \
     ctest --output-on-failure -R 'Engine(Equivalence|Stress|Edge)|ChIndex|Contraction|ChLayout|QueryServer|EventLoopPool|Wire|HubLabel|Trace')
-  # The serving bench under TSan covers the event-loop/client thread web
-  # end to end.
-  ROADNET_BENCH_FAST=1 build-tsan/bench/bench_server >/dev/null
 }
 
 # Schedule-dependent failures (a counter bumped after the effect it

@@ -54,8 +54,6 @@ void QueryEngine::RunChunk(size_t worker_id, Batch* batch, size_t begin,
                            size_t end) {
   Worker& worker = workers_[worker_id];
   QueryContext* ctx = worker.context.get();
-  const bool timed = batch->options.record_latencies;
-  const bool counted = batch->options.record_counters;
   const bool traced = batch->query_start_ns != nullptr;
   const auto trace_epoch = batch->options.trace_epoch;
   for (size_t i = begin; i < end; ++i) {
@@ -75,9 +73,9 @@ void QueryEngine::RunChunk(size_t worker_id, Batch* batch, size_t begin,
     } else {
       (*batch->distances)[i] = index_.DistanceQuery(ctx, s, t);
     }
-    if (counted) worker.counters += ctx->counters;
+    worker.counters += ctx->counters;
     if (traced) (*batch->query_counters)[i] = ctx->counters;
-    if (timed) worker.histogram.Record(timer.ElapsedNanos());
+    worker.histogram.Record(timer.ElapsedNanos());
     if (traced) {
       (*batch->query_end_ns)[i] = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -190,10 +188,10 @@ BatchResult QueryEngine::Run(
   // Merge the per-worker sinks: histograms add element-wise, so the
   // result is identical to one thread having recorded every query.
   for (const Worker& w : workers_) {
-    if (options.record_latencies) result.latency.Merge(w.histogram);
-    if (options.record_counters) stats.counters += w.counters;
+    result.latency.Merge(w.histogram);
+    stats.counters += w.counters;
   }
-  if (options.record_latencies && result.latency.Count() > 0) {
+  if (result.latency.Count() > 0) {
     constexpr double kNanosToMicros = 1e-3;
     stats.p50_micros = result.latency.ValueAtQuantile(0.50) * kNanosToMicros;
     stats.p90_micros = result.latency.ValueAtQuantile(0.90) * kNanosToMicros;

@@ -35,14 +35,12 @@ struct BatchStats {
   double queries_per_second = 0;
   // Per-query latency percentiles in microseconds, derived from the
   // merged per-worker histograms (<= 1.6% bucket error; min/max exact).
-  // Zero unless BatchOptions::record_latencies.
   double p50_micros = 0;
   double p90_micros = 0;
   double p99_micros = 0;
   double p999_micros = 0;
   double max_micros = 0;
   // Operation counts summed over every query of the batch (all workers).
-  // Zero unless BatchOptions::record_counters.
   QueryCounters counters;
 };
 
@@ -50,14 +48,6 @@ struct BatchOptions {
   // Answer each query with PathQuery, which yields the path and its
   // distance from one search, instead of DistanceQuery (distances only).
   bool collect_paths = false;
-  // Time every query individually for the latency percentiles. Costs two
-  // clock reads plus one histogram add per query; disable for
-  // pure-throughput runs.
-  bool record_latencies = true;
-  // Aggregate the per-query operation counters into BatchStats::counters.
-  // One 7-field add per query on the worker's own context — cheap, but
-  // disable it to measure the raw query path alone.
-  bool record_counters = true;
   // Queries per stealable chunk; 0 picks a size from the batch and worker
   // counts. Small chunks balance better, large chunks amortize the atomic
   // claim.
@@ -76,9 +66,9 @@ struct BatchResult {
   std::vector<Distance> distances;
   // paths[i] answers queries[i]; empty unless BatchOptions::collect_paths.
   std::vector<Path> paths;
-  // Merged per-worker latency histogram in nanoseconds; empty unless
-  // BatchOptions::record_latencies. stats' percentiles derive from it,
-  // and histograms from successive batches can be merged further.
+  // Merged per-worker latency histogram in nanoseconds: every query is
+  // timed. stats' percentiles derive from it, and histograms from
+  // successive batches can be merged further.
   Histogram latency;
   // Per-query execute windows (nanoseconds since BatchOptions::trace_epoch)
   // and counters snapshots, indexed like `queries`; empty unless

@@ -17,9 +17,9 @@ namespace roadnet {
 // counters describe exactly that query; callers that want batch totals
 // accumulate with operator+= (QueryEngine does this per worker).
 //
-// Compiling with -DROADNET_DISABLE_COUNTERS turns every increment into a
-// no-op so the instrumented hot paths cost nothing; the struct and its
-// accessors remain so callers do not need their own #ifdefs.
+// Every build counts: each published number (perfbench, bench_paper,
+// BENCH_*.json) is taken with the counters on. DESIGN.md's Observability
+// section records what they cost against a build without them.
 struct QueryCounters {
   // Vertices removed from a priority queue and finalized by the main
   // (forward/backward/upward) searches. TNR in-table queries settle 0.
@@ -52,12 +52,6 @@ struct QueryCounters {
   // NextHop call), PCPD synchronized quadtree-descent probes.
   uint64_t tree_lookups = 0;
 
-#ifdef ROADNET_DISABLE_COUNTERS
-  static constexpr bool kEnabled = false;
-#else
-  static constexpr bool kEnabled = true;
-#endif
-
   void Reset() { *this = QueryCounters{}; }
 
   friend bool operator==(const QueryCounters&,
@@ -75,32 +69,15 @@ struct QueryCounters {
     return *this;
   }
 
-  // Increment helpers. `n` defaults to 1; the `if constexpr` compiles the
-  // add away entirely under ROADNET_DISABLE_COUNTERS.
-  void Settle(uint64_t n = 1) {
-    if constexpr (kEnabled) vertices_settled += n;
-  }
-  void RelaxEdge(uint64_t n = 1) {
-    if constexpr (kEnabled) edges_relaxed += n;
-  }
-  void HeapPush(uint64_t n = 1) {
-    if constexpr (kEnabled) heap_pushes += n;
-  }
-  void HeapPop(uint64_t n = 1) {
-    if constexpr (kEnabled) heap_pops += n;
-  }
-  void ShortcutUnpacked(uint64_t n = 1) {
-    if constexpr (kEnabled) shortcuts_unpacked += n;
-  }
-  void EdgeSearch(uint64_t n = 1) {
-    if constexpr (kEnabled) edge_searches += n;
-  }
-  void TableLookup(uint64_t n = 1) {
-    if constexpr (kEnabled) table_lookups += n;
-  }
-  void TreeLookup(uint64_t n = 1) {
-    if constexpr (kEnabled) tree_lookups += n;
-  }
+  // Increment helpers. `n` defaults to 1.
+  void Settle(uint64_t n = 1) { vertices_settled += n; }
+  void RelaxEdge(uint64_t n = 1) { edges_relaxed += n; }
+  void HeapPush(uint64_t n = 1) { heap_pushes += n; }
+  void HeapPop(uint64_t n = 1) { heap_pops += n; }
+  void ShortcutUnpacked(uint64_t n = 1) { shortcuts_unpacked += n; }
+  void EdgeSearch(uint64_t n = 1) { edge_searches += n; }
+  void TableLookup(uint64_t n = 1) { table_lookups += n; }
+  void TreeLookup(uint64_t n = 1) { tree_lookups += n; }
 };
 
 }  // namespace roadnet

@@ -166,10 +166,6 @@ void Tracer::Configure(std::optional<uint64_t> sample_every,
 }
 
 void Tracer::StartRequest(RequestTrace* trace) {
-  if constexpr (!kTracingCompiledIn) {
-    trace->active = false;
-    return;
-  }
   const uint64_t every = sample_every_.load(std::memory_order_relaxed);
   const uint64_t slow = slow_micros_.load(std::memory_order_relaxed);
   if (every == 0 && slow == kTraceSlowDisabled) {
@@ -187,7 +183,6 @@ void Tracer::StartRequest(RequestTrace* trace) {
 }
 
 void Tracer::Finish(size_t shard, RequestTrace* trace) {
-  if constexpr (!kTracingCompiledIn) return;
   if (!trace->active) return;
   trace->active = false;
 

@@ -40,16 +40,8 @@ namespace roadnet {
 // request, sampled or not, and feed the STATS live-introspection
 // reply.
 //
-// Compile-time kill switch: -DROADNET_DISABLE_TRACING turns every stamp
-// into a no-op, and the API remains so callers need no #ifdefs, mirroring
-// ROADNET_DISABLE_COUNTERS. bench_trace_overhead gates the runtime-idle
-// cost at 2%.
-
-#ifdef ROADNET_DISABLE_TRACING
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
+// Every build carries the stamps; an idle tracer costs two relaxed loads
+// per request, and bench_trace_overhead gates that cost at 2%.
 
 // Lifecycle stages in pipeline order. Stage windows of one request are
 // non-overlapping and monotonically ordered; gaps are allowed and are
@@ -106,7 +98,6 @@ struct RequestTrace {
   // Nanoseconds since the tracer epoch; 0 when the trace is inactive so
   // an untraced request never reads the clock.
   uint64_t NowNs() const {
-    if constexpr (!kTracingCompiledIn) return 0;
     if (!active) return 0;
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -115,7 +106,6 @@ struct RequestTrace {
   }
 
   void RecordStage(TraceStage stage, uint64_t start_ns, uint64_t end_ns) {
-    if constexpr (!kTracingCompiledIn) return;
     if (!active) return;
     TraceStageRecord& r = stages[static_cast<size_t>(stage)];
     r.start_ns = start_ns;
@@ -194,7 +184,6 @@ class Tracer {
 
   // True when any capture mechanism is on (cheap: two relaxed loads).
   bool RuntimeEnabled() const {
-    if constexpr (!kTracingCompiledIn) return false;
     return sample_every_.load(std::memory_order_relaxed) > 0 ||
            slow_micros_.load(std::memory_order_relaxed) != kTraceSlowDisabled;
   }

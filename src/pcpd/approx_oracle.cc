@@ -8,6 +8,11 @@
 
 namespace roadnet {
 
+using pcpd::BlockId;
+using pcpd::BlockRange;
+using pcpd::FindBlockRange;
+using pcpd::PairKey;
+
 namespace {
 constexpr uint32_t kUnreachable = 0xffffffffu;
 }  // namespace
@@ -36,16 +41,6 @@ ApproxDistanceOracle::ApproxDistanceOracle(const Graph& g, double epsilon)
   matrix_.shrink_to_fit();
 }
 
-ApproxDistanceOracle::Range ApproxDistanceOracle::BlockRange(
-    uint64_t base, uint32_t level) const {
-  const uint64_t end = base + (uint64_t{1} << (2 * level));
-  const auto lo =
-      std::lower_bound(sorted_codes_.begin(), sorted_codes_.end(), base);
-  const auto hi = std::lower_bound(lo, sorted_codes_.end(), end);
-  return Range{static_cast<uint32_t>(lo - sorted_codes_.begin()),
-               static_cast<uint32_t>(hi - sorted_codes_.begin())};
-}
-
 Distance ApproxDistanceOracle::MatrixDistance(VertexId s, VertexId t) const {
   const uint32_t raw = matrix_[static_cast<size_t>(s) * graph_.NumVertices() + t];
   return raw == kUnreachable ? kInfDistance : raw;
@@ -53,10 +48,10 @@ Distance ApproxDistanceOracle::MatrixDistance(VertexId s, VertexId t) const {
 
 void ApproxDistanceOracle::Refine(uint64_t base_x, uint64_t base_y,
                                   uint32_t level) {
-  const Range rx = BlockRange(base_x, level);
-  const Range ry = BlockRange(base_y, level);
-  if (rx.lo >= rx.hi || ry.lo >= ry.hi) return;
-  if (base_x == base_y && rx.hi - rx.lo == 1) return;  // same single vertex
+  const BlockRange rx = FindBlockRange(sorted_codes_, base_x, level);
+  const BlockRange ry = FindBlockRange(sorted_codes_, base_y, level);
+  if (rx.Empty() || ry.Empty()) return;
+  if (base_x == base_y && rx.Size() == 1) return;  // same single vertex
 
   // Metric acceptance test with early exit once the spread is too wide.
   Distance dmin = kInfDistance;

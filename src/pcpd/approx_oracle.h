@@ -7,6 +7,7 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "pcpd/block_pairs.h"
 
 namespace roadnet {
 
@@ -39,32 +40,6 @@ class ApproxDistanceOracle {
   size_t IndexBytes() const;
 
  private:
-  struct PairKey {
-    uint64_t x;
-    uint64_t y;
-    friend bool operator==(const PairKey& a, const PairKey& b) {
-      return a.x == b.x && a.y == b.y;
-    }
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      uint64_t h = k.x * 0x9e3779b97f4a7c15ULL ^
-                   (k.y + 0x517cc1b727220a95ULL);
-      h ^= h >> 32;
-      return static_cast<size_t>(h * 0xff51afd7ed558ccdULL);
-    }
-  };
-
-  static uint64_t BlockId(uint64_t base, uint32_t level) {
-    return base | (static_cast<uint64_t>(level) << 58);
-  }
-
-  struct Range {
-    uint32_t lo;
-    uint32_t hi;
-  };
-  Range BlockRange(uint64_t base, uint32_t level) const;
-
   // Exact distance from the preprocessing matrix (build time only).
   Distance MatrixDistance(VertexId s, VertexId t) const;
 
@@ -81,7 +56,7 @@ class ApproxDistanceOracle {
   // freed after refinement.
   std::vector<uint32_t> matrix_;
 
-  std::unordered_map<PairKey, Distance, PairKeyHash> pairs_;
+  std::unordered_map<pcpd::PairKey, Distance, pcpd::PairKeyHash> pairs_;
 };
 
 }  // namespace roadnet

@@ -9,6 +9,11 @@
 
 namespace roadnet {
 
+using pcpd::BlockId;
+using pcpd::BlockRange;
+using pcpd::FindBlockRange;
+using pcpd::PairKey;
+
 namespace {
 
 constexpr uint8_t kNoHop = 0xff;
@@ -70,16 +75,6 @@ PcpdIndex::PcpdIndex(const Graph& g) : graph_(g) {
   first_hop_.shrink_to_fit();
 }
 
-PcpdIndex::Range PcpdIndex::BlockRange(uint64_t base, uint32_t level) const {
-  const uint64_t end = base + (uint64_t{1} << (2 * level));
-  const auto lo = std::lower_bound(sorted_codes_.begin(),
-                                   sorted_codes_.end(), base);
-  const auto hi =
-      std::lower_bound(lo, sorted_codes_.end(), end);
-  return Range{static_cast<uint32_t>(lo - sorted_codes_.begin()),
-               static_cast<uint32_t>(hi - sorted_codes_.begin())};
-}
-
 void PcpdIndex::WalkPath(VertexId s, VertexId t,
                          std::vector<VertexId>* out) const {
   out->clear();
@@ -97,7 +92,7 @@ void PcpdIndex::WalkPath(VertexId s, VertexId t,
   }
 }
 
-bool PcpdIndex::FindCommonObject(const Range& rx, const Range& ry,
+bool PcpdIndex::FindCommonObject(const BlockRange& rx, const BlockRange& ry,
                                  uint64_t base_x, uint64_t base_y,
                                  uint32_t level, Psi* psi) const {
   std::vector<VertexId> shared_vertices;
@@ -184,8 +179,8 @@ bool PcpdIndex::FindCommonObject(const Range& rx, const Range& ry,
 }
 
 void PcpdIndex::Refine(uint64_t base_x, uint64_t base_y, uint32_t level) {
-  const Range rx = BlockRange(base_x, level);
-  const Range ry = BlockRange(base_y, level);
+  const BlockRange rx = FindBlockRange(sorted_codes_, base_x, level);
+  const BlockRange ry = FindBlockRange(sorted_codes_, base_y, level);
   if (rx.Empty() || ry.Empty()) return;
   if (base_x == base_y && rx.Size() == 1) return;  // single vertex vs itself
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "pcpd/block_pairs.h"
 #include "routing/path_index.h"
 
 namespace roadnet {
@@ -60,42 +61,13 @@ class PcpdIndex : public PathIndex {
     bool IsEdge() const { return a != b; }
   };
 
-  struct PairKey {
-    uint64_t x;
-    uint64_t y;
-    friend bool operator==(const PairKey& p, const PairKey& q) {
-      return p.x == q.x && p.y == q.y;
-    }
-  };
-  struct PairKeyHash {
-    size_t operator()(const PairKey& k) const {
-      uint64_t h = k.x * 0x9e3779b97f4a7c15ULL ^ (k.y + 0x517cc1b727220a95ULL);
-      h ^= h >> 32;
-      return static_cast<size_t>(h * 0xff51afd7ed558ccdULL);
-    }
-  };
-
-  // Block identifier: Morton base plus the level packed in the top bits.
-  static uint64_t BlockId(uint64_t base, uint32_t level) {
-    return base | (static_cast<uint64_t>(level) << 58);
-  }
-
-  // Morton-position range [lo, hi) of a block in the sorted order.
-  struct Range {
-    uint32_t lo;
-    uint32_t hi;
-    bool Empty() const { return lo >= hi; }
-    uint32_t Size() const { return hi - lo; }
-  };
-
-  Range BlockRange(uint64_t base, uint32_t level) const;
-
   // Recursive refinement of one pair of same-level blocks.
   void Refine(uint64_t base_x, uint64_t base_y, uint32_t level);
 
   // Nested-loop coherence test; returns true and sets *psi when the pair
   // is path-coherent.
-  bool FindCommonObject(const Range& rx, const Range& ry, uint64_t base_x,
+  bool FindCommonObject(const pcpd::BlockRange& rx,
+                        const pcpd::BlockRange& ry, uint64_t base_x,
                         uint64_t base_y, uint32_t level, Psi* psi) const;
 
   // Walks the canonical shortest path s -> t via the first-hop matrix.
@@ -124,7 +96,7 @@ class PcpdIndex : public PathIndex {
   // preprocessing, retained for nothing else; freed after construction.
   std::vector<uint8_t> first_hop_;
 
-  std::unordered_map<PairKey, Psi, PairKeyHash> pcp_;
+  std::unordered_map<pcpd::PairKey, Psi, pcpd::PairKeyHash> pcp_;
 };
 
 }  // namespace roadnet

@@ -175,24 +175,6 @@ TEST(EngineEquivalence, PathBatchRunsOneSearchPerQuery) {
   }
 }
 
-TEST(EngineEquivalence, RecordingTogglesZeroTheStats) {
-  EngineFixture f(/*seed=*/606);
-  const auto queries = RandomPairs(f.g, 60, /*seed=*/904);
-  QueryEngine engine(f.ch, 2);
-  BatchOptions options;
-  options.record_latencies = false;
-  options.record_counters = false;
-  BatchResult result = engine.Run(queries, options);
-  // Answers are unaffected; only the observability outputs go dark.
-  EXPECT_EQ(result.distances.size(), queries.size());
-  EXPECT_EQ(result.latency.Count(), 0u);
-  EXPECT_EQ(result.stats.p50_micros, 0.0);
-  EXPECT_EQ(result.stats.p999_micros, 0.0);
-  EXPECT_EQ(result.stats.max_micros, 0.0);
-  EXPECT_EQ(result.stats.counters, QueryCounters{});
-  EXPECT_GT(result.stats.queries_per_second, 0.0);
-}
-
 TEST(EngineEquivalence, ReusedContextMatchesFreshContexts) {
   // One context kept for a whole run of queries must answer exactly like
   // a fresh context per query: no scratch state may leak from one query

@@ -27,7 +27,6 @@ void ExpectStableUnderConcurrency(const Graph& g, const PathIndex& index) {
   QueryEngine engine(index, kThreads);
 
   BatchOptions options;
-  options.record_latencies = false;
   // Tiny chunks force heavy cursor contention and cross-segment steals.
   options.chunk_size = 1;
 

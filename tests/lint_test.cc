@@ -1,9 +1,9 @@
-// Self-test of tools/roadnet_lint: every rule R1..R12 must flag its
-// known-bad fixture and stay silent on the known-good twin; the waiver
-// mechanism must suppress with a reason, fail without one (W1), and
-// ignore waivers naming the wrong rule. The binary is exercised too:
-// exit 1 on each bad fixture, exit 0 on the good set and on the real
-// repository tree (the check.sh gate).
+// Self-test of tools/roadnet_lint: every rule R1..R12 (R6 is retired)
+// must flag its known-bad fixture and stay silent on the known-good
+// twin; the waiver mechanism must suppress with a reason, fail without
+// one (W1), and ignore waivers naming the wrong rule. The binary is
+// exercised too: exit 1 on each bad fixture, exit 0 on the good set and
+// on the real repository tree (the check.sh gate).
 //
 // Fixtures live in tests/lint_fixtures/, laid out like the repo
 // (src/ch/..., src/workload/...) because rule applicability is
@@ -54,7 +54,6 @@ const RuleFixture kFixtures[] = {
     {"R3", "src/myindex/bad_r3.h", "src/myindex/good_r3.h"},
     {"R4", "src/server2/bad_r4.cc", "src/server2/good_r4.cc"},
     {"R5", "src/workload/bad_r5.cc", "src/workload/good_r5.cc"},
-    {"R6", "src/engine2/bad_r6.cc", "src/engine2/good_r6.cc"},
     {"R7", "src/include/bad_r7.h", "src/include/good_r7.h"},
     {"R8", "src/obs/bad_r8.cc", "src/obs/good_r8.cc"},
     {"R9", "src/poi/bad_r9.cc", "src/poi/good_r9.cc"},

@@ -1,7 +1,8 @@
 // Pins the search work of the Dijkstra-family techniques — bidirectional
 // Dijkstra, RE, ALT, Arc Flags and HiTi — of CH and of the hub labels
 // built from it, and the delta-redundancy meter's ratios on DE' and NH'
-// over seeded Q1..Q10 pairs.
+// over seeded Q1..Q10 pairs, and checks the paper's settled-vertex
+// ranking over the same pairs.
 //
 // Every QueryCounters field is pinned as a total of its own, for distance
 // and path queries separately, so a change to a search loop that moves
@@ -18,10 +19,12 @@
 #include "arcflags/arc_flags.h"
 #include "ch/ch_index.h"
 #include "dijkstra/bidirectional.h"
+#include "dijkstra/dijkstra.h"
 #include "hiti/partition_overlay.h"
 #include "hl/hl_index.h"
 #include "pcpd/redundancy.h"
 #include "reach/reach_index.h"
+#include "tnr/tnr_index.h"
 #include "workload/datasets.h"
 #include "workload/query_gen.h"
 #include "gtest/gtest.h"
@@ -227,6 +230,50 @@ TEST(SearchWork, RedundancyRatiosPinned) {
     EXPECT_EQ(infinite, pin.infinite) << PaperDatasets()[pin.dataset].name;
     EXPECT_DOUBLE_EQ(finite_sum, pin.finite_sum)
         << PaperDatasets()[pin.dataset].name;
+  }
+}
+
+// Section 4's search-space argument: on the same pairs, plain Dijkstra
+// settles at least as many vertices on average as bidirectional
+// Dijkstra, which settles at least as many as CH; and every query TNR
+// answers from its table settles none. Totals over one pair list
+// compare as the averages do.
+TEST(SearchWork, SettledVerticesRankAndTnrTableAnswersSettleNone) {
+  struct Case {
+    size_t dataset;
+    uint64_t seed;
+    size_t table_answered;
+  };
+  for (const Case& c : {Case{0, 71, 29}, Case{1, 72, 28}}) {
+    const DatasetSpec& spec = PaperDatasets()[c.dataset];
+    const Graph g = BuildDataset(spec);
+    Dijkstra dijkstra(g);
+    const BidirectionalDijkstra bidi(g);
+    const ChIndex ch(g);
+    const TnrIndex tnr(g, &ch, TnrConfig{});
+    const auto bidi_ctx = bidi.NewContext();
+    const auto ch_ctx = ch.NewContext();
+    const auto tnr_ctx = tnr.NewContext();
+    uint64_t dijkstra_settled = 0, bidi_settled = 0, ch_settled = 0;
+    size_t table_answered = 0;
+    for (const auto& [s, t] : Pairs(g, c.seed)) {
+      dijkstra.Run(s, t);
+      dijkstra_settled += dijkstra.Counters().vertices_settled;
+      bidi.DistanceQuery(bidi_ctx.get(), s, t);
+      bidi_settled += bidi_ctx->counters.vertices_settled;
+      ch.DistanceQuery(ch_ctx.get(), s, t);
+      ch_settled += ch_ctx->counters.vertices_settled;
+      if (!tnr.TableApplicable(s, t)) continue;
+      ++table_answered;
+      tnr.DistanceQuery(tnr_ctx.get(), s, t);
+      EXPECT_EQ(tnr_ctx->counters.vertices_settled, 0u)
+          << spec.name << " TNR table query " << s << " -> " << t;
+    }
+    EXPECT_GE(dijkstra_settled, bidi_settled) << spec.name;
+    EXPECT_GE(bidi_settled, ch_settled) << spec.name;
+    EXPECT_GT(ch_settled, 0u) << spec.name;
+    // The pairs reach the table, so the check above is not vacuous.
+    EXPECT_EQ(table_answered, c.table_answered) << spec.name;
   }
 }
 

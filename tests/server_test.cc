@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include "server/client.h"
 #include "server/wire.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 #include "gtest/gtest.h"
 
 namespace roadnet {
@@ -543,6 +545,131 @@ TEST(QueryServer, DrainsInFlightRequestsOnShutdown) {
   in_flight.join();
 }
 
+// Several clients at once on the default two event loops. Six threads
+// run closed-loop distance and path queries, each answer checked against
+// Dijkstra; then four threads keep sending while an admin connection
+// sends SHUTDOWN, and every request gets a reply: an answer or a
+// SHUTTING_DOWN refusal. A clean close between requests is the only
+// other way a connection may end.
+TEST(QueryServer, ConcurrentClientsAreAnsweredAndDrainedWithoutDrops) {
+  const Graph g = TestNetwork(1200, 42);
+  const ChIndex ch(g);
+  QueryServer server(ch, wire::TechniqueId("ch"), g.NumVertices(), {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const uint16_t port = server.Port();
+
+  struct Tally {
+    uint64_t answered = 0;
+    uint64_t mismatches = 0;
+    uint64_t refused = 0;       // SHUTTING_DOWN replies
+    uint64_t closed = 0;        // clean close between requests
+    uint64_t failures = 0;      // transport errors and other statuses
+    std::string first_failure;  // what went wrong first, for the message
+  };
+  // Sends alternating distance and path queries until `limit` are
+  // answered or the drain refuses one; checks every answer.
+  auto drive = [&](uint64_t seed, size_t limit, std::atomic<size_t>* live,
+                   Tally* tally) {
+    auto fail = [tally](const std::string& what) {
+      if (tally->failures++ == 0) tally->first_failure = what;
+    };
+    std::string err;
+    auto client = BlockingClient::Connect("127.0.0.1", port, &err);
+    if (client == nullptr) return fail("connect: " + err);
+    Dijkstra oracle(g);
+    Rng rng(seed);
+    for (size_t i = 0; i < limit; ++i) {
+      wire::QueryRequest req;
+      req.kind = i % 2 == 0 ? wire::QueryKind::kDistance
+                            : wire::QueryKind::kPath;
+      req.source = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
+      req.target = static_cast<VertexId>(rng.NextBelow(g.NumVertices()));
+      wire::QueryResponse resp;
+      if (!client->Query(req, &resp, &err)) {
+        if (err == "server closed the connection") {
+          ++tally->closed;
+        } else {
+          fail("request " + std::to_string(i) + ": " + err);
+        }
+        return;
+      }
+      if (resp.status == wire::Status::kShuttingDown) {
+        ++tally->refused;
+        return;
+      }
+      if (resp.status != wire::Status::kOk &&
+          resp.status != wire::Status::kUnreachable) {
+        return fail(std::string("status ") + wire::StatusName(resp.status));
+      }
+      const Distance truth = oracle.Run(req.source, req.target);
+      const Distance got =
+          resp.status == wire::Status::kOk ? resp.distance : kInfDistance;
+      bool right = got == truth;
+      if (right && truth != kInfDistance &&
+          req.kind == wire::QueryKind::kPath) {
+        right = !resp.path.empty() && resp.path.front() == req.source &&
+                resp.path.back() == req.target &&
+                IsValidPath(g, resp.path) && PathWeight(g, resp.path) == truth;
+      }
+      if (!right) ++tally->mismatches;
+      ++tally->answered;
+      if (live != nullptr) live->fetch_add(1);
+    }
+  };
+
+  constexpr size_t kClients = 6;
+  constexpr size_t kQueries = 150;
+  std::vector<Tally> served(kClients);
+  {
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kClients; ++c) {
+      threads.emplace_back(drive, 100 + c, kQueries, nullptr, &served[c]);
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (size_t c = 0; c < kClients; ++c) {
+    SCOPED_TRACE("client " + std::to_string(c));
+    EXPECT_EQ(served[c].failures, 0u) << served[c].first_failure;
+    EXPECT_EQ(served[c].answered, kQueries);
+    EXPECT_EQ(served[c].mismatches, 0u);
+  }
+
+  constexpr size_t kDrainClients = 4;
+  std::vector<Tally> drained(kDrainClients);
+  std::atomic<size_t> answered{0};
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kDrainClients; ++c) {
+    threads.emplace_back(drive, 200 + c, size_t{1} << 20, &answered,
+                         &drained[c]);
+  }
+  // Let traffic build, then pull the plug from an admin connection.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (answered.load() < 20 * kDrainClients &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto admin = MustConnect(port);
+  const bool requested =
+      admin != nullptr && admin->SendShutdown(&error) &&
+      server.WaitForShutdownRequest(std::chrono::milliseconds(2000));
+  EXPECT_TRUE(requested) << error;
+  // The clients stop at their first refusal. Without a drain to refuse
+  // them they would not, so then the server is stopped under them.
+  if (!requested) server.Shutdown();
+  for (std::thread& t : threads) t.join();
+  server.Shutdown();
+
+  EXPECT_GE(answered.load(), 20 * kDrainClients);
+  for (size_t c = 0; c < kDrainClients; ++c) {
+    SCOPED_TRACE("draining client " + std::to_string(c));
+    EXPECT_EQ(drained[c].failures, 0u) << drained[c].first_failure;
+    EXPECT_EQ(drained[c].mismatches, 0u);
+    EXPECT_EQ(drained[c].refused + drained[c].closed, 1u);
+  }
+}
+
 TEST(QueryServer, StatsCountServedQueries) {
   const Graph g = TestNetwork(200, 13);
   BidirectionalDijkstra index(g);
@@ -657,7 +784,6 @@ TEST(QueryServer, EnforcesConnectionCap) {
 }
 
 TEST(QueryServer, TracedRunWritesJsonlAndServesStageStats) {
-  if constexpr (!kTracingCompiledIn) GTEST_SKIP();
   const Graph g = TestNetwork(200, 21);
   BidirectionalDijkstra index(g);
   ServerOptions options;
@@ -762,7 +888,6 @@ TEST(QueryServer, PathRequestRunsOneSearch) {
   // A QUERY2 path request is answered by one PathQuery: its traced
   // counters are exactly a standalone CH path query's, and the reply's
   // distance is the one that query reported.
-  if constexpr (!kTracingCompiledIn) GTEST_SKIP();
   const Graph g = TestNetwork(400, 3);
   ChIndex ch(g);
   const auto ctx = ch.NewContext();
@@ -810,7 +935,6 @@ TEST(QueryServer, PathRequestRunsOneSearch) {
 }
 
 TEST(QueryServer, TraceConfigOverWireTakesEffect) {
-  if constexpr (!kTracingCompiledIn) GTEST_SKIP();
   const Graph g = TestNetwork(200, 23);
   BidirectionalDijkstra index(g);
   // Tracing starts OFF (defaults): requests run untraced.

@@ -38,7 +38,7 @@ namespace roadnet::lint {
 // One diagnostic. `waived` findings are reported but do not fail the
 // run; the waiver's reason is carried for the report.
 struct Finding {
-  std::string rule_id;    // "R1".."R12", or "W1" for waiver misuse
+  std::string rule_id;    // "R1".."R12" (R6 retired), or "W1" (waivers)
   std::string rule_name;  // kebab-case, e.g. "no-find-edge"
   std::string file;       // path as scanned (relative to the lint root)
   int line = 0;           // 1-based
@@ -79,7 +79,8 @@ class Rule {
   virtual void Scan(const SourceFile& f, std::vector<Finding>* out) const = 0;
 };
 
-// The repo rules, R1..R12 (see rules.cc for the catalog).
+// The repo rules, R1..R12 without the retired R6 (see rules.cc for
+// the catalog).
 std::vector<std::unique_ptr<Rule>> BuildAllRules();
 
 struct LintResult {

@@ -550,62 +550,6 @@ class DeterministicRandomRule : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// R6: counter increments go through the guarded API.
-//
-// Grounding: ROADNET_DISABLE_COUNTERS must compile every increment away
-// (DESIGN.md's <=5% overhead contract is verified against that build).
-// A raw `counters.vertices_settled += 1` bypasses the `if constexpr`
-// guard in the Settle()/RelaxEdge()/... helpers and survives the
-// no-counters build, silently re-adding hot-path work.
-class CounterGuardRule : public Rule {
- public:
-  std::string Id() const override { return "R6"; }
-  std::string Name() const override { return "counter-guarded-increment"; }
-  std::string Description() const override {
-    return "QueryCounters fields are written only through the "
-           "ROADNET_DISABLE_COUNTERS-guarded helpers (Settle(), "
-           "RelaxEdge(), ...), never by direct field writes";
-  }
-  bool AppliesTo(const SourceFile& f) const override {
-    if (f.path == "src/obs/query_counters.h") return false;  // the API itself
-    return PathStartsWith(f, "src/") || PathStartsWith(f, "bench/");
-  }
-  void Scan(const SourceFile& f, std::vector<Finding>* out) const override {
-    static const char* kFields[] = {
-        "vertices_settled", "edges_relaxed",      "heap_pushes",
-        "heap_pops",        "shortcuts_unpacked", "edge_searches",
-        "table_lookups",    "tree_lookups"};
-    for (const char* field : kFields) {
-      ForEachWord(f.code, field, [&](size_t li, size_t col) {
-        const std::string& line = f.code[li];
-        if (col == 0) return;
-        const char prev = line[col - 1];
-        const bool member_access =
-            prev == '.' || (prev == '>' && col >= 2 && line[col - 2] == '-');
-        if (!member_access) return;
-        size_t p = SkipSpaces(line, col + std::string(field).size());
-        if (p >= line.size()) return;
-        bool write = false;
-        if (line.compare(p, 2, "+=") == 0 || line.compare(p, 2, "-=") == 0 ||
-            line.compare(p, 2, "++") == 0 || line.compare(p, 2, "--") == 0) {
-          write = true;
-        } else if (line[p] == '=' &&
-                   (p + 1 >= line.size() || line[p + 1] != '=')) {
-          write = true;
-        }
-        if (!write) return;
-        out->push_back(MakeFinding(
-            static_cast<int>(li) + 1,
-            std::string("direct write to QueryCounters::") + field +
-                "; use the guarded increment API (counters.Settle(), "
-                ".RelaxEdge(), ...) so ROADNET_DISABLE_COUNTERS "
-                "compiles it away"));
-      });
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // R7: include hygiene.
 //
 // Grounding: <bits/...> headers are libstdc++ internals (non-portable,
@@ -1156,7 +1100,6 @@ std::vector<std::unique_ptr<Rule>> BuildAllRules() {
   rules.push_back(std::make_unique<ContextQueryApiRule>());
   rules.push_back(std::make_unique<NotifyUnderLockRule>());
   rules.push_back(std::make_unique<DeterministicRandomRule>());
-  rules.push_back(std::make_unique<CounterGuardRule>());
   rules.push_back(std::make_unique<IncludeHygieneRule>());
   rules.push_back(std::make_unique<SteadyClockTimingRule>());
   rules.push_back(std::make_unique<PoiKnnSeededRandomRule>());
