@@ -12,10 +12,13 @@
 // Exits nonzero if any distance or path length disagrees between HL and
 // CH, if HL is not faster than CH on the aggregate Q6..Q10 distance
 // workload of the largest dataset, if building the labels of the
-// largest dataset takes longer than the contraction they start from, or
-// if the serialized hierarchy of FL' or W-US' is not the pinned one —
-// the regression gates scripts/check.sh runs.
+// largest dataset takes longer than the contraction they start from, if
+// the largest dataset's labels keep more bytes than their two-tier
+// layout needs (6 per entry, references and block slack), or if the
+// serialized hierarchy of FL' or W-US' is not the pinned one — the
+// regression gates scripts/check.sh runs.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
@@ -77,6 +80,7 @@ int main(int argc, char** argv) {
 
   bool gate_failed = false;
   bool build_gate_failed = false;
+  bool space_gate_failed = false;
   bool hierarchy_gate_failed = false;
   for (size_t di = 0; di < specs.size(); ++di) {
     const DatasetSpec& spec = specs[di];
@@ -169,12 +173,40 @@ int main(int argc, char** argv) {
     std::printf("space: labels %.2f MiB vs CH %.2f MiB (%.2fx)\n",
                 BytesToMiB(hl.LabelBytes()), BytesToMiB(ch.IndexBytes()),
                 label_bytes / ch_bytes);
+    // The space gate. A high-tier entry takes 6 bytes (a u16 hub, a u32
+    // distance); a low-tier one 2 more, and a label with a low tier 4
+    // more for its count; each vertex has an 8-byte reference. The blocks
+    // add the last block's empty tail, under one block, and per block
+    // the tail it skipped, under the longest run, plus its table entry.
+    size_t low_entries = 0;
+    size_t low_labels = 0;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      const size_t low = hl.Label(v).low_size();
+      low_entries += low;
+      low_labels += low > 0 ? 1 : 0;
+    }
+    const size_t entry_bytes =
+        6 * hl.NumLabelEntries() + 2 * low_entries + 4 * low_labels;
+    const size_t block_bytes = HlIndex::kBlockSlots * sizeof(uint16_t);
+    const size_t longest_run = 8 * hl.MaxLabelEntries() + 4;
+    const size_t blocks = entry_bytes / (block_bytes - longest_run) + 1;
+    const size_t space_bound = entry_bytes + 8 * size_t{g.NumVertices()} +
+                               block_bytes +
+                               blocks * (longest_run + 2 * sizeof(void*));
+    const double high_share =
+        1.0 - static_cast<double>(low_entries) /
+                  static_cast<double>(hl.NumLabelEntries());
+    std::printf("labels: %zu B against a %zu B bound; %.1f%% of entries in "
+                "the top 2^16 ranks\n",
+                hl.LabelBytes(), space_bound, 100.0 * high_share);
+    if (largest && hl.LabelBytes() > space_bound) space_gate_failed = true;
     metrics.Add("hl_label_bytes", label_bytes, {{"dataset", spec.name}});
     metrics.Add("hl_ch_index_bytes", ch_bytes, {{"dataset", spec.name}});
     metrics.Add("hl_space_ratio", label_bytes / ch_bytes,
                 {{"dataset", spec.name}});
     metrics.Add("hl_avg_label_entries", hl.AvgLabelEntries(),
                 {{"dataset", spec.name}});
+    metrics.Add("hl_high_tier_share", high_share, {{"dataset", spec.name}});
     metrics.Add("hl_max_label_entries",
                 static_cast<double>(hl.MaxLabelEntries()),
                 {{"dataset", spec.name}});
@@ -198,5 +230,13 @@ int main(int argc, char** argv) {
                  "FAIL: the label build took longer than the contraction "
                  "on the largest dataset\n");
   }
-  return gate_failed || build_gate_failed || hierarchy_gate_failed ? 1 : 0;
+  if (space_gate_failed) {
+    std::fprintf(stderr,
+                 "FAIL: the largest dataset's labels keep more bytes than "
+                 "6 per entry, the references and block slack\n");
+  }
+  return gate_failed || build_gate_failed || space_gate_failed ||
+                 hierarchy_gate_failed
+             ? 1
+             : 0;
 }

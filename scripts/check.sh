@@ -91,8 +91,9 @@ stage_smoke() {
   echo "==> HL bench: label merge vs CH search (quick gate)"
   # Exits nonzero if HL disagrees with CH on any distance, if the label
   # merge is not faster than the rank-SoA CH core on the Q6..Q10 workload
-  # of the largest quick dataset, or if building that dataset's labels
-  # takes longer than its contraction.
+  # of the largest quick dataset, if building that dataset's labels takes
+  # longer than its contraction, or if they keep more than 6 bytes per
+  # entry plus the references and block slack.
   build/bench/bench_hl --quick --out "$SMOKE/BENCH_hl.json" >/dev/null
   python3 scripts/validate_metrics.py "$SMOKE/BENCH_hl.json"
 

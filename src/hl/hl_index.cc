@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -21,12 +22,15 @@ constexpr uint32_t kHlVersion = 1;
 
 }  // namespace
 
-HlIndex::HlIndex(const Graph& g, const ChIndex& ch) : graph_(g), ch_(&ch) {
+HlIndex::HlIndex(const Graph& g, const ChIndex& ch)
+    : HlIndex(g, ch, DeserializeTag{}) {
   BuildLabels();
 }
 
 HlIndex::HlIndex(const Graph& g, const ChIndex& ch, DeserializeTag)
-    : graph_(g), ch_(&ch) {}
+    : graph_(g),
+      ch_(&ch),
+      base_(std::max(g.NumVertices(), kHighTierRanks) - kHighTierRanks) {}
 
 std::unique_ptr<HlIndex> HlIndex::BuildOwning(
     const Graph& g, std::unique_ptr<const ChIndex> ch) {
@@ -57,7 +61,7 @@ void HlIndex::BuildLabels() {
     cand[r] = 0;
     touched.push_back(r);
     for (const ChIndex::HotArc& arc : ch_->UpwardArcs(r)) {
-      for (const HubEntry& e : rank_label(arc.target)) {
+      for (const HubEntry e : rank_label(arc.target)) {
         const Distance d = Distance{e.dist} + arc.weight;
         Distance& c = cand[e.hub];
         if (c == kInfDistance) touched.push_back(e.hub);
@@ -73,7 +77,7 @@ void HlIndex::BuildLabels() {
       const Distance d = cand[h];
       bool exact = true;
       if (h != r) {
-        for (const HubEntry& e : rank_label(h)) {
+        for (const HubEntry e : rank_label(h)) {
           const Distance via = cand[e.hub];
           if (via < d && via + e.dist < d) {
             exact = false;
@@ -100,35 +104,60 @@ void HlIndex::BuildLabels() {
               [](const HubEntry& a, const HubEntry& b) {
                 return a.hub < b.hub;
               });
-    LabelRef& ref = refs_[ch_->VertexAtRank(r)];
-    if (!NewRun(static_cast<uint32_t>(label.size()), &ref)) {
+    if (!StoreLabel(label, &refs_[ch_->VertexAtRank(r)])) {
       std::fprintf(stderr,
                    "HlIndex: %zu label entries fill more blocks than a label "
                    "reference can name\n",
                    num_entries_);
       std::abort();
     }
-    std::copy(label.begin(), label.end(), RunStart(ref));
   }
 }
 
-bool HlIndex::NewRun(uint32_t length, LabelRef* ref) {
+bool HlIndex::StoreLabel(std::span<const HubEntry> label, LabelRef* ref) {
+  if (label.size() >= kHasLowTier) return false;
+  const uint32_t size = static_cast<uint32_t>(label.size());
+  // Hubs ascend, so the low tier is a prefix.
+  const auto is_low = [this](const HubEntry& e) { return e.hub < base_; };
+  const uint32_t low = static_cast<uint32_t>(
+      std::partition_point(label.begin(), label.end(), is_low) -
+      label.begin());
+  // A u32 takes 2 slots: the low-tier count if there is a low tier, a
+  // rank per low-tier hub, an offset per high-tier hub, a distance each.
+  const size_t slots = (low > 0 ? 2 : 0) + 2 * size_t{low} +
+                       (size - low) + 2 * size_t{size};
+  if (!NewRun(slots, &ref->run)) return false;
+  ref->length = size | (low > 0 ? kHasLowTier : 0);
+  uint16_t* out = RunStart(ref->run);
+  auto store_u32 = [&out](uint32_t value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += 2;
+  };
+  if (low > 0) store_u32(low);
+  for (uint32_t i = 0; i < low; ++i) store_u32(label[i].hub);
+  for (uint32_t i = low; i < size; ++i) {
+    *out++ = static_cast<uint16_t>(label[i].hub - base_);
+  }
+  for (const HubEntry& e : label) store_u32(e.dist);
+  num_entries_ += size;
+  return true;
+}
+
+bool HlIndex::NewRun(size_t slots, uint32_t* run) {
   // Every label holds its self-hub, so a run is never empty, and a run
-  // that fits a 64 KiB block starts at a slot below kBlockEntries.
-  assert(length > 0);
-  if (length > last_block_capacity_ - last_block_used_) {
+  // that fits a 64 KiB block starts at a slot below kBlockSlots.
+  assert(slots > 0);
+  if (slots > last_block_capacity_ - last_block_used_) {
     if (blocks_.size() == kMaxBlocks) return false;
-    const uint32_t capacity = std::max(kBlockEntries, length);
-    blocks_.push_back(std::make_unique_for_overwrite<HubEntry[]>(capacity));
+    const size_t capacity = std::max<size_t>(kBlockSlots, slots);
+    blocks_.push_back(std::make_unique_for_overwrite<uint16_t[]>(capacity));
     capacity_ += capacity;
     last_block_capacity_ = capacity;
     last_block_used_ = 0;
   }
-  ref->run = static_cast<uint32_t>((blocks_.size() - 1) << kBlockBits) |
-             last_block_used_;
-  ref->length = length;
-  last_block_used_ += length;
-  num_entries_ += length;
+  *run = static_cast<uint32_t>(((blocks_.size() - 1) << kBlockBits) |
+                               last_block_used_);
+  last_block_used_ += slots;
   return true;
 }
 
@@ -136,29 +165,74 @@ std::unique_ptr<QueryContext> HlIndex::NewContext() const {
   return std::make_unique<Context>();
 }
 
+namespace {
+
+using hl_internal::LoadU32;
+
+// One tier of the merge: walks two ascending hub arrays, whose hubs take
+// kHubSlots 16-bit slots each (2: low-tier ranks, 1: high-tier offsets),
+// while both have entries left, and lowers *best over the hubs they
+// share. dist_a and dist_b hold the tier's u32 distances.
+template <int kHubSlots>
+void MergeTier(const uint16_t* hubs_a, const uint16_t* dist_a, uint32_t na,
+               const uint16_t* hubs_b, const uint16_t* dist_b, uint32_t nb,
+               uint32_t* i, uint32_t* j, Distance* best) {
+  auto hub = [](const uint16_t* hubs, uint32_t k) -> uint32_t {
+    if constexpr (kHubSlots == 1) {
+      return hubs[k];
+    } else {
+      return LoadU32(hubs + 2 * k);
+    }
+  };
+  while (*i < na && *j < nb) {
+    const uint32_t ha = hub(hubs_a, *i);
+    const uint32_t hb = hub(hubs_b, *j);
+    if (ha == hb) {
+      const Distance d =
+          Distance{LoadU32(dist_a + 2 * *i)} + LoadU32(dist_b + 2 * *j);
+      if (d < *best) *best = d;
+      ++*i;
+      ++*j;
+    } else if (ha < hb) {
+      ++*i;
+    } else {
+      ++*j;
+    }
+  }
+}
+
+}  // namespace
+
 Distance HlIndex::DistanceQuery(QueryContext* ctx, VertexId s,
                                 VertexId t) const {
   ctx->counters.Reset();
-  const std::span<const HubEntry> a = Label(s);
-  const std::span<const HubEntry> b = Label(t);
+  const LabelView a = Label(s);
+  const LabelView b = Label(t);
+  const LabelView::Tiers& ta = a.tiers_;
+  const LabelView::Tiers& tb = b.tiers_;
   Distance best = kInfDistance;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const uint32_t ha = a[i].hub;
-    const uint32_t hb = b[j].hub;
-    if (ha == hb) {
-      const Distance d = Distance{a[i].dist} + Distance{b[j].dist};
-      if (d < best) best = d;
-      ++i;
-      ++j;
-    } else if (ha < hb) {
-      ++i;
-    } else {
-      ++j;
-    }
+  // Every low-tier hub ranks below every high-tier one, so merging the
+  // low tiers and then the high tiers is the merge of the whole labels,
+  // and it scans the same entries.
+  uint32_t i = 0;
+  uint32_t j = 0;
+  MergeTier<2>(ta.hubs, ta.dist, ta.low, tb.hubs, tb.dist, tb.low, &i, &j,
+               &best);
+  // A label whose low tier ran out steps on to its high tier, which ranks
+  // above the other label's remaining low entries: those are scanned
+  // past. A label with no high tier ends the merge.
+  if (i == ta.low && a.size_ > ta.low) j = tb.low;
+  if (j == tb.low && b.size_ > tb.low) i = ta.low;
+  size_t scanned = i + j;
+  if (i == ta.low && j == tb.low) {
+    i = 0;
+    j = 0;
+    MergeTier<1>(ta.high(), ta.dist + 2 * ta.low, a.size_ - ta.low,
+                 tb.high(), tb.dist + 2 * tb.low, b.size_ - tb.low, &i, &j,
+                 &best);
+    scanned += i + j;
   }
-  ctx->counters.TableLookup(i + j);
+  ctx->counters.TableLookup(scanned);
   return best;
 }
 
@@ -182,21 +256,22 @@ size_t HlIndex::IndexBytes() const {
 
 size_t HlIndex::LabelBytes() const {
   return VectorBytes(refs_) + VectorBytes(blocks_) +
-         capacity_ * sizeof(HubEntry);
+         capacity_ * sizeof(uint16_t);
 }
 
 size_t HlIndex::MaxLabelEntries() const {
   size_t max_entries = 0;
   for (const LabelRef& ref : refs_) {
-    max_entries = std::max<size_t>(max_entries, ref.length);
+    max_entries = std::max<size_t>(max_entries, ref.size());
   }
   return max_entries;
 }
 
 // Format v1 payload: u32 n, the n + 1 u64 CSR offsets of the labels by
 // external id, then the labels in external-id order as one
-// length-prefixed vector of entries. Streamed label by label, so writing
-// a file holds no copy of the payload in memory.
+// length-prefixed vector of 8-byte {u32 hub rank, u32 distance} entries,
+// whatever the tier. Streamed label by label, so writing a file holds no
+// copy of the payload in memory, only one widened label.
 void HlIndex::Serialize(std::ostream& out) const {
   WriteMagic(out, kHlMagic);
   WriteScalar<uint32_t>(out, kHlVersion);
@@ -210,13 +285,15 @@ void HlIndex::Serialize(std::ostream& out) const {
   uint64_t offset = 0;
   payload.AppendScalar<uint64_t>(offset);
   for (const LabelRef& ref : refs_) {
-    offset += ref.length;
+    offset += ref.size();
     payload.AppendScalar<uint64_t>(offset);
   }
   payload.AppendScalar<uint64_t>(num_entries_);
+  std::vector<HubEntry> label;
   for (VertexId v = 0; v < n; ++v) {
-    const std::span<const HubEntry> label = Label(v);
-    payload.Append(label.data(), label.size_bytes());
+    label.clear();
+    for (const HubEntry e : Label(v)) label.push_back(e);
+    payload.Append(label.data(), label.size() * sizeof(HubEntry));
   }
   payload.Finish();
 }
@@ -268,45 +345,41 @@ std::unique_ptr<HlIndex> HlIndex::Deserialize(const Graph& g,
   }
   // Lay the labels out as the build does, highest rank first, so a
   // restored index holds the same blocks (and LabelBytes()) as a built
-  // one; each label is read from the file straight into its block.
+  // one. Each label is read from the file, checked, and narrowed into its
+  // run.
   std::unique_ptr<HlIndex> index(new HlIndex(g, ch, DeserializeTag{}));
   index->refs_.resize(n);
+  std::vector<HubEntry> label;
   for (uint32_t r = n; r-- > 0;) {
     const VertexId v = ch.VertexAtRank(r);
     const uint64_t length = offsets[v + 1] - offsets[v];
-    // A label holds its self-hub and distinct hub ranks below n; the
-    // scan below checks the rest.
+    // A label holds its self-hub and distinct hub ranks below n.
     if (length == 0) {
       return fail("hl: label is missing its self-hub (wrong hierarchy?)");
     }
     if (length > n) return fail("hl: label is longer than the vertex count");
-    LabelRef& ref = index->refs_[v];
-    if (!index->NewRun(static_cast<uint32_t>(length), &ref)) {
-      return fail("hl: bad label block");
-    }
+    label.resize(length);
     body.seekg(labels_at +
                static_cast<std::streamoff>(offsets[v] * sizeof(HubEntry)));
-    body.read(reinterpret_cast<char*>(index->RunStart(ref)),
+    body.read(reinterpret_cast<char*>(label.data()),
               static_cast<std::streamsize>(length * sizeof(HubEntry)));
-  }
-  if (!body) return fail("hl: bad label block");
-  for (uint32_t v = 0; v < n; ++v) {
-    const std::span<const HubEntry> label = index->Label(v);
+    if (!body) return fail("hl: bad label block");
     bool has_self = false;
-    uint32_t prev_hub = 0;
     for (size_t i = 0; i < label.size(); ++i) {
       if (label[i].hub >= n) return fail("hl: hub rank out of range");
-      if (i > 0 && label[i].hub <= prev_hub) {
+      if (i > 0 && label[i].hub <= label[i - 1].hub) {
         return fail("hl: label hubs are not strictly ascending");
       }
-      prev_hub = label[i].hub;
-      if (label[i].hub == ch.RankOf(v)) {
+      if (label[i].hub == r) {
         if (label[i].dist != 0) return fail("hl: self-hub distance not zero");
         has_self = true;
       }
     }
     if (!has_self) {
       return fail("hl: label is missing its self-hub (wrong hierarchy?)");
+    }
+    if (!index->StoreLabel(label, &index->refs_[v])) {
+      return fail("hl: bad label block");
     }
   }
   return index;

@@ -2,7 +2,9 @@
 #define ROADNET_HL_HL_INDEX_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -15,6 +17,18 @@
 #include "routing/path_index.h"
 
 namespace roadnet {
+
+namespace hl_internal {
+
+// A label run stores each u32 in two 16-bit slots, so it may sit at any
+// 2-byte boundary.
+inline uint32_t LoadU32(const uint16_t* p) {
+  uint32_t value = 0;
+  std::memcpy(&value, p, sizeof(value));
+  return value;
+}
+
+}  // namespace hl_internal
 
 // Hub labeling over a finished contraction hierarchy (Abraham et al.
 // 2011; Zhu et al.'s "Towards Bridging Theory and Practice" is the
@@ -35,11 +49,17 @@ namespace roadnet {
 // A distance query is a single merge-intersection of the two labels —
 // no heap, no graph traversal, no scattered loads: hubs are stored as
 // contraction ranks in strictly ascending order, each label one
-// contiguous run of 8-byte {hub rank, distance} entries, so the merge
-// streams two runs and takes min(d(s,h) + d(h,t)) over common hubs h.
-// The runs sit in fixed-size blocks that never move (kBlockEntries):
-// construction appends each finished label to the last block once, and
-// an index restored from a file lays its labels out the same way.
+// contiguous run, so the merge streams two runs and takes
+// min(d(s,h) + d(h,t)) over common hubs h. A run holds the label's hub
+// array and then its u32 distances. The hub array has two tiers: a hub
+// among the top 2^16 ranks (kHighTierRanks), where almost every entry
+// of a road network's labels lies, is a u16 offset from
+// max(0, n - 2^16), and any lower hub is a u32 rank, stored before
+// them. A high-tier entry costs 6 bytes, and on graphs of at most 2^16
+// vertices every entry is one. The runs sit in fixed-size blocks that
+// never move (kBlockSlots): construction appends each finished label to
+// the last block once, and an index restored from a file lays its labels
+// out the same way.
 //
 // The index is immutable after construction and holds no query scratch
 // at all; the per-thread HlContext exists to carry QueryCounters and the
@@ -57,6 +77,68 @@ class HlIndex : public PathIndex {
   struct HubEntry {
     uint32_t hub;
     uint32_t dist;
+  };
+
+  // Hub ranks n - kHighTierRanks .. n - 1 (all of them when n is at most
+  // kHighTierRanks) form the high tier, stored as 16-bit offsets.
+  static constexpr uint32_t kHighTierRanks = uint32_t{1} << 16;
+
+  // A stored label, read as HubEntry values in ascending hub-rank order:
+  // the low tier's entries, then the high tier's. Cheap to copy; it and
+  // its iterators are valid as long as the index is.
+  class LabelView {
+    // Where a label's tiers are: the low tier's u32 ranks (2 slots each),
+    // then the high tier's offsets from `base`; `dist` holds the u32
+    // distances.
+    struct Tiers {
+      const uint16_t* hubs = nullptr;
+      const uint16_t* dist = nullptr;
+      uint32_t base = 0;
+      uint32_t low = 0;
+
+      const uint16_t* high() const { return hubs + 2 * low; }
+      HubEntry At(size_t i) const {
+        const uint32_t hub = i < low ? hl_internal::LoadU32(hubs + 2 * i)
+                                     : base + high()[i - low];
+        return {hub, hl_internal::LoadU32(dist + 2 * i)};
+      }
+    };
+
+   public:
+    class Iterator {
+     public:
+      HubEntry operator*() const { return tiers_.At(i_); }
+      Iterator& operator++() {
+        ++i_;
+        return *this;
+      }
+      bool operator==(const Iterator& o) const { return i_ == o.i_; }
+
+     private:
+      friend class LabelView;
+      Iterator(Tiers tiers, uint32_t i) : tiers_(tiers), i_(i) {}
+      Tiers tiers_;
+      uint32_t i_;
+    };
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    // Entries whose hub lies below the high tier; they come first.
+    size_t low_size() const { return tiers_.low; }
+    HubEntry operator[](size_t i) const { return tiers_.At(i); }
+    Iterator begin() const { return {tiers_, 0}; }
+    Iterator end() const { return {tiers_, size_}; }
+    // The 16-bit slots of the label's run in its block: the low-tier
+    // count (only if the label has a low tier), the hubs, the distances.
+    std::span<const uint16_t> run() const {
+      const uint16_t* first = tiers_.low > 0 ? tiers_.hubs - 2 : tiers_.hubs;
+      return {first, static_cast<size_t>(tiers_.dist + 2 * size_ - first)};
+    }
+
+   private:
+    friend class HlIndex;
+    Tiers tiers_;
+    uint32_t size_ = 0;
   };
 
   // Builds labels from ch, which must be built over g and outlive the
@@ -106,17 +188,14 @@ class HlIndex : public PathIndex {
 
   // The label of v: {hub rank, distance} entries, hub ranks strictly
   // ascending. Every label contains v itself (dist 0).
-  std::span<const HubEntry> Label(VertexId v) const {
-    const LabelRef ref = refs_[v];
-    return {RunStart(ref), ref.length};
-  }
+  LabelView Label(VertexId v) const { return View(refs_[v]); }
 
-  // Entries per label block (64 KiB). Labels are appended highest rank
-  // first; a label that does not fit the room left in the last block
-  // opens a new block, of kBlockEntries or of the label's own length if
+  // 16-bit slots per label block (64 KiB). Labels are appended highest
+  // rank first; a label whose run does not fit the room left in the last
+  // block opens a new block, of kBlockSlots or of the run's own length if
   // that is longer, and the old block's tail stays empty. Blocks never
   // move, so no label is copied after it is written.
-  static constexpr uint32_t kBlockEntries = uint32_t{1} << 13;
+  static constexpr uint32_t kBlockSlots = uint32_t{1} << 15;
 
   const ChIndex& Hierarchy() const { return *ch_; }
 
@@ -130,14 +209,18 @@ class HlIndex : public PathIndex {
   };
 
   // Where a label lives: `run` packs its block's index (high bits) and
-  // the slot of its first entry in that block (low kBlockBits bits);
-  // `length` counts its entries. 8 bytes per vertex, as a CSR offset
-  // would take.
+  // the slot its run starts at in that block (low kBlockBits bits);
+  // `length` counts its entries, and its top bit (kHasLowTier) marks a
+  // run that starts with its low-tier count (u32). 8 bytes per vertex,
+  // as a CSR offset would take.
+  static constexpr uint32_t kHasLowTier = uint32_t{1} << 31;
   struct LabelRef {
     uint32_t run;
     uint32_t length;
+
+    uint32_t size() const { return length & ~kHasLowTier; }
   };
-  static constexpr uint32_t kBlockBits = std::countr_zero(kBlockEntries);
+  static constexpr uint32_t kBlockBits = std::countr_zero(kBlockSlots);
   static constexpr size_t kMaxBlocks = size_t{1} << (32 - kBlockBits);
 
   // Deserialization constructor: arrays filled by the factory.
@@ -148,14 +231,32 @@ class HlIndex : public PathIndex {
   // hierarchy's upward arcs.
   void BuildLabels();
 
-  // Reserves room for the next label of `length` entries (see
-  // kBlockEntries) and points *ref at it. Returns false only when the
-  // blocks would outgrow what `run` can name (2^19 blocks).
-  bool NewRun(uint32_t length, LabelRef* ref);
+  // Writes `label` (hub ranks strictly ascending, each below n) as the
+  // next run and points *ref at it. Returns false only when the blocks
+  // would outgrow what `run` can name (2^17 blocks) or the label what
+  // `length` can count.
+  bool StoreLabel(std::span<const HubEntry> label, LabelRef* ref);
 
-  HubEntry* RunStart(LabelRef ref) const {
-    return blocks_[ref.run >> kBlockBits].get() +
-           (ref.run & (kBlockEntries - 1));
+  // Reserves the next `slots` slots (see kBlockSlots) and returns where
+  // they start, packed as LabelRef::run; false if no block can be added.
+  bool NewRun(size_t slots, uint32_t* run);
+
+  uint16_t* RunStart(uint32_t run) const {
+    return blocks_[run >> kBlockBits].get() + (run & (kBlockSlots - 1));
+  }
+
+  LabelView View(LabelRef ref) const {
+    LabelView view;
+    LabelView::Tiers& tiers = view.tiers_;
+    tiers.hubs = RunStart(ref.run);
+    tiers.base = base_;
+    if ((ref.length & kHasLowTier) != 0) {
+      tiers.low = hl_internal::LoadU32(tiers.hubs);
+      tiers.hubs += 2;
+    }
+    view.size_ = ref.size();
+    tiers.dist = tiers.high() + (view.size_ - tiers.low);
+    return view;
   }
 
   const Graph& graph_;
@@ -166,12 +267,14 @@ class HlIndex : public PathIndex {
   // array lookup beats a rank translation here because the label run is
   // the only thing the query touches).
   std::vector<LabelRef> refs_;
-  std::vector<std::unique_ptr<HubEntry[]>> blocks_;
-  // Entries all blocks have room for; the last block's size and its
-  // first free slot.
+  // The lowest high-tier rank: max(0, n - kHighTierRanks).
+  uint32_t base_;
+  std::vector<std::unique_ptr<uint16_t[]>> blocks_;
+  // Slots all blocks have room for; the last block's size and its first
+  // free slot.
   size_t capacity_ = 0;
-  uint32_t last_block_capacity_ = 0;
-  uint32_t last_block_used_ = 0;
+  size_t last_block_capacity_ = 0;
+  size_t last_block_used_ = 0;
   size_t num_entries_ = 0;
 };
 

@@ -1,7 +1,11 @@
 #include "hl/hl_index.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -40,6 +44,46 @@ uint64_t Fingerprint(const HlIndex& hl, uint32_t n) {
     }
   }
   return h;
+}
+
+// The merge of two labels read as one ascending sequence each, as the
+// index merged them before the tiers: the shortest distance over their
+// common hubs and the entries scanned, which the tiered merge must
+// reproduce.
+std::pair<Distance, uint64_t> WholeLabelMerge(const HlIndex::LabelView& a,
+                                              const HlIndex::LabelView& b) {
+  Distance best = kInfDistance;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const HlIndex::HubEntry ea = a[i];
+    const HlIndex::HubEntry eb = b[j];
+    if (ea.hub == eb.hub) {
+      best = std::min(best, Distance{ea.dist} + eb.dist);
+      ++i;
+      ++j;
+    } else if (ea.hub < eb.hub) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return {best, i + j};
+}
+
+// Format v1 of `offsets` and `entries`: the file header, then the
+// checksummed payload.
+std::string V1File(uint32_t n, const std::vector<uint64_t>& offsets,
+                   const std::vector<HlIndex::HubEntry>& entries) {
+  std::ostringstream payload;
+  WriteScalar<uint32_t>(payload, n);
+  WriteVector(payload, offsets);
+  WriteVector(payload, entries);
+  std::ostringstream file;
+  file.write("RNETHLIX", 8);
+  WriteScalar<uint32_t>(file, 1);
+  WriteChecksummedPayload(file, payload.view());
+  return file.str();
 }
 
 TEST(HubLabel, MatchesPaperFigure1) {
@@ -310,9 +354,9 @@ TEST(HubLabelSerialization, RoundTripPreservesAnswersAndBytes) {
 }
 
 // Labels restored from a file fill the same blocks as built ones: taken
-// highest rank first, each label either follows the previous one in its
-// block or starts a new block, at the same ranks in both indexes (CO′
-// fills 13 blocks).
+// highest rank first, each label's run either follows the previous one in
+// its block or starts a new block, at the same ranks in both indexes (CO′
+// fills 10 blocks), and each run holds the same slots.
 TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
   const DatasetSpec* spec = nullptr;
   for (const DatasetSpec& s : PaperDatasets()) {
@@ -329,17 +373,22 @@ TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
   ASSERT_NE(restored, nullptr) << error;
   auto block_starts = [&](const HlIndex& hl) {
     std::vector<uint32_t> ranks;
-    const HlIndex::HubEntry* end = nullptr;
+    const uint16_t* end = nullptr;
     for (uint32_t r = g.NumVertices(); r-- > 0;) {
-      const auto label = hl.Label(ch.VertexAtRank(r));
-      if (label.data() != end) ranks.push_back(r);
-      end = label.data() + label.size();
+      const std::span<const uint16_t> run = hl.Label(ch.VertexAtRank(r)).run();
+      if (run.data() != end) ranks.push_back(r);
+      end = run.data() + run.size();
     }
     return ranks;
   };
   const std::vector<uint32_t> starts = block_starts(built);
-  EXPECT_EQ(starts.size(), 13u);
+  EXPECT_EQ(starts.size(), 10u);
   EXPECT_EQ(block_starts(*restored), starts);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(restored->Label(v).run(),
+                                   built.Label(v).run()))
+        << "v=" << v;
+  }
   EXPECT_EQ(restored->LabelBytes(), built.LabelBytes());
   EXPECT_EQ(Fingerprint(*restored, g.NumVertices()),
             Fingerprint(built, g.NumVertices()));
@@ -350,11 +399,11 @@ TEST(HubLabelSerialization, RestoredLabelsFillTheBuiltBlocks) {
 // and each leaf its built label {leaf, centre}. The labels are exact, so
 // the index must answer right, and it must write back the bytes it read.
 // The hierarchy contracts the leaves first, which needs no shortcut;
-// it is given rather than contracted, since ContractGraph plans every
-// pair of the centre's 8,193 neighbours as a shortcut while it weighs
-// the centre (about 2 s and 1 GB).
+// it is given rather than contracted, since ContractGraph would search
+// for a witness between every pair of the centre's 10,923 neighbours
+// while it weighs the centre.
 TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
-  const uint32_t n = HlIndex::kBlockEntries + 2;
+  const uint32_t n = HlIndex::kBlockSlots / 3 + 2;
   GraphBuilder b(n);
   b.SetCoord(0, Point{0, 0});
   ContractionResult star;
@@ -381,16 +430,9 @@ TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
     }
     offsets.push_back(entries.size());
   }
-  std::ostringstream payload;
-  WriteScalar<uint32_t>(payload, n);
-  WriteVector(payload, offsets);
-  WriteVector(payload, entries);
-  std::ostringstream file;
-  file.write("RNETHLIX", 8);
-  WriteScalar<uint32_t>(file, 1);
-  WriteChecksummedPayload(file, payload.view());
+  const std::string file = V1File(n, offsets, entries);
 
-  std::istringstream in(file.str());
+  std::istringstream in(file);
   std::string error;
   const auto hl = HlIndex::Deserialize(g, ch, in, &error);
   ASSERT_NE(hl, nullptr) << error;
@@ -398,7 +440,7 @@ TEST(HubLabelSerialization, LabelLongerThanABlockGetsABlockOfItsOwn) {
   EXPECT_EQ(hl->MaxLabelEntries(), n);
   std::ostringstream again;
   hl->Serialize(again);
-  EXPECT_EQ(again.str(), file.str());
+  EXPECT_EQ(again.str(), file);
   ExpectIndexCorrect(g, hl.get(), 40, 87);
 }
 
@@ -439,6 +481,211 @@ TEST(HubLabelSerialization, RejectsWrongGraph) {
   std::string error;
   EXPECT_EQ(HlIndex::Deserialize(g2, ch2, buffer, &error), nullptr);
   EXPECT_FALSE(error.empty());
+}
+
+// A chain of 70,000 vertices, the cheapest graph with more than 2^16:
+// ranks below 70,000 - 2^16 = 4,464 are the low tier. Weights cycle
+// through 1..7, and dist(s, t) is a difference of prefix sums.
+struct Chain {
+  static constexpr uint32_t kVertices = 70000;
+  static constexpr uint32_t kBase = kVertices - HlIndex::kHighTierRanks;
+  Graph graph;
+  ChIndex ch;
+  HlIndex hl;
+  std::vector<Distance> prefix;
+
+  Chain() : graph(Build()), ch(graph), hl(graph, ch), prefix(kVertices, 0) {
+    for (VertexId v = 1; v < kVertices; ++v) {
+      prefix[v] = prefix[v - 1] + EdgeWeight(v - 1);
+    }
+  }
+
+  static Weight EdgeWeight(VertexId v) { return 1 + v % 7; }
+
+  static Graph Build() {
+    GraphBuilder b(kVertices);
+    for (VertexId v = 0; v < kVertices; ++v) {
+      b.SetCoord(v, Point{static_cast<int32_t>(v), 0});
+      if (v + 1 < kVertices) b.AddEdge(v, v + 1, EdgeWeight(v));
+    }
+    return std::move(b).Build();
+  }
+
+  Distance Truth(VertexId s, VertexId t) const {
+    return s < t ? prefix[t] - prefix[s] : prefix[s] - prefix[t];
+  }
+};
+
+const Chain& GetChain() {
+  static const Chain* const chain = new Chain();
+  return *chain;
+}
+
+// Every label's low tier is exactly its hubs below the tier base, and
+// the chain's labels fill both tiers.
+TEST(HubLabelTiers, ChainLabelsFillBothTiers) {
+  const Chain& c = GetChain();
+  size_t low = 0;
+  for (VertexId v = 0; v < Chain::kVertices; ++v) {
+    const HlIndex::LabelView label = c.hl.Label(v);
+    for (size_t i = 0; i < label.size(); ++i) {
+      ASSERT_EQ(label[i].hub < Chain::kBase, i < label.low_size())
+          << "v=" << v << " entry " << i;
+    }
+    low += label.low_size();
+  }
+  EXPECT_GT(low, 0u);
+  EXPECT_LT(low, c.hl.NumLabelEntries());
+  std::printf("chain: %zu label entries, %zu in the low tier\n",
+              c.hl.NumLabelEntries(), low);
+}
+
+TEST(HubLabelTiers, ChainAnswersAsDijkstra) {
+  const Chain& c = GetChain();
+  const auto ctx = c.hl.NewContext();
+  for (auto [s, t] : RandomPairs(c.graph, 2000, 95)) {
+    EXPECT_EQ(c.hl.DistanceQuery(ctx.get(), s, t), c.Truth(s, t))
+        << "s=" << s << " t=" << t;
+  }
+  ExpectIndexCorrect(c.graph, &c.hl, 12, 97);
+}
+
+// Labels holding the last low-tier rank (n - 2^16 - 1) or the first
+// high-tier one (n - 2^16), merged with each other: each answer is the
+// chain distance, and each merge scans what one merge of the whole
+// labels scans.
+TEST(HubLabelTiers, LabelsAtTheTierBoundaryMerge) {
+  const Chain& c = GetChain();
+  std::vector<VertexId> holders[2];
+  for (VertexId v = 0; v < Chain::kVertices; ++v) {
+    for (const HlIndex::HubEntry e : c.hl.Label(v)) {
+      if (e.hub + 1 == Chain::kBase && holders[0].size() < 48) {
+        holders[0].push_back(v);
+      }
+      if (e.hub == Chain::kBase && holders[1].size() < 48) {
+        holders[1].push_back(v);
+      }
+    }
+  }
+  ASSERT_FALSE(holders[0].empty());
+  ASSERT_FALSE(holders[1].empty());
+  std::vector<VertexId> vertices = holders[0];
+  vertices.insert(vertices.end(), holders[1].begin(), holders[1].end());
+  const auto ctx = c.hl.NewContext();
+  for (const VertexId s : vertices) {
+    for (const VertexId t : vertices) {
+      const Distance d = c.hl.DistanceQuery(ctx.get(), s, t);
+      EXPECT_EQ(d, c.Truth(s, t)) << "s=" << s << " t=" << t;
+      const auto [want, scanned] =
+          WholeLabelMerge(c.hl.Label(s), c.hl.Label(t));
+      EXPECT_EQ(d, want) << "s=" << s << " t=" << t;
+      EXPECT_EQ(ctx->counters.table_lookups, scanned)
+          << "s=" << s << " t=" << t;
+    }
+  }
+}
+
+// Labels read from a file need not be a hierarchy's: these give a sample
+// of the chain's vertices many hubs on both sides of the tier base, drawn
+// from small pools so labels share hubs in either tier, and every other
+// vertex its self-hub. On every pair of sampled vertices, and of a
+// sampled vertex and itself, the tiered merge answers and scans as one
+// merge of the whole labels; the index writes back the file it read.
+TEST(HubLabelTiers, MergeScansWhatOneMergeOfTheWholeLabelsScans) {
+  const Chain& c = GetChain();
+  constexpr uint32_t n = Chain::kVertices;
+  Rng rng(99);
+  std::vector<VertexId> sample;
+  std::vector<uint64_t> offsets = {0};
+  std::vector<HlIndex::HubEntry> entries;
+  std::vector<HlIndex::HubEntry> label;
+  for (VertexId v = 0; v < n; ++v) {
+    const uint32_t self = c.ch.RankOf(v);
+    label.assign(1, {self, 0});
+    if (v % 97 == 0) {
+      sample.push_back(v);
+      const uint64_t low = rng.NextBelow(12);
+      const uint64_t high = rng.NextBelow(12);
+      for (uint64_t k = 0; k < low + high; ++k) {
+        const uint64_t pool = rng.NextBelow(3);
+        const uint32_t hub = static_cast<uint32_t>(
+            k < low ? (pool == 0 ? rng.NextBelow(16)
+                                 : Chain::kBase - 1 - rng.NextBelow(24))
+                    : (pool == 0 ? n - 1 - rng.NextBelow(16)
+                                 : Chain::kBase + rng.NextBelow(24)));
+        const uint32_t dist = static_cast<uint32_t>(1 + rng.NextBelow(1000));
+        if (hub != self) label.push_back({hub, dist});
+      }
+    }
+    std::sort(label.begin(), label.end(),
+              [](const HlIndex::HubEntry& a, const HlIndex::HubEntry& b) {
+                return a.hub < b.hub;
+              });
+    label.erase(std::unique(label.begin(), label.end(),
+                            [](const HlIndex::HubEntry& a,
+                               const HlIndex::HubEntry& b) {
+                              return a.hub == b.hub;
+                            }),
+                label.end());
+    entries.insert(entries.end(), label.begin(), label.end());
+    offsets.push_back(entries.size());
+  }
+  const std::string file = V1File(n, offsets, entries);
+  std::istringstream in(file);
+  std::string error;
+  const auto hl = HlIndex::Deserialize(c.graph, c.ch, in, &error);
+  ASSERT_NE(hl, nullptr) << error;
+  size_t low_labels = 0;
+  for (const VertexId v : sample) low_labels += hl->Label(v).low_size() > 0;
+  EXPECT_GT(low_labels, sample.size() / 2);
+  const auto ctx = hl->NewContext();
+  for (const VertexId s : sample) {
+    for (const VertexId t : sample) {
+      const Distance d = hl->DistanceQuery(ctx.get(), s, t);
+      const auto [want, scanned] = WholeLabelMerge(hl->Label(s), hl->Label(t));
+      ASSERT_EQ(d, want) << "s=" << s << " t=" << t;
+      ASSERT_EQ(ctx->counters.table_lookups, scanned)
+          << "s=" << s << " t=" << t;
+    }
+  }
+  std::ostringstream again;
+  hl->Serialize(again);
+  EXPECT_TRUE(again.str() == file);
+}
+
+// Serialize widens every entry back to the v1 file's 8 bytes: its output
+// is the v1 encoding of Label()'s entries. The restored index lays out
+// the same runs, slot for slot, starting new blocks at the same labels,
+// and counts the same LabelBytes().
+TEST(HubLabelTiers, FileIsTheV1EncodingAndRestoresTheRuns) {
+  const Chain& c = GetChain();
+  std::vector<uint64_t> offsets = {0};
+  std::vector<HlIndex::HubEntry> entries;
+  for (VertexId v = 0; v < Chain::kVertices; ++v) {
+    for (const HlIndex::HubEntry e : c.hl.Label(v)) entries.push_back(e);
+    offsets.push_back(entries.size());
+  }
+  std::stringstream file;
+  c.hl.Serialize(file);
+  EXPECT_TRUE(file.str() == V1File(Chain::kVertices, offsets, entries));
+
+  std::string error;
+  const auto restored = HlIndex::Deserialize(c.graph, c.ch, file, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(restored->LabelBytes(), c.hl.LabelBytes());
+  EXPECT_EQ(restored->NumLabelEntries(), c.hl.NumLabelEntries());
+  const uint16_t* built_end = nullptr;
+  const uint16_t* restored_end = nullptr;
+  for (uint32_t r = Chain::kVertices; r-- > 0;) {
+    const VertexId v = c.ch.VertexAtRank(r);
+    const std::span<const uint16_t> built = c.hl.Label(v).run();
+    const std::span<const uint16_t> run = restored->Label(v).run();
+    ASSERT_TRUE(std::ranges::equal(run, built)) << "v=" << v;
+    ASSERT_EQ(run.data() == restored_end, built.data() == built_end)
+        << "v=" << v;
+    built_end = built.data() + built.size();
+    restored_end = run.data() + run.size();
+  }
 }
 
 // One immutable index, eight threads, one context each: every thread

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <string>
 
+#include "ch/ch_index.h"
+#include "hl/hl_index.h"
 #include "pcpd/approx_oracle.h"
 #include "pcpd/pcpd_index.h"
 #include "tests/counting_allocator.h"
@@ -48,6 +50,21 @@ TEST(IndexSpace, PcpdAndOracleDeclareTheHeapTheyKeep) {
       ExpectDeclaresWhatItKeeps(what, LiveHeapBytes() - before,
                                 oracle.IndexBytes());
     }
+  }
+}
+
+// Hub labels on DE' and NH' over their hierarchies: LabelBytes() counts
+// the label blocks at their capacity, the block table and the per-vertex
+// references, which is all the labels keep.
+TEST(IndexSpace, HlDeclaresTheHeapItKeeps) {
+  for (size_t dataset : {0, 1}) {
+    const DatasetSpec& spec = PaperDatasets()[dataset];
+    const Graph g = BuildDataset(spec);
+    const ChIndex ch(g);
+    const size_t before = LiveHeapBytes();
+    const HlIndex hl(g, ch);
+    ExpectDeclaresWhatItKeeps(spec.name + " HL", LiveHeapBytes() - before,
+                              hl.LabelBytes());
   }
 }
 
