@@ -267,7 +267,11 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
   backward.parent_arc[t] = kOriginalArc;
   backward.touched.push_back(t);
   backward.HeapPush(t, 0);
-  ctx->counters.HeapPush(2);
+  // Work is counted in locals and added to the context once, at the end:
+  // through ctx, every increment would be a store the loop must keep.
+  uint64_t pops = 0;
+  uint64_t relaxed = 0;
+  uint64_t pushes = 2;
 
   Distance best = (s == t) ? 0 : kInfDistance;
   uint32_t meet = (s == t) ? s : kInvalidVertex;
@@ -293,8 +297,7 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
     const HeapEntry<D> top = side->HeapPopMin();
     const uint32_t u = top.rank;
     const D du = top.key;
-    ctx->counters.HeapPop();
-    ctx->counters.Settle();
+    ++pops;
     // Overlap the heap bookkeeping of this settle with the memory fetches
     // of the next frontier vertex: its arc block and its meet-check line
     // in the opposite search's state. Both addresses are known one pop
@@ -365,7 +368,7 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
         if (cand < dist[a.target] && cand < best) buf[nbuf++] = arc;
       }
     }
-    ctx->counters.RelaxEdge(arc_end - arc_begin);
+    relaxed += arc_end - arc_begin;
     for (uint32_t i = 0; i < nbuf; ++i) {
       const uint32_t arc = side->relax_buf[i];
       const HotArc a = arcs_[arc];
@@ -384,10 +387,15 @@ uint32_t ChIndex::Search(Context<D>* ctx, uint32_t s, uint32_t t,
           // weights, so an improvable vertex must be in the heap.
           side->HeapDecrease(a.target, cand);
         }
-        ctx->counters.HeapPush();
+        ++pushes;
       }
     }
   }
+  // Every pop settles: a stalled vertex is settled, then skipped.
+  ctx->counters.HeapPop(pops);
+  ctx->counters.Settle(pops);
+  ctx->counters.RelaxEdge(relaxed);
+  ctx->counters.HeapPush(pushes);
   *out_dist = best;
   return meet;
 }
@@ -399,26 +407,21 @@ Distance ChIndex::DistanceQuery(QueryContext* ctx, VertexId s,
   return d;
 }
 
-void ChIndex::EmitArc(uint32_t arc, bool down, Path* out,
-                      QueryCounters* counters) const {
+uint64_t ChIndex::EmitArc(uint32_t arc, bool down, Path* out) const {
   const ArcUnpack u = unpack_[arc];
   if (u.lo == kOriginalArc) {
     // Original edge: emit the far endpoint (source when walking down,
     // target when walking up), translated to its external id.
     out->push_back(order_[down ? u.hi : arcs_[arc].target]);
-    return;
+    return 0;
   }
-  counters->ShortcutUnpacked();
   // Walking up traverses source -> middle -> target: the source half
   // downward (it ends, and therefore emits, the middle), then the target
   // half upward. Walking down mirrors it.
   if (down) {
-    EmitArc(u.hi, true, out, counters);
-    EmitArc(u.lo, false, out, counters);
-  } else {
-    EmitArc(u.lo, true, out, counters);
-    EmitArc(u.hi, false, out, counters);
+    return 1 + EmitArc(u.hi, true, out) + EmitArc(u.lo, false, out);
   }
+  return 1 + EmitArc(u.lo, true, out) + EmitArc(u.hi, false, out);
 }
 
 Path ChIndex::PathQuery(QueryContext* raw_ctx, VertexId s,
@@ -449,13 +452,15 @@ Path ChIndex::PathIn(Context<D>* ctx, VertexId s, VertexId t) const {
   Path& path = ctx->path;
   path.clear();
   path.push_back(s);
+  uint64_t unpacked = 0;
   for (auto arc = up_arcs.rbegin(); arc != up_arcs.rend(); ++arc) {
-    EmitArc(*arc, /*down=*/false, &path, &ctx->counters);
+    unpacked += EmitArc(*arc, /*down=*/false, &path);
   }
   for (uint32_t arc = ctx->backward.parent_arc[meet]; arc != kOriginalArc;
        arc = ctx->backward.parent_arc[ArcSource(arc)]) {
-    EmitArc(arc, /*down=*/true, &path, &ctx->counters);
+    unpacked += EmitArc(arc, /*down=*/true, &path);
   }
+  ctx->counters.ShortcutUnpacked(unpacked);
   return Path(path.begin(), path.end());
 }
 

@@ -299,9 +299,9 @@ class ChIndex : public PathIndex {
   // ids, excluding the entry endpoint. `down` selects the traversal
   // direction: false walks source -> target (the forward tree), true
   // target -> source (the backward tree). Pure array walking over the
-  // precomputed child arc indices; no edge lookups.
-  void EmitArc(uint32_t arc, bool down, Path* out,
-               QueryCounters* counters) const;
+  // precomputed child arc indices; no edge lookups. Returns the number of
+  // shortcuts it unpacked.
+  uint64_t EmitArc(uint32_t arc, bool down, Path* out) const;
 
   // Deserialization constructor: arrays filled by the factory.
   struct DeserializeTag {};

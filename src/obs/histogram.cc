@@ -6,8 +6,6 @@
 
 namespace roadnet {
 
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
-
 size_t Histogram::BucketIndex(uint64_t value) {
   if (value < kSubBuckets) return static_cast<size_t>(value);
   const int msb = 63 - std::countl_zero(value);
@@ -31,6 +29,7 @@ uint64_t Histogram::BucketMid(size_t index) {
 }
 
 void Histogram::Record(uint64_t value) {
+  if (buckets_.empty()) buckets_.resize(kNumBuckets);
   buckets_[BucketIndex(value)]++;
   if (count_ == 0) {
     min_ = max_ = value;
@@ -44,6 +43,7 @@ void Histogram::Record(uint64_t value) {
 
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
+  if (buckets_.empty()) buckets_.resize(kNumBuckets);
   for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
   if (count_ == 0) {
     min_ = other.min_;

@@ -18,11 +18,14 @@ namespace roadnet {
 // sum, and count are tracked alongside, so Min()/Max()/Mean() are exact
 // and only interior quantiles carry bucket error.
 //
-// A Histogram is a fixed-size array of uint64 counts: recording is a
-// single add with no allocation, and two histograms recorded by
-// different threads merge by element-wise addition (Merge), which is how
-// QueryEngine combines per-worker histograms into batch percentiles
-// without any locking on the query path.
+// A Histogram is a fixed-size array of uint64 counts (29.5 KiB),
+// allocated by the first Record or Merge that adds a count and kept from
+// then on, Reset included: a histogram nothing records into owns no
+// buckets, and after the first value recording is a single add with no
+// allocation. Two histograms recorded by different threads merge by
+// element-wise addition (Merge), which is how QueryEngine combines
+// per-worker histograms into batch percentiles without any locking on
+// the query path.
 class Histogram {
  public:
   // Sub-bucket resolution: 64 linear sub-buckets per octave.
@@ -32,10 +35,8 @@ class Histogram {
   // exact range, 64 sub-buckets each, plus the exact range itself.
   static constexpr size_t kNumBuckets = (64 - kPrecisionBits + 1) * kSubBuckets;
 
-  Histogram();
-
-  // Adds one observation. O(1), no allocation, not thread-safe (use one
-  // Histogram per thread and Merge()).
+  // Adds one observation. O(1), and allocates only if no bucket exists
+  // yet; not thread-safe (use one Histogram per thread and Merge()).
   void Record(uint64_t value);
 
   // Element-wise addition of another histogram's counts (and min/max/sum
@@ -43,6 +44,7 @@ class Histogram {
   // streams into a single histogram.
   void Merge(const Histogram& other);
 
+  // Empties the histogram and keeps its buckets.
   void Reset();
 
   uint64_t Count() const { return count_; }
@@ -66,6 +68,7 @@ class Histogram {
   static uint64_t BucketMid(size_t index);
 
  private:
+  // Empty, or kNumBuckets counts.
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   uint64_t min_ = 0;

@@ -1,6 +1,8 @@
 // Observability primitives: histogram bucket geometry and percentile
-// semantics (pinned against hand-computed values), counter arithmetic,
-// and the metrics writers' escaping and edge cases.
+// semantics (pinned against hand-computed values), the heap a histogram
+// holds (counted by the replaced global operator new and delete of
+// tests/counting_allocator.h), counter arithmetic, and the metrics
+// writers' escaping and edge cases.
 
 #include <cmath>
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/query_counters.h"
+#include "tests/counting_allocator.h"
 #include "gtest/gtest.h"
 
 namespace roadnet {
@@ -111,6 +114,62 @@ TEST(Histogram, ResetClears) {
   EXPECT_EQ(h.Count(), 0u);
   EXPECT_EQ(h.Max(), 0u);
   EXPECT_EQ(h.ValueAtQuantile(0.5), 0u);
+}
+
+// An empty histogram merges as a no-op in either direction, and two
+// empty ones merge into one that still reports zeros.
+TEST(Histogram, EmptyHistogramsMergeAndAnswerAsBefore) {
+  Histogram recorded;
+  for (uint64_t v : {3ull, 70ull, 4096ull, 123456ull}) recorded.Record(v);
+  Histogram with_empty = recorded;
+  with_empty.Merge(Histogram());
+  Histogram into_empty;
+  into_empty.Merge(recorded);
+  for (const Histogram* h : {&with_empty, &into_empty}) {
+    EXPECT_EQ(h->Count(), 4u);
+    EXPECT_EQ(h->Min(), 3u);
+    EXPECT_EQ(h->Max(), 123456u);
+    EXPECT_DOUBLE_EQ(h->Sum(), recorded.Sum());
+    for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      EXPECT_EQ(h->ValueAtQuantile(q), recorded.ValueAtQuantile(q)) << q;
+    }
+  }
+  Histogram empty;
+  empty.Merge(Histogram());
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_EQ(empty.Min(), 0u);
+  EXPECT_EQ(empty.Max(), 0u);
+  EXPECT_EQ(empty.Mean(), 0.0);
+  EXPECT_EQ(empty.ValueAtQuantile(0.5), 0u);
+  EXPECT_EQ(empty.ValueAtQuantile(1.0), 0u);
+}
+
+// A histogram that never counts a value owns no buckets, whatever else
+// is asked of it; the first value allocates them, and Reset keeps them
+// for the next batch.
+TEST(Histogram, NeverRecordedOwnsNoBucketBytes) {
+  const size_t before = LiveHeapBytes();
+  Histogram h;
+  h.Merge(Histogram());
+  h.Reset();
+  const uint64_t p50 = h.ValueAtQuantile(0.5);
+  const size_t idle = LiveHeapBytes() - before;
+  h.Record(42);
+  const size_t recorded = LiveHeapBytes() - before;
+  h.Reset();
+  const size_t reset = LiveHeapBytes() - before;
+  EXPECT_EQ(p50, 0u);
+  EXPECT_EQ(idle, 0u);
+  EXPECT_EQ(recorded, Histogram::kNumBuckets * sizeof(uint64_t));
+  EXPECT_EQ(reset, recorded);
+  Histogram merged;
+  const size_t merged_before = LiveHeapBytes();
+  merged.Merge(h);
+  EXPECT_EQ(LiveHeapBytes(), merged_before);
+  h.Record(7);
+  merged.Merge(h);
+  EXPECT_EQ(LiveHeapBytes() - merged_before,
+            Histogram::kNumBuckets * sizeof(uint64_t));
 }
 
 TEST(Histogram, BucketGeometry) {
