@@ -34,7 +34,6 @@
 
 #include "bench/bench_util.h"
 #include "ch/ch_index.h"
-#include "ch/contraction.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -121,7 +120,7 @@ int main(int argc, char** argv) {
   }
 
   Graph g = BuildDataset(*spec);
-  ChIndex index(g, ContractGraph(g, ChConfig{}), ChConfig{});
+  ChIndex index(g);
   const auto sets = GenerateLInfQuerySets(g, quick ? 250 : 500, 7700);
   const auto pairs = LongRangePairs(sets);
   if (pairs.empty()) {

@@ -56,7 +56,7 @@ stage_smoke() {
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build build -j"$(nproc)" --target \
     roadnet_cli roadnet_loadgen \
-    bench_ch_layout bench_hl quickstart nearest_poi route_service \
+    bench_hl quickstart nearest_poi route_service \
     index_advisor offline_preprocessing
   SMOKE="$(mktemp -d)"
   build/tools/roadnet_cli generate --vertices 1500 --seed 5 \
@@ -80,20 +80,16 @@ stage_smoke() {
     exit 1
   fi
 
-  echo "==> CH layout bench: rank-permuted SoA vs legacy AoS (quick gate)"
-  # Exits nonzero if the two layouts disagree on any distance or if the
-  # rank-permuted SoA core is slower than the pre-split AoS baseline
-  # compiled into the bench; the JSONL output must stay schema-valid.
-  build/bench/bench_ch_layout --quick --out "$SMOKE/BENCH_ch_layout.json" \
-    >/dev/null
-  python3 scripts/validate_metrics.py "$SMOKE/BENCH_ch_layout.json"
-
-  echo "==> HL bench: label merge vs CH search (quick gate)"
-  # Exits nonzero if HL disagrees with CH on any distance, if the label
-  # merge is not faster than the rank-SoA CH core on the Q6..Q10 workload
-  # of the largest quick dataset, if building that dataset's labels takes
-  # longer than its contraction, or if they keep more than 6 bytes per
-  # entry plus the references and block slack.
+  echo "==> HL bench: label merge vs CH search vs legacy AoS CH (quick gate)"
+  # Exits nonzero if HL or the pre-split AoS copy of the CH compiled into
+  # the bench disagrees with CH on any distance or path length; if, on
+  # the Q6..Q10 distance workload of W-US' (the largest quick dataset),
+  # the rank-SoA CH core is slower than the AoS copy or the label merge
+  # is not faster than the CH core; if building that dataset's labels
+  # takes longer than its contraction; if they keep more than 6 bytes per
+  # entry plus the references and block slack; or if the FL' or W-US'
+  # hierarchy's CRC-32 moves from its pin. The JSONL output must stay
+  # schema-valid.
   build/bench/bench_hl --quick --out "$SMOKE/BENCH_hl.json" >/dev/null
   python3 scripts/validate_metrics.py "$SMOKE/BENCH_hl.json"
 

@@ -50,9 +50,9 @@ class ChIndex : public PathIndex {
   ChIndex(const Graph& g, const ChConfig& config);
   explicit ChIndex(const Graph& g) : ChIndex(g, ChConfig{}) {}
 
-  // Adopts a precomputed contraction instead of running one. This is how
-  // bench_ch_layout builds two query layouts over a single contraction so
-  // the comparison isolates memory-layout effects.
+  // Adopts a precomputed contraction instead of running one. bench_hl
+  // builds this index and its AoS copy of the old layout from one, so
+  // the comparison isolates layout; tests adopt hand-built hierarchies.
   ChIndex(const Graph& g, ContractionResult result, const ChConfig& config);
 
   // Writes the preprocessed hierarchy (ranks + rank-space upward arrays)

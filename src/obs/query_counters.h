@@ -41,9 +41,9 @@ struct QueryCounters {
   uint64_t shortcuts_unpacked = 0;
   // Binary-search lookups of augmented-edge records during path
   // unpacking. The rank-space CH layout resolves every shortcut to its
-  // child arc indices at build time and performs none; only legacy-layout
-  // baselines (bench_ch_layout) count here, and tests pin the real index
-  // to zero.
+  // child arc indices at build time and performs none; only bench_hl's
+  // frozen AoS copy of the old layout counts here, and tests pin the real
+  // index to zero.
   uint64_t edge_searches = 0;
   // Probes of precomputed distance tables: TNR access-node table cells,
   // ALT landmark-distance rows.
